@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Union
 
 from .errors import ResourceExhaustedError
@@ -45,11 +45,16 @@ class OracleFn:
     queries may race on the cache without changing any result.
     """
 
-    def __init__(self, fn: Callable[[int], int], provenance, name: str):
+    def __init__(self, fn: Callable[[int], int], provenance, name: str | Callable[[], str]):
         self._fn = fn
         self.provenance = provenance
-        self.name = name
+        self._name = name
         self._cache: dict[int, int] = {}
+
+    @cached_property
+    def name(self) -> str:
+        """The display name; a callable given for it is called on first read."""
+        return self._name if isinstance(self._name, str) else self._name()
 
     def __call__(self, n: int) -> int:
         cached = self._cache.get(n)
@@ -89,7 +94,7 @@ def _program_fn(tier: Tier, i: int, budget: EvalBudget | None) -> OracleFn:
     return OracleFn(
         lambda n: evaluate(program, n, budget),
         ProgramBacked(program, tier),
-        name=f"{tier.value}[{i}]={pretty(program.term)}",
+        name=lambda: f"{tier.value}[{i}]={pretty(program.term)}",
     )
 
 

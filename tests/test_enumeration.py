@@ -12,10 +12,11 @@ from diagforge.enumeration import (
     enumerate_stream,
     index_of,
     program_at,
+    terms_of_size,
     tier_layer,
 )
 from diagforge.errors import NotInTierError
-from diagforge.kernel import parse, pretty, size
+from diagforge.kernel import Term, parse, pretty, rank_seq, size
 from oracles import all_nat_terms, nat_terms_of_size
 
 
@@ -113,3 +114,31 @@ def test_stream_restarts_identically():
     first = stream_prefix(Tier.NATFN, 10_000)
     second = stream_prefix(Tier.NATFN, 10_000)
     assert first == second
+
+
+@pytest.mark.parametrize("tier, top", [(Tier.NATFN, 8), (Tier.FULL, 7)])
+def test_counting_agrees_with_materialized_layers(tier, top):
+    index = 0
+    for s in range(1, top + 1):
+        for t in tier_layer(tier, s):
+            index += 1
+            assert program_at(tier, index).term == t
+            assert index_of(tier, t) == index
+    assert index == {Tier.NATFN: 33_072, Tier.FULL: 12_226}[tier]
+
+
+def test_rank_and_unrank_far_past_materializable_layers():
+    cached = terms_of_size.cache_info().currsize
+    for tier, index in ((Tier.NATFN, 10**20), (Tier.FULL, 10**40)):
+        program = program_at(tier, index)
+        assert size(program.term) > 20
+        assert index_of(tier, program) == index
+    # A 300-node chain, built and compared without parse, pretty or Term
+    # equality, which all recurse once per level.
+    chain = Term("n")
+    for _ in range(299):
+        chain = Term("succ", (chain,))
+    index = index_of(Tier.NATFN, chain)
+    assert rank_seq(program_at(Tier.NATFN, index).term) == rank_seq(chain)
+    assert index_of(Tier.NATFN, program_at(Tier.NATFN, index + 1)) == index + 1
+    assert terms_of_size.cache_info().currsize == cached
