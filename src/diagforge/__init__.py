@@ -57,7 +57,7 @@ from .refuter import (
     accepted_stream,
     refute,
 )
-from .spaces import AnalyticalSpace, CostPolicy, absorb, expand_domain, new_space, unify
+from .spaces import AnalyticalSpace, absorb, expand_domain, new_space, unify
 from .synthesis import (
     Candidate,
     ComponentFact,

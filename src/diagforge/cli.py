@@ -2,9 +2,12 @@
 
 Exit codes: 0 success, 1 domain outcome (nothing synthesized, empty
 classifier, duplicate probe), 2 usage or malformed input, 3 evaluation
-budget exhausted. Records go to stdout, diagnostics to stderr; identical
-invocations produce byte-identical output. DIAGFORGE_BUDGET overrides the
-default step budget.
+budget exhausted, or a term too deep or too large for the interpreter
+(RecursionError, MemoryError). Records go to stdout, diagnostics to stderr;
+identical invocations produce byte-identical output. Witness rows are
+printed as each is proved, so a run that exhausts its budget keeps the
+rows before the failing index. DIAGFORGE_BUDGET overrides the default step
+budget.
 """
 
 from __future__ import annotations
@@ -71,10 +74,14 @@ def _cmd_show(args) -> int:
     return 0
 
 
+def _print_rows(machine: machines.Machine, count: int, budget: EvalBudget, **fields) -> None:
+    """One JSON line per witness row, printed as soon as the row is proved."""
+    for w in machines.witness_rows(machine, count, budget):
+        print(json.dumps({**fields, "index": w.index, "fn_at_n": w.fn_at_n, "g_at_n": w.g_at_n}))
+
+
 def _cmd_diag(args) -> int:
-    machine = machines.Base(_tier(args.tier))
-    rows = machines.witness_table(machine, args.witness, _budget(args.budget))
-    print(machines.witnesses_jsonl(rows))
+    _print_rows(machines.Base(_tier(args.tier)), args.witness, _budget(args.budget))
     return 0
 
 
@@ -82,19 +89,18 @@ def _cmd_iterate(args) -> int:
     budget = _budget(args.budget)
     machine: machines.Machine = machines.Base(Tier.NATFN)
     for level in range(1, args.depth + 1):
-        rows = machines.witness_table(machine, args.witness, budget)
-        for w in rows:
-            print(json.dumps({"level": level, "index": w.index, "fn_at_n": w.fn_at_n, "g_at_n": w.g_at_n}))
+        _print_rows(machine, args.witness, budget, level=level)
         machine = machines.extend(machine, machines.diagonal(machine, budget))
     return 0
 
 
 def _cmd_refute(args) -> int:
     classifier = _parse_classifier(args.classifier)
-    report = refuter.refute(
-        classifier, _tier(args.tier), args.count, horizon=args.horizon, budget=_budget(args.budget)
-    )
-    print(refuter.report_jsonl(report))
+    tier = _tier(args.tier)
+    budget = _budget(args.budget)
+    machine = refuter.accepted_prefix(classifier, tier, args.count, args.horizon, budget)
+    print(json.dumps({"classifier": refuter.describe_classifier(classifier), "tier": tier.value, "N": args.count}))
+    _print_rows(machine, args.count, budget)
     return 0
 
 
@@ -217,6 +223,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except ResourceExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (RecursionError, MemoryError) as exc:
+        # The parser and the evaluator recurse once per nesting level, so a
+        # deep enough term overflows the stack before any budget is reached.
+        print(f"error: interpreter resources exhausted ({type(exc).__name__})", file=sys.stderr)
         return 3
     except (EmptyClassifierError, DuplicateProbeError, EmptyProbesError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,20 +1,20 @@
 """Machines producing function streams, and the diagonal escape against them.
 
-A machine is either a language tier (its stream is the enumeration, seen as
-functions) or an extension of a machine by prepended functions. The diagonal
-of a machine m is g(n) = f_n(n) + 1 where f_1, f_2, ... is m's stream; g
-differs from every stream element, and extending m by g yields a machine
-whose own diagonal differs from g again. Machine indices are 1-based to
-match the stream f_1, f_2, ...; g(0) is defined as g(1) so oracle functions
-are total on all naturals.
+A machine is a language tier (its stream is the enumeration, seen as
+functions), a finite subsequence of a tier (the programs at fixed indices,
+such as a classifier's accepted prefix), or an extension of a machine by
+prepended functions. The diagonal of a machine m is g(n) = f_n(n) + 1 where
+f_1, f_2, ... is m's stream; g differs from every stream element, and
+extending m by g yields a machine whose own diagonal differs from g again.
+Machine indices are 1-based to match the stream f_1, f_2, ...; g(0) is
+defined as g(1) so oracle functions are total on all naturals.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 from .errors import ResourceExhaustedError
 from .enumeration import Tier, program_at
@@ -74,17 +74,28 @@ class Base:
 
 
 @dataclass(frozen=True)
+class Subsequence:
+    """A finite machine: the tier's programs at `indices`, in that order."""
+
+    tier: Tier
+    indices: tuple[int, ...]
+    label: str
+
+
+@dataclass(frozen=True)
 class Extend:
     inner: "Machine"
     prepended: tuple[OracleFn, ...]
 
 
-Machine = Union[Base, Extend]
+Machine = Union[Base, Subsequence, Extend]
 
 
 def describe(m: Machine) -> str:
     if isinstance(m, Base):
         return f"base({m.tier.value})"
+    if isinstance(m, Subsequence):
+        return m.label
     return f"extend({describe(m.inner)}, +{len(m.prepended)})"
 
 
@@ -107,6 +118,10 @@ def function_at(m: Machine, i: int, budget: EvalBudget | None = None) -> OracleF
             return m.prepended[i - 1]
         i -= len(m.prepended)
         m = m.inner
+    if isinstance(m, Subsequence):
+        if i > len(m.indices):
+            raise ValueError(f"stream index {i} is past the end of {m.label}")
+        i = m.indices[i - 1]
     return _program_fn(m.tier, i, budget)
 
 
@@ -153,16 +168,21 @@ class Witness:
             raise ValueError(f"witness row {self.index} violates g = f + 1")
 
 
-def witness_table(m: Machine, count: int, budget: EvalBudget | None = None) -> list[Witness]:
-    """The finite certificate that diagonal(m) escapes m's first `count` functions."""
+def witness_rows(m: Machine, count: int, budget: EvalBudget | None = None) -> Iterator[Witness]:
+    """The rows certifying that diagonal(m) escapes m's first `count` functions,
+    yielded one by one as each is proved. Each f_n(n) is evaluated once: g
+    reads it back from f_n's memo."""
     if count < 1:
         raise ValueError(f"witness count must be >= 1, got {count}")
     g = diagonal(m, budget)
-    rows = []
     for n in range(1, count + 1):
         fn_value = _apply_indexed(function_at(m, n, budget), n)
-        rows.append(Witness(n, fn_value, g(n)))
-    return rows
+        yield Witness(n, fn_value, g(n))
+
+
+def witness_table(m: Machine, count: int, budget: EvalBudget | None = None) -> list[Witness]:
+    """The finite certificate that diagonal(m) escapes m's first `count` functions."""
+    return list(witness_rows(m, count, budget))
 
 
 def iterate(m0: Machine, depth: int, budget: EvalBudget | None = None) -> tuple[Machine, list[OracleFn]]:
@@ -176,10 +196,3 @@ def iterate(m0: Machine, depth: int, budget: EvalBudget | None = None) -> tuple[
         gs.append(g)
         machine = extend(machine, g)
     return machine, gs
-
-
-def witnesses_jsonl(rows: list[Witness]) -> str:
-    return "\n".join(
-        json.dumps({"index": w.index, "fn_at_n": w.fn_at_n, "g_at_n": w.g_at_n})
-        for w in rows
-    )

@@ -3,23 +3,24 @@
 A classifier judges enumeration indices (the enumeration is the numbering).
 Whatever subsequence it accepts, the diagonal over that subsequence is a
 total function disagreeing with every accepted function on the prefix, so
-no classifier can have accepted a family containing it. Program-backed
-deciders live inside the kernel language itself: decider d accepts index i
-iff d(i) != 0.
+no classifier can have accepted a family containing it. The accepted
+prefix is itself a finite machine (machines.Subsequence), so a refutation
+is the same diagonal and witness rows as against a whole tier.
+Program-backed deciders live inside the kernel language itself: decider d
+accepts index i iff d(i) != 0.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Union
 
-from .errors import EmptyClassifierError, ResourceExhaustedError
-from .enumeration import Tier, enumerate_stream
+from .errors import EmptyClassifierError
+from .enumeration import Tier, enumerate_stream, program_at
 from .interp import EvalBudget, evaluate
 from .kernel import TypedProgram, pretty, size
-from .machines import DiagonalOf, OracleFn, Witness
+from .machines import OracleFn, Subsequence, Witness, diagonal, witness_rows
 
 DEFAULT_HORIZON = 100_000
 
@@ -89,6 +90,33 @@ class RefutationReport:
     diag: OracleFn
 
 
+def accepted_prefix(
+    c: Classifier,
+    tier: Tier,
+    count: int,
+    horizon: int = DEFAULT_HORIZON,
+    budget: EvalBudget | None = None,
+) -> Subsequence:
+    """The machine of the first `count` programs the classifier accepts.
+
+    Raises EmptyClassifierError when fewer than `count` programs are
+    accepted within the first `horizon` enumeration indices.
+    """
+    if count < 1:
+        raise ValueError(f"witness count must be >= 1, got {count}")
+    # The horizon bounds the scan of the underlying enumeration, not the
+    # accepted subsequence (which may be empty).
+    indices: list[int] = []
+    for index, program in islice(enumerate(enumerate_stream(tier), start=1), horizon):
+        if _accepts(c, index, program, budget):
+            indices.append(index)
+            if len(indices) == count:
+                break
+    if len(indices) < count:
+        raise EmptyClassifierError(len(indices), count, horizon)
+    return Subsequence(tier, tuple(indices), f"accepted({describe_classifier(c)}, {tier.value})")
+
+
 def refute(
     c: Classifier,
     tier: Tier,
@@ -100,58 +128,13 @@ def refute(
 
     The diagonal runs over accepted positions k (not tier indices): with
     a_1, a_2, ... the accepted programs, diag(k) = a_k(k) + 1. Raises
-    EmptyClassifierError when fewer than `count` programs are accepted
-    within the first `horizon` enumeration indices.
+    EmptyClassifierError as accepted_prefix does.
     """
-    if count < 1:
-        raise ValueError(f"witness count must be >= 1, got {count}")
-    # The horizon bounds the scan of the underlying enumeration, not the
-    # accepted subsequence (which may be empty).
-    accepted: list[tuple[int, TypedProgram]] = []
-    for index, program in islice(enumerate(enumerate_stream(tier), start=1), horizon):
-        if _accepts(c, index, program, budget):
-            accepted.append((index, program))
-            if len(accepted) == count:
-                break
-    if len(accepted) < count:
-        raise EmptyClassifierError(len(accepted), count, horizon)
-
-    programs = [program for _, program in accepted]
-
-    def fn(k: int) -> int:
-        pos = k if k >= 1 else 1
-        try:
-            return evaluate(programs[pos - 1], pos, budget) + 1
-        except ResourceExhaustedError as exc:
-            raise ResourceExhaustedError(exc.steps_used, exc.reason, index=pos) from exc
-
-    name = f"diag(accepted({describe_classifier(c)}, {tier.value}))"
-    diag = OracleFn(fn, DiagonalOf(name), name=name)
-    witnesses = []
-    for k in range(1, count + 1):
-        try:
-            fn_value = evaluate(programs[k - 1], k, budget)
-        except ResourceExhaustedError as exc:
-            raise ResourceExhaustedError(exc.steps_used, exc.reason, index=k) from exc
-        witnesses.append(Witness(k, fn_value, diag(k)))
-    witnesses = tuple(witnesses)
+    machine = accepted_prefix(c, tier, count, horizon, budget)
     return RefutationReport(
         classifier=describe_classifier(c),
         tier=tier,
-        accepted_prefix=tuple(accepted),
-        witnesses=witnesses,
-        diag=diag,
+        accepted_prefix=tuple((i, program_at(tier, i)) for i in machine.indices),
+        witnesses=tuple(witness_rows(machine, count, budget)),
+        diag=diagonal(machine, budget),
     )
-
-
-def report_jsonl(report: RefutationReport) -> str:
-    lines = [
-        json.dumps(
-            {"classifier": report.classifier, "tier": report.tier.value, "N": len(report.witnesses)}
-        )
-    ]
-    lines.extend(
-        json.dumps({"index": w.index, "fn_at_n": w.fn_at_n, "g_at_n": w.g_at_n})
-        for w in report.witnesses
-    )
-    return "\n".join(lines)

@@ -33,20 +33,6 @@ from .synthesis import Candidate
 
 
 @dataclass(frozen=True)
-class CostPolicy:
-    """How 'economical' is measured: term size, with canonical enumeration
-    order refining it to a total order."""
-
-    measure: str = "term-size"
-
-    def key(self, term: Term) -> tuple[int, tuple[int, ...]]:
-        return canonical_key(term)
-
-
-DEFAULT_COST = CostPolicy()
-
-
-@dataclass(frozen=True)
 class SpaceClass:
     fingerprint: tuple  # (output sort tag, output vector) over the space's probes
     representative: Candidate
@@ -105,12 +91,12 @@ def _rebuild(
         grouped.setdefault(_fingerprint(term, probes, var, budget), []).append(term)
     classes = []
     for fingerprint, group in grouped.items():
-        unique = sorted(set(group), key=DEFAULT_COST.key)
+        unique = sorted(set(group), key=canonical_key)
         best = unique[0]
         classes.append(
             SpaceClass(fingerprint, Candidate(best, size(best), fingerprint), tuple(unique))
         )
-    classes.sort(key=lambda c: DEFAULT_COST.key(c.representative.term))
+    classes.sort(key=lambda c: canonical_key(c.representative.term))
     return AnalyticalSpace(probes, tuple(classes), history)
 
 
@@ -138,15 +124,15 @@ def absorb(space: AnalyticalSpace, term: Term, budget: EvalBudget | None = None)
         outcome = "new"
         updated = SpaceClass(fingerprint, Candidate(term, size(term), fingerprint), (term,))
     else:
-        if DEFAULT_COST.key(term) < DEFAULT_COST.key(existing.representative.term):
+        if canonical_key(term) < canonical_key(existing.representative.term):
             outcome = "displaced"
         else:
             outcome = "kept"
-        members = sorted(set(existing.members) | {term}, key=DEFAULT_COST.key)
+        members = sorted(set(existing.members) | {term}, key=canonical_key)
         best = members[0]
         updated = SpaceClass(fingerprint, Candidate(best, size(best), fingerprint), tuple(members))
     classes = [c for c in space.classes if c.fingerprint != fingerprint] + [updated]
-    classes.sort(key=lambda c: DEFAULT_COST.key(c.representative.term))
+    classes.sort(key=lambda c: canonical_key(c.representative.term))
     history = space.history + (("absorbed", pretty(term), outcome),)
     return AnalyticalSpace(space.probes, tuple(classes), history)
 

@@ -1,13 +1,13 @@
 """Type-directed bottom-up synthesis from a reflection base.
 
 The reflection base holds components (kernel operators with their
-domain/range facts and simple refinements) plus the allowed literal
-constants. Candidate pools are built bottom-up in canonical enumeration
-order and pruned by behavioral fingerprint: two terms with identical
-output vectors over the probe inputs collapse to the cheaper one.
-Pruning is relative to probes only; final acceptance re-evaluates every
-goal example, so a collapse can at worst force a larger budget, never a
-wrong answer.
+domain/range sorts, checked against the kernel typing table) plus the
+allowed literal constants. Candidate pools are built bottom-up in
+canonical enumeration order and pruned by behavioral fingerprint: two
+terms with identical output vectors over the probe inputs collapse to the
+cheaper one. Pruning is relative to probes only; final acceptance
+re-evaluates every goal example, so a collapse can at worst force a larger
+budget, never a wrong answer.
 
 Recursion enters only through schemas. The divide-and-conquer schema
 fills the three pivotrec holes (two predicates over x and pivot, one
@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from .enumeration import terms_of_size
 from .interp import EvalBudget, evaluate, evaluate_env
@@ -41,25 +41,6 @@ from .kernel import (
 # Reflection base
 
 
-@dataclass(frozen=True)
-class ResultElemOfArg:
-    """The result is an element of the i-th argument (e.g. first)."""
-
-    arg: int
-
-
-@dataclass(frozen=True)
-class StrictOrderPredicate:
-    """The component is a strict order proposition between elements."""
-
-
-@dataclass(frozen=True)
-class PivotSafe:
-    """The component may appear in pivotrec holes without breaking totality."""
-
-
-Refinement = Union[ResultElemOfArg, StrictOrderPredicate, PivotSafe]
-
 LITERAL_NAMES = ("zero", "nil")
 
 
@@ -70,7 +51,6 @@ class ComponentFact:
     component: str
     arg_sorts: tuple[Sort, ...]
     result_sort: Sort
-    refinements: frozenset = frozenset()
 
     def __post_init__(self):
         spec = OPS.get(self.component)
@@ -85,22 +65,14 @@ class ComponentFact:
         expected_result = spec.result if spec.result is not None else self.result_sort
         if self.result_sort is not expected_result:
             raise ValueError(f"{self.component!r} has result sort {expected_result.value}")
-        for fact in self.refinements:
-            if not isinstance(fact, (ResultElemOfArg, StrictOrderPredicate, PivotSafe)):
-                raise ValueError(f"unknown refinement: {fact!r}")
 
 
-def fact(component: str, *refinements: Refinement) -> ComponentFact:
+def fact(component: str) -> ComponentFact:
     """Build a ComponentFact with sorts taken from the kernel typing table."""
     spec = OPS[component]
     if spec.result is None:
         raise ValueError("polymorphic components need explicit sorts; use ComponentFact")
-    return ComponentFact(
-        component,
-        tuple(p.sort for p in spec.params),
-        spec.result,
-        frozenset(refinements),
-    )
+    return ComponentFact(component, tuple(p.sort for p in spec.params), spec.result)
 
 
 @dataclass(frozen=True)
@@ -129,12 +101,12 @@ def default_nat_base() -> ReflectionBase:
 def default_list_base() -> ReflectionBase:
     return ReflectionBase(
         components=(
-            fact("cons", PivotSafe()),
-            fact("first", ResultElemOfArg(0)),
+            fact("cons"),
+            fact("first"),
             fact("rest"),
-            fact("append", PivotSafe()),
+            fact("append"),
             fact("len"),
-            fact("lt", StrictOrderPredicate()),
+            fact("lt"),
         ),
         literals=("zero", "nil"),
     )
@@ -284,15 +256,14 @@ SCHEMA_PIVOT_DC = "pivotdc"
 
 @dataclass(frozen=True)
 class HoleSpec:
-    name: str
     free_vars: tuple[str, ...]
     sort: Sort
 
 
 PIVOT_HOLES: tuple[HoleSpec, ...] = (
-    HoleSpec("pred_left", ("x", "pivot"), Sort.BOOL),
-    HoleSpec("pred_right", ("x", "pivot"), Sort.BOOL),
-    HoleSpec("combine", ("l", "pivot", "r"), Sort.LIST_NAT),
+    HoleSpec(("x", "pivot"), Sort.BOOL),  # left predicate
+    HoleSpec(("x", "pivot"), Sort.BOOL),  # right predicate
+    HoleSpec(("l", "pivot", "r"), Sort.LIST_NAT),  # combiner
 )
 
 # Hole fingerprints use small fixed domains per bound variable; rich enough

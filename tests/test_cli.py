@@ -1,16 +1,44 @@
 """The command-line interface: record formats, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 CMD = [sys.executable, "-m", "diagforge"]
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def run(*args, env=None):
+def run(*args, env=None, cwd=None):
     return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, env=env, timeout=120
+        CMD + list(args), capture_output=True, text=True, env=env, cwd=cwd, timeout=120
     )
+
+
+# sha256 of stdout for the README's diag, iterate and refute commands and
+# two larger certificates. Each succeeds with nothing on stderr.
+PINNED_STDOUT = [
+    ("diag --tier natfn --witness 20", "62c0d9de444b2fc6344b39fb088deb76cf1608a70233f45b8c8166d21544f969"),
+    ("iterate --depth 5 --witness 5", "a5b35fb5ce1324b244bad4fc7b5260a3084b92714ed2f8877baf035bf969f1a2"),
+    ("refute --classifier maxsize:3 --count 14", "10452ee705d65031fb69415d0656a7cf35be2a6ed67ba6f0e574e9d4947c854e"),
+    (
+        "refute --classifier program:goals/decider.txt --count 10 --horizon 100000",
+        "3a62bd91a959587ae9ee1ab0d99062e87bac4ea6c7952e14929e6eb83ca5fa53",
+    ),
+    ("refute --tier full --classifier all --count 400", "205ad91e68e05692e45c07ae92d3f27e814038d4826aea8706733992bfa78de8"),
+    ("iterate --depth 4 --witness 300", "fbabf8d648fbf0a3ff80932bbee1fca04b2e8690ef2ffaca9009d09e27c9ed10"),
+]
+
+
+@pytest.mark.parametrize("command,digest", PINNED_STDOUT, ids=[c for c, _ in PINNED_STDOUT])
+def test_certificate_stdout_is_pinned(command, digest):
+    result = run(*command.split(), cwd=ROOT)
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
 
 def test_enum_prints_tab_separated_records():
@@ -103,6 +131,42 @@ def test_budget_exhaustion_exits_3():
     result = run("diag", "--tier", "natfn", "--witness", "3", "--budget", "1")
     assert result.returncode == 3
     assert "budget exhausted" in result.stderr
+    # rows proved before the failing index are kept
+    assert result.stdout == '{"index": 1, "fn_at_n": 1, "g_at_n": 2}\n{"index": 2, "fn_at_n": 0, "g_at_n": 1}\n'
+    assert "at index 3" in result.stderr
+
+
+def test_exhaustion_keeps_the_rows_already_proved():
+    result = run("refute", "--classifier", "maxsize:2", "--count", "4", "--budget", "1")
+    assert result.returncode == 3
+    lines = [json.loads(line) for line in result.stdout.splitlines()]
+    assert lines == [
+        {"classifier": "maxsize:2", "tier": "natfn", "N": 4},
+        {"index": 1, "fn_at_n": 1, "g_at_n": 2},
+        {"index": 2, "fn_at_n": 0, "g_at_n": 1},
+    ]
+    # under the default budget the natfn diagonal first fails at index 917
+    result = run("diag", "--tier", "natfn", "--witness", "917")
+    assert result.returncode == 3
+    assert "at index 917" in result.stderr
+    rows = [json.loads(line) for line in result.stdout.splitlines()]
+    assert [r["index"] for r in rows] == list(range(1, 917))
+    assert all(r["g_at_n"] == r["fn_at_n"] + 1 for r in rows)
+
+
+def test_too_deep_terms_exit_3_without_traceback(tmp_path):
+    deep = "(succ " * 600 + "zero" + ")" * 600
+    decider = tmp_path / "deep.txt"
+    decider.write_text(deep + "\n")
+    space = tmp_path / "s.json"
+    assert run("space", "new", "--probes", "(0 1)", "--out", str(space)).returncode == 0
+    for result in (
+        run("refute", "--classifier", f"program:{decider}", "--count", "1"),
+        run("space", "absorb", "--space", str(space), "--term", deep, "--out", str(space)),
+    ):
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
 def test_env_var_overrides_budget():

@@ -1,7 +1,5 @@
 """Diagonal construction, machine extension, and witness tables."""
 
-import json
-
 import pytest
 
 from diagforge.enumeration import Tier
@@ -18,7 +16,6 @@ from diagforge.machines import (
     iterate,
     machine_stream,
     witness_table,
-    witnesses_jsonl,
 )
 
 BASE = Base(Tier.NATFN)
@@ -119,11 +116,3 @@ def test_budget_exhaustion_reports_index():
     with pytest.raises(ResourceExhaustedError) as excinfo:
         witness_table(BASE, 3, EvalBudget(max_steps=1))
     assert excinfo.value.index == 3  # f_3 = (succ n) needs two steps
-
-
-def test_witnesses_jsonl_format():
-    lines = witnesses_jsonl(witness_table(BASE, 2)).splitlines()
-    assert [json.loads(line) for line in lines] == [
-        {"index": 1, "fn_at_n": 1, "g_at_n": 2},
-        {"index": 2, "fn_at_n": 0, "g_at_n": 1},
-    ]

@@ -1,13 +1,14 @@
 """Refutation of total-function classifiers by diagonalization."""
 
-import json
 from itertools import islice
 
 import pytest
 
 from diagforge.enumeration import Tier
 from diagforge.errors import EmptyClassifierError
+from diagforge.interp import evaluate
 from diagforge.kernel import Sort, check_well_formed, parse, pretty
+from diagforge.machines import DiagonalOf
 from diagforge.refuter import (
     AcceptAll,
     AcceptNone,
@@ -15,7 +16,6 @@ from diagforge.refuter import (
     ProgramDecider,
     accepted_stream,
     refute,
-    report_jsonl,
 )
 
 
@@ -88,16 +88,32 @@ def test_monotone_consistency():
     assert list(large.witnesses)[:4] == list(small.witnesses)
 
 
-def test_report_jsonl_has_header_then_witnesses():
-    report = refute(MaxSize(1), Tier.NATFN, 2)
-    lines = [json.loads(line) for line in report_jsonl(report).splitlines()]
-    assert lines[0] == {"classifier": "maxsize:1", "tier": "natfn", "N": 2}
-    assert lines[1:] == [
-        {"index": 1, "fn_at_n": 1, "g_at_n": 2},
-        {"index": 2, "fn_at_n": 0, "g_at_n": 1},
-    ]
-
-
 def test_refute_rejects_bad_count():
     with pytest.raises(ValueError):
         refute(AcceptAll(), Tier.NATFN, 0)
+
+
+def test_refute_evaluates_each_accepted_program_once(monkeypatch):
+    from diagforge import machines, refuter
+
+    calls = []
+
+    def counting(program, n, budget=None):
+        calls.append(n)
+        return evaluate(program, n, budget)
+
+    machines._program_fn.cache_clear()  # no memoized values from earlier tests
+    monkeypatch.setattr(machines, "evaluate", counting)
+    monkeypatch.setattr(refuter, "evaluate", counting)
+    report = refute(AcceptAll(), Tier.FULL, 400)
+    assert len(report.witnesses) == 400
+    assert len(calls) == 400
+
+
+def test_refute_diag_is_the_accepted_prefix_diagonal():
+    report = refute(MaxSize(2), Tier.NATFN, 4)
+    assert report.diag.name == "diag(accepted(maxsize:2, natfn))"
+    assert report.diag.provenance == DiagonalOf("accepted(maxsize:2, natfn)")
+    assert report.diag(0) == report.diag(1)
+    with pytest.raises(ValueError):
+        report.diag(5)

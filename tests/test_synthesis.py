@@ -13,10 +13,8 @@ from diagforge.synthesis import (
     PIVOT_COMBINE_PROBES,
     PIVOT_PRED_PROBES,
     ReflectionBase,
-    ResultElemOfArg,
     SCHEMA_BOTTOM_UP,
     SCHEMA_PIVOT_DC,
-    StrictOrderPredicate,
     bottom_up_pool,
     default_list_base,
     default_nat_base,
@@ -30,10 +28,8 @@ from oracles import all_nat_terms, eval_nat, insertion_sort
 
 
 def test_component_facts_check_against_kernel_typing():
-    lt = fact("lt", StrictOrderPredicate())
+    lt = fact("lt")
     assert lt.arg_sorts == (Sort.NAT, Sort.NAT) and lt.result_sort is Sort.BOOL
-    first = fact("first", ResultElemOfArg(0))
-    assert ResultElemOfArg(0) in first.refinements
     with pytest.raises(ValueError):
         ComponentFact("succ", (Sort.LIST_NAT,), Sort.NAT)
     with pytest.raises(ValueError):
