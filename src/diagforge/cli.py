@@ -61,6 +61,8 @@ def _parse_classifier(text: str) -> refuter.Classifier:
 
 
 def _cmd_enum(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"enumeration count must be >= 1, got {args.count}")
     stream = enumerate_stream(_tier(args.tier))
     for index in range(1, args.count + 1):
         program = next(stream)

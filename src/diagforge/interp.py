@@ -1,15 +1,28 @@
-"""Big-step evaluator for the kernel language.
+"""Compiled big-step evaluator for the kernel language.
 
 Every well-formed program terminates on every input: precnat iterates a
 precomputed count, pivotrec recurses only on filtered sublists of the tail
 (strictly shorter), and everything else is structural. The budget therefore
-bounds wall clock, not semantics. Two caps are enforced:
+bounds wall clock, not semantics.
 
-- max_steps: one step per recursive evaluation call;
+A term is compiled once into a tree of closures, one per node, with the
+evaluation rule picked at compile time; the compiler walks the term with
+an explicit stack, so compiling costs no Python recursion. A compiled
+term is run on a slot vector, a list holding the variables n, x, acc,
+idx, pivot, l and r at fixed positions. Binders (precnat, filter,
+pivotrec) set their slots and restore them when they finish, so no
+environment is ever copied, and one slot vector and one fuel object serve
+every probe of a fingerprint (run_probes).
+
+Accounting is exact and the same for every caller. Two caps are enforced:
+
+- max_steps: one step per node evaluated and one per pivotrec partition
+  call, each spent on entry, before any argument is evaluated;
 - max_value_bits: naturals may not outgrow this bit length. Step counting
   alone cannot bound wall clock (iterated squaring builds astronomically
-  large ints in a handful of steps), so arithmetic pre-checks operand sizes
-  and raises ResourceExhausted before computing an oversized result.
+  large ints in a handful of steps), so succ, add and mul check operand
+  sizes and raise ResourceExhaustedError before computing an oversized
+  result, with the steps used so far.
 
 Totality defaults: first of an empty list is 0, rest of an empty list is
 the empty list.
@@ -18,9 +31,10 @@ the empty list.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ResourceExhaustedError
-from .kernel import Sort, Term, TypedProgram, VAR_SORTS, Value
+from .kernel import OPS, Sort, Term, TypedProgram, VAR_SORTS, Value
 
 DEFAULT_MAX_STEPS = 1_000_000
 DEFAULT_MAX_VALUE_BITS = 1 << 16
@@ -40,117 +54,341 @@ class EvalBudget:
 
 DEFAULT_BUDGET = EvalBudget()
 
+# Positions of the variables in a slot vector.
+_SLOTS = ("n", "x", "acc", "idx", "pivot", "l", "r")
+_X, _ACC, _IDX, _PIVOT, _L, _R = range(1, 7)
+
 
 class _Fuel:
-    __slots__ = ("remaining", "max_steps", "max_bits")
+    __slots__ = ("left", "max_steps", "max_bits")
 
     def __init__(self, budget: EvalBudget):
-        self.remaining = budget.max_steps
+        self.left = budget.max_steps
         self.max_steps = budget.max_steps
         self.max_bits = budget.max_value_bits
 
-    def spend(self) -> None:
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise ResourceExhaustedError(self.max_steps, reason="steps")
 
-    def check_bits(self, bits: int) -> None:
-        if bits > self.max_bits:
-            raise ResourceExhaustedError(self.max_steps - self.remaining, reason="value-bits")
+def _out_of_steps(f: _Fuel) -> ResourceExhaustedError:
+    return ResourceExhaustedError(f.max_steps, reason="steps")
 
 
-def _run(t: Term, env: dict, fuel: _Fuel) -> Value:
-    fuel.spend()
-    head = t.head
-    args = t.args
-    if not args:
-        if head == "zero":
-            return 0
-        if head == "nil":
-            return ()
-        return env[head]  # variable occurrence; well-formedness guarantees presence
-    if head == "succ":
-        v = _run(args[0], env, fuel)
-        fuel.check_bits(v.bit_length() + 1)
+def _out_of_bits(f: _Fuel) -> ResourceExhaustedError:
+    return ResourceExhaustedError(f.max_steps - f.left, reason="value-bits")
+
+
+# A compiled term: called with a slot vector and the fuel, returns the value.
+Code = Callable[[list, _Fuel], Value]
+
+
+# ---------------------------------------------------------------------------
+# Rules: one closure factory per constructor. Each closure spends its own
+# step before evaluating its arguments, in argument order.
+
+
+def _const(value: Value) -> Code:
+    def run(s, f):
+        f.left -= 1
+        if f.left < 0:
+            raise _out_of_steps(f)
+        return value
+
+    return run
+
+
+def _var(slot: int) -> Code:
+    def run(s, f):
+        f.left -= 1
+        if f.left < 0:
+            raise _out_of_steps(f)
+        return s[slot]
+
+    return run
+
+
+def _succ(a: Code) -> Code:
+    def run(s, f):
+        f.left -= 1
+        if f.left < 0:
+            raise _out_of_steps(f)
+        v = a(s, f)
+        if v.bit_length() + 1 > f.max_bits:
+            raise _out_of_bits(f)
         return v + 1
-    if head == "add":
-        a = _run(args[0], env, fuel)
-        b = _run(args[1], env, fuel)
-        fuel.check_bits(max(a.bit_length(), b.bit_length()) + 1)
-        return a + b
-    if head == "mul":
-        a = _run(args[0], env, fuel)
-        b = _run(args[1], env, fuel)
-        fuel.check_bits(a.bit_length() + b.bit_length())
-        return a * b
-    if head == "precnat":
-        count = _run(args[2], env, fuel)
-        acc = _run(args[0], env, fuel)
-        step = args[1]
+
+    return run
+
+
+def _add(a: Code, b: Code) -> Code:
+    def run(s, f):
+        f.left -= 1
+        if f.left < 0:
+            raise _out_of_steps(f)
+        u = a(s, f)
+        v = b(s, f)
+        if max(u.bit_length(), v.bit_length()) + 1 > f.max_bits:
+            raise _out_of_bits(f)
+        return u + v
+
+    return run
+
+
+def _mul(a: Code, b: Code) -> Code:
+    def run(s, f):
+        f.left -= 1
+        if f.left < 0:
+            raise _out_of_steps(f)
+        u = a(s, f)
+        v = b(s, f)
+        if u.bit_length() + v.bit_length() > f.max_bits:
+            raise _out_of_bits(f)
+        return u * v
+
+    return run
+
+
+def _precnat(base: Code, step: Code, target: Code) -> Code:
+    def run(s, f):
+        f.left -= 1
+        if f.left < 0:
+            raise _out_of_steps(f)
+        count = target(s, f)
+        acc = base(s, f)
+        saved_acc, saved_idx = s[_ACC], s[_IDX]
         for i in range(count):
-            inner = dict(env)
-            inner["acc"] = acc
-            inner["idx"] = i
-            acc = _run(step, inner, fuel)
+            s[_ACC] = acc
+            s[_IDX] = i
+            acc = step(s, f)
+        s[_ACC], s[_IDX] = saved_acc, saved_idx
         return acc
-    if head == "cons":
-        h = _run(args[0], env, fuel)
-        return (h,) + _run(args[1], env, fuel)
-    if head == "first":
-        xs = _run(args[0], env, fuel)
+
+    return run
+
+
+def _cons(a: Code, b: Code) -> Code:
+    def run(s, f):
+        f.left -= 1
+        if f.left < 0:
+            raise _out_of_steps(f)
+        h = a(s, f)
+        return (h,) + b(s, f)
+
+    return run
+
+
+def _first(a: Code) -> Code:
+    def run(s, f):
+        f.left -= 1
+        if f.left < 0:
+            raise _out_of_steps(f)
+        xs = a(s, f)
         return xs[0] if xs else 0
-    if head == "rest":
-        return _run(args[0], env, fuel)[1:]
-    if head == "append":
-        return _run(args[0], env, fuel) + _run(args[1], env, fuel)
-    if head == "len":
-        return len(_run(args[0], env, fuel))
-    if head == "lt":
-        return _run(args[0], env, fuel) < _run(args[1], env, fuel)
-    if head == "if":
-        return _run(args[1] if _run(args[0], env, fuel) else args[2], env, fuel)
-    if head == "filter":
-        xs = _run(args[0], env, fuel)
+
+    return run
+
+
+def _rest(a: Code) -> Code:
+    def run(s, f):
+        f.left -= 1
+        if f.left < 0:
+            raise _out_of_steps(f)
+        return a(s, f)[1:]
+
+    return run
+
+
+def _append(a: Code, b: Code) -> Code:
+    def run(s, f):
+        f.left -= 1
+        if f.left < 0:
+            raise _out_of_steps(f)
+        xs = a(s, f)
+        return xs + b(s, f)
+
+    return run
+
+
+def _len(a: Code) -> Code:
+    def run(s, f):
+        f.left -= 1
+        if f.left < 0:
+            raise _out_of_steps(f)
+        return len(a(s, f))
+
+    return run
+
+
+def _lt(a: Code, b: Code) -> Code:
+    def run(s, f):
+        f.left -= 1
+        if f.left < 0:
+            raise _out_of_steps(f)
+        u = a(s, f)
+        return u < b(s, f)
+
+    return run
+
+
+def _if(cond: Code, then: Code, other: Code) -> Code:
+    def run(s, f):
+        f.left -= 1
+        if f.left < 0:
+            raise _out_of_steps(f)
+        return (then if cond(s, f) else other)(s, f)
+
+    return run
+
+
+def _filter(items: Code, pred: Code) -> Code:
+    def run(s, f):
+        f.left -= 1
+        if f.left < 0:
+            raise _out_of_steps(f)
+        xs = items(s, f)
+        saved_x = s[_X]
         kept = []
         for v in xs:
-            inner = dict(env)
-            inner["x"] = v
-            if _run(args[1], inner, fuel):
+            s[_X] = v
+            if pred(s, f):
                 kept.append(v)
+        s[_X] = saved_x
         return tuple(kept)
-    if head == "pivotrec":
-        xs = _run(args[0], env, fuel)
-        return _pivot(xs, args[1], args[2], args[3], env, fuel)
-    raise AssertionError(f"no evaluation rule for {head!r}")
+
+    return run
 
 
-def _pivot(items: tuple, pred_left: Term, pred_right: Term, combine: Term, env: dict, fuel: _Fuel) -> tuple:
-    fuel.spend()
-    if not items:
-        return ()
-    pivot, tail = items[0], items[1:]
-    left = []
-    right = []
-    for v in tail:
-        inner = dict(env)
-        inner["x"] = v
-        inner["pivot"] = pivot
-        if _run(pred_left, inner, fuel):
-            left.append(v)
-        if _run(pred_right, inner, fuel):
-            right.append(v)
-    sorted_left = _pivot(tuple(left), pred_left, pred_right, combine, env, fuel)
-    sorted_right = _pivot(tuple(right), pred_left, pred_right, combine, env, fuel)
-    out_env = dict(env)
-    out_env["l"] = sorted_left
-    out_env["pivot"] = pivot
-    out_env["r"] = sorted_right
-    return _run(combine, out_env, fuel)
+def _pivotrec(items: Code, pred_left: Code, pred_right: Code, combine: Code) -> Code:
+    def partition(xs, s, f):
+        # One step per partition call, as for a node.
+        f.left -= 1
+        if f.left < 0:
+            raise _out_of_steps(f)
+        if not xs:
+            return ()
+        pivot, tail = xs[0], xs[1:]
+        left = []
+        right = []
+        saved_x, saved_pivot = s[_X], s[_PIVOT]
+        s[_PIVOT] = pivot
+        for v in tail:
+            s[_X] = v
+            if pred_left(s, f):
+                left.append(v)
+            if pred_right(s, f):
+                right.append(v)
+        s[_X], s[_PIVOT] = saved_x, saved_pivot
+        sorted_left = partition(tuple(left), s, f)
+        sorted_right = partition(tuple(right), s, f)
+        saved_l, saved_r = s[_L], s[_R]
+        s[_L], s[_PIVOT], s[_R] = sorted_left, pivot, sorted_right
+        out = combine(s, f)
+        s[_L], s[_PIVOT], s[_R] = saved_l, saved_pivot, saved_r
+        return out
+
+    def run(s, f):
+        f.left -= 1
+        if f.left < 0:
+            raise _out_of_steps(f)
+        return partition(items(s, f), s, f)
+
+    return run
+
+
+_LEAVES: dict[str, Code] = {"zero": _const(0), "nil": _const(())}
+_LEAVES.update((name, _var(slot)) for slot, name in enumerate(_SLOTS))
+
+_RULES: dict[str, Callable[..., Code]] = {
+    "succ": _succ,
+    "add": _add,
+    "mul": _mul,
+    "precnat": _precnat,
+    "cons": _cons,
+    "first": _first,
+    "rest": _rest,
+    "append": _append,
+    "len": _len,
+    "lt": _lt,
+    "if": _if,
+    "filter": _filter,
+    "pivotrec": _pivotrec,
+}
+
+
+# ---------------------------------------------------------------------------
+# Compiling and running
+
+
+def compile_node(head: str, args: Sequence[Code] = ()) -> Code:
+    """The code of one node whose arguments are already compiled."""
+    if not args:
+        return _LEAVES[head]
+    return _RULES[head](*args)
+
+
+def compile_term(t: Term) -> Code:
+    """Compile a term bottom-up with an explicit stack (no recursion)."""
+    done: list[Code] = []
+    stack: list[tuple[Term, bool]] = [(t, False)]
+    while stack:
+        node, ready = stack.pop()
+        if not node.args:
+            done.append(compile_node(node.head))
+        elif ready:
+            k = len(node.args)
+            done[-k:] = [compile_node(node.head, done[-k:])]
+        else:
+            stack.append((node, True))
+            stack.extend((a, False) for a in reversed(node.args))
+    return done[0]
+
+
+def slot_vector(env: dict[str, Value]) -> list:
+    """A slot vector binding env's variables (other slots hold None)."""
+    return [env.get(name) for name in _SLOTS]
+
+
+def run_probes(code: Code, vectors: Iterable[list], budget: EvalBudget | None = None) -> Iterator[Value]:
+    """Run compiled code on each slot vector in turn, lazily.
+
+    One slot vector and one fuel object serve every probe; the fuel is
+    reset to the full budget before each, so every probe is accounted as
+    a separate evaluate_env call would be, and the first failing probe
+    raises what that call would raise.
+    """
+    fuel = _Fuel(budget or DEFAULT_BUDGET)
+    full = fuel.max_steps
+    slots: list = []
+    for vector in vectors:
+        slots[:] = vector
+        fuel.left = full
+        yield code(slots, fuel)
+
+
+def _unbound_var(t: Term, bound: Iterable[str]) -> str | None:
+    """A variable occurring free in t outside `bound`, if any."""
+    stack = [(t, frozenset(bound))]
+    while stack:
+        node, scope = stack.pop()
+        if not node.args:
+            if node.head in VAR_SORTS and node.head not in scope:
+                return node.head
+            continue
+        for param, arg in zip(OPS[node.head].params, node.args):
+            stack.append((arg, scope | set(param.binders) if param.binders else scope))
+    return None
+
+
+def _run_once(t: Term, env: dict[str, Value], budget: EvalBudget | None) -> Value:
+    return compile_term(t)(slot_vector(env), _Fuel(budget or DEFAULT_BUDGET))
 
 
 def evaluate_env(t: Term, env: dict[str, Value], budget: EvalBudget | None = None) -> Value:
-    """Evaluate a term under an explicit variable environment."""
-    return _run(t, env, _Fuel(budget or DEFAULT_BUDGET))
+    """Evaluate a term under an explicit variable environment; compiles the
+    term on each call. Raises KeyError naming a free variable of the term
+    that env does not bind."""
+    missing = _unbound_var(t, env)
+    if missing is not None:
+        raise KeyError(missing)
+    return _run_once(t, env, budget)
 
 
 def evaluate(program: TypedProgram, value: Value, budget: EvalBudget | None = None) -> Value:
@@ -170,4 +408,5 @@ def evaluate(program: TypedProgram, value: Value, budget: EvalBudget | None = No
         env[var] = value
     if len(env) > 1:
         raise ValueError(f"program is not single-input: free variables {sorted(env)}")
-    return evaluate_env(program.term, env, budget)
+    # A TypedProgram's free variables are all bound here: no scope walk.
+    return _run_once(program.term, env, budget)

@@ -104,6 +104,8 @@ def accepted_prefix(
     """
     if count < 1:
         raise ValueError(f"witness count must be >= 1, got {count}")
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     # The horizon bounds the scan of the underlying enumeration, not the
     # accepted subsequence (which may be empty).
     indices: list[int] = []

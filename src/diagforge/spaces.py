@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DuplicateProbeError, EmptyProbesError
-from .interp import EvalBudget, evaluate_env
+from .interp import EvalBudget, compile_term, run_probes, slot_vector
 from .kernel import (
     INPUT_VARS,
     Sort,
@@ -70,12 +70,15 @@ def _check_probes(probes: tuple[Value, ...]) -> None:
             raise ValueError("a space has a single input sort; probes disagree")
 
 
-def _fingerprint(term: Term, probes: tuple[Value, ...], var: str, budget: EvalBudget | None) -> tuple:
+def _probe_vectors(probes: tuple[Value, ...], var: str) -> list[list]:
+    return [slot_vector({var: p}) for p in probes]
+
+
+def _fingerprint(term: Term, vectors: list[list], var: str, budget: EvalBudget | None) -> tuple:
     # The output sort tags the key: True and 1 are equal (and hash alike)
     # in Python, so raw vectors of mixed-sort outputs could collide.
     out_sort = infer_sort(term, frozenset({var}))
-    outputs = tuple(evaluate_env(term, {var: p}, budget) for p in probes)
-    return (out_sort.value, outputs)
+    return (out_sort.value, tuple(run_probes(compile_term(term), vectors, budget)))
 
 
 def _rebuild(
@@ -86,9 +89,10 @@ def _rebuild(
 ) -> AnalyticalSpace:
     """Group members by fingerprint over `probes`; minimal-cost representatives."""
     var = INPUT_VARS[sort_of_value(probes[0])]
+    vectors = _probe_vectors(probes, var)
     grouped: dict[tuple, list[Term]] = {}
     for term in members:
-        grouped.setdefault(_fingerprint(term, probes, var, budget), []).append(term)
+        grouped.setdefault(_fingerprint(term, vectors, var, budget), []).append(term)
     classes = []
     for fingerprint, group in grouped.items():
         unique = sorted(set(group), key=canonical_key)
@@ -118,7 +122,7 @@ def absorb(space: AnalyticalSpace, term: Term, budget: EvalBudget | None = None)
     """
     var = space.input_var
     check_well_formed(term, infer_sort(term, frozenset({var})), {var})
-    fingerprint = _fingerprint(term, space.probes, var, budget)
+    fingerprint = _fingerprint(term, _probe_vectors(space.probes, var), var, budget)
     existing = space.class_map().get(fingerprint)
     if existing is None:
         outcome = "new"

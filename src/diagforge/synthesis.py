@@ -18,12 +18,12 @@ first; the quicksort core falls out of it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator, Sequence
 
 from .enumeration import terms_of_size
-from .interp import EvalBudget, evaluate, evaluate_env
+from .interp import Code, EvalBudget, compile_node, compile_term, run_probes, slot_vector
 from .kernel import (
     INPUT_VARS,
     OPS,
@@ -196,20 +196,33 @@ class Candidate:
     term: Term
     cost: int
     fingerprint: tuple
+    # The compiled term, kept for pool members so schemas and verification
+    # run them without recompiling; None where nothing will run it again.
+    code: Code | None = field(default=None, compare=False, repr=False)
 
 
-def _normalize_probes(free_vars: tuple[str, ...], probes: Sequence) -> list[dict[str, Value]]:
+def _probe_vectors(free_vars: tuple[str, ...], probes: Sequence) -> list[list]:
     # Single-variable signatures take bare values; multi-variable ones take
     # one assignment tuple per probe, aligned with free_vars.
     if len(free_vars) == 1:
         var = free_vars[0]
-        return [{var: probe} for probe in probes]
-    envs = []
+        return [slot_vector({var: probe}) for probe in probes]
+    vectors = []
     for probe in probes:
         if not isinstance(probe, tuple) or len(probe) != len(free_vars):
             raise ValueError(f"probe {probe!r} does not match signature {free_vars}")
-        envs.append(dict(zip(free_vars, probe)))
-    return envs
+        vectors.append(slot_vector(dict(zip(free_vars, probe))))
+    return vectors
+
+
+def _input_vectors(var: str, goal: GoalSpec) -> list[list]:
+    return [slot_vector({var: inp}) for inp, _ in goal.examples]
+
+
+def _matches(code: Code, inputs: list[list], outputs: list[Value], budget: EvalBudget | None) -> bool:
+    """Whether code maps every input slot vector to its output; stops at
+    the first mismatch, so later examples are not evaluated."""
+    return all(got == out for got, out in zip(run_probes(code, inputs, budget), outputs))
 
 
 def bottom_up_pool(
@@ -231,18 +244,19 @@ def bottom_up_pool(
         raise ValueError(f"max_size must be >= 1, got {max_size}")
     if not probes:
         raise ValueError("pool needs at least one probe")
-    envs = _normalize_probes(free_vars, probes)
+    vectors = _probe_vectors(free_vars, probes)
     ops = base.op_names()
     scope = frozenset(free_vars)
     seen: set[tuple] = set()
     pool: list[Candidate] = []
     for size_ in range(1, max_size + 1):
         for term in terms_of_size(ops, scope, target_sort, size_):
-            fingerprint = tuple(evaluate_env(term, env, budget) for env in envs)
+            code = compile_term(term)
+            fingerprint = tuple(run_probes(code, vectors, budget))
             if fingerprint in seen:
                 continue
             seen.add(fingerprint)
-            pool.append(Candidate(term, size_, fingerprint))
+            pool.append(Candidate(term, size_, fingerprint, code))
     return pool
 
 
@@ -328,14 +342,13 @@ def synthesize(
     Every returned program has been re-verified by evaluation on every
     example.
     """
+    outputs = [out for _, out in goal.examples]
     if schema == SCHEMA_BOTTOM_UP:
         var = INPUT_VARS[goal.input_sort]
+        inputs = _input_vectors(var, goal)
         pool = bottom_up_pool(base, (var,), goal.output_sort, goal.probes, budget, eval_budget)
         for candidate in pool:
-            if all(
-                evaluate_env(candidate.term, {var: inp}, eval_budget) == out
-                for inp, out in goal.examples
-            ):
+            if _matches(candidate.code, inputs, outputs, eval_budget):
                 return check_well_formed(candidate.term, goal.output_sort, {var})
         return None
     if schema == SCHEMA_PIVOT_DC:
@@ -347,10 +360,11 @@ def synthesize(
         combine_pool = bottom_up_pool(
             base, PIVOT_HOLES[2].free_vars, PIVOT_HOLES[2].sort, PIVOT_COMBINE_PROBES, budget, eval_budget
         )
+        inputs = _input_vectors("l", goal)
+        input_code = compile_node("l")
         for filling in fill_schema_holes((pred_pool, pred_pool, combine_pool)):
-            term = _assemble_pivot(filling)
-            program = check_well_formed(term, Sort.LIST_NAT, {"l"})
-            if all(evaluate(program, inp, eval_budget) == out for inp, out in goal.examples):
-                return program
+            code = compile_node("pivotrec", [input_code] + [c.code for c in filling])
+            if _matches(code, inputs, outputs, eval_budget):
+                return check_well_formed(_assemble_pivot(filling), Sort.LIST_NAT, {"l"})
         return None
     raise ValueError(f"unknown schema: {schema!r}")

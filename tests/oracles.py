@@ -2,8 +2,11 @@
 
 Nothing here reuses the package's generators or evaluator internals: the
 brute-force term generator works on S-expression strings from its own copy
-of the grammar, and the reference evaluator is a direct recursion with no
-budget machinery.
+of the grammar, `eval_nat` is a direct recursion with no budget machinery,
+and `eval_budgeted` is a tree walk over the whole language that counts
+steps and value bits as the package documents them. This module imports
+nothing from the package (the benchmark's output checks load it from a
+bare checkout).
 """
 
 from functools import lru_cache
@@ -78,3 +81,111 @@ def eval_nat(term, env):
             value = eval_nat(term.args[1], inner)
         return value
     raise ValueError(f"outside the Nat fragment: {head!r}")
+
+
+class Exhausted(Exception):
+    """eval_budgeted ran out of budget: reason, steps used, and the
+    machine index (always None here), as ResourceExhaustedError carries."""
+
+    def __init__(self, reason, steps_used):
+        super().__init__(reason, steps_used)
+        self.reason = reason
+        self.steps_used = steps_used
+        self.index = None
+
+
+class _Fuel:
+    def __init__(self, max_steps, max_bits):
+        self.remaining = max_steps
+        self.max_steps = max_steps
+        self.max_bits = max_bits
+
+    def spend(self):
+        self.remaining -= 1
+        if self.remaining < 0:
+            raise Exhausted("steps", self.max_steps)
+
+    def check_bits(self, bits):
+        if bits > self.max_bits:
+            raise Exhausted("value-bits", self.max_steps - self.remaining)
+
+
+def eval_budgeted(term, env, max_steps, max_bits):
+    """Reference tree-walking evaluator for the whole language, with the
+    package's step and value-bit accounting: one step per node evaluated
+    and one per pivotrec partition call; succ, add and mul check operand
+    bit lengths before computing. Environments are copied at binders."""
+    return _run(term, env, _Fuel(max_steps, max_bits))
+
+
+def _run(t, env, fuel):
+    fuel.spend()
+    head = t.head
+    args = t.args
+    if not args:
+        if head == "zero":
+            return 0
+        if head == "nil":
+            return ()
+        return env[head]
+    if head == "succ":
+        v = _run(args[0], env, fuel)
+        fuel.check_bits(v.bit_length() + 1)
+        return v + 1
+    if head == "add":
+        a = _run(args[0], env, fuel)
+        b = _run(args[1], env, fuel)
+        fuel.check_bits(max(a.bit_length(), b.bit_length()) + 1)
+        return a + b
+    if head == "mul":
+        a = _run(args[0], env, fuel)
+        b = _run(args[1], env, fuel)
+        fuel.check_bits(a.bit_length() + b.bit_length())
+        return a * b
+    if head == "precnat":
+        count = _run(args[2], env, fuel)
+        acc = _run(args[0], env, fuel)
+        for i in range(count):
+            acc = _run(args[1], {**env, "acc": acc, "idx": i}, fuel)
+        return acc
+    if head == "cons":
+        h = _run(args[0], env, fuel)
+        return (h,) + _run(args[1], env, fuel)
+    if head == "first":
+        xs = _run(args[0], env, fuel)
+        return xs[0] if xs else 0
+    if head == "rest":
+        return _run(args[0], env, fuel)[1:]
+    if head == "append":
+        return _run(args[0], env, fuel) + _run(args[1], env, fuel)
+    if head == "len":
+        return len(_run(args[0], env, fuel))
+    if head == "lt":
+        return _run(args[0], env, fuel) < _run(args[1], env, fuel)
+    if head == "if":
+        return _run(args[1] if _run(args[0], env, fuel) else args[2], env, fuel)
+    if head == "filter":
+        xs = _run(args[0], env, fuel)
+        return tuple(v for v in xs if _run(args[1], {**env, "x": v}, fuel))
+    if head == "pivotrec":
+        xs = _run(args[0], env, fuel)
+        return _pivot(xs, args[1], args[2], args[3], env, fuel)
+    raise ValueError(f"no evaluation rule for {head!r}")
+
+
+def _pivot(items, pred_left, pred_right, combine, env, fuel):
+    fuel.spend()
+    if not items:
+        return ()
+    pivot, tail = items[0], items[1:]
+    left = []
+    right = []
+    for v in tail:
+        inner = {**env, "x": v, "pivot": pivot}
+        if _run(pred_left, inner, fuel):
+            left.append(v)
+        if _run(pred_right, inner, fuel):
+            right.append(v)
+    sorted_left = _pivot(tuple(left), pred_left, pred_right, combine, env, fuel)
+    sorted_right = _pivot(tuple(right), pred_left, pred_right, combine, env, fuel)
+    return _run(combine, {**env, "l": sorted_left, "pivot": pivot, "r": sorted_right}, fuel)

@@ -187,6 +187,19 @@ def test_usage_errors_exit_2(tmp_path):
     assert run("refute", "--classifier", f"program:{bad}", "--count", "1").returncode == 2
 
 
+def test_negative_horizon_is_a_usage_error():
+    result = run("refute", "--classifier", "all", "--count", "3", "--horizon", "-1")
+    assert result.returncode == 2
+    assert "horizon" in result.stderr and "islice" not in result.stderr
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_enum_count_below_one_is_a_usage_error(count):
+    result = run("enum", "--count", count)
+    assert result.returncode == 2
+    assert result.stdout == "" and "count" in result.stderr
+
+
 def test_space_workflow(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -1,16 +1,17 @@
 """Evaluator semantics, determinism, and budget behavior."""
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diagforge.enumeration import Tier
+from diagforge.enumeration import Tier, enumerate_stream
 from diagforge.errors import ResourceExhaustedError
-from diagforge.interp import EvalBudget, evaluate, evaluate_env
-from diagforge.kernel import Sort, check_well_formed, infer_sort, parse
-from oracles import eval_nat, insertion_sort
+from diagforge.interp import EvalBudget, compile_term, evaluate, evaluate_env, run_probes, slot_vector
+from diagforge.kernel import Sort, Term, check_well_formed, infer_sort, parse
+from oracles import Exhausted, eval_budgeted, eval_nat, insertion_sort
 from strategies import random_term, terms
 
 
@@ -119,6 +120,12 @@ def test_input_validation():
         evaluate(nat_program("(succ n)"), True)
     with pytest.raises(ValueError):
         evaluate(list_program("(rest l)"), 5)
+    # an environment must bind every free variable, even one a list
+    # default would otherwise hide
+    with pytest.raises(KeyError):
+        evaluate_env(parse("(first l)"), {"n": 1})
+    with pytest.raises(KeyError):
+        evaluate_env(parse("(filter l (lt x acc))"), {"l": (1,)})
 
 
 def test_totality_at_documented_scale():
@@ -132,3 +139,102 @@ def test_totality_at_documented_scale():
             evaluate_env(t, {"n": rng.randint(0, 20)}, budget)
         except ResourceExhaustedError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# Exact accounting against the budgeted reference evaluator
+
+ACCOUNTING_BUDGETS = (EvalBudget(), EvalBudget(max_steps=37), EvalBudget(max_steps=500, max_value_bits=12))
+
+
+def _outcome(run):
+    """A value, or the exhaustion as (reason, steps_used, index)."""
+    try:
+        return ("value", run())
+    except (ResourceExhaustedError, Exhausted) as exc:
+        return ("exhausted", exc.reason, exc.steps_used, exc.index)
+
+
+def _reference(term, env, budget):
+    return _outcome(lambda: eval_budgeted(term, env, budget.max_steps, budget.max_value_bits))
+
+
+def _accounting_cases():
+    """(term, input variable, inputs, large inputs): the first programs of
+    each tier on naturals, and random list programs, which reach filter and
+    pivotrec on non-empty lists, nested in each other and in precnat steps.
+    Large inputs run only under the small budgets, where they exhaust."""
+    for tier, count in ((Tier.NATFN, 2000), (Tier.FULL, 2000)):
+        for program in islice(enumerate_stream(tier), count):
+            yield program.term, "n", (0, 2, 5, 9), (40, 300)
+    rng = random.Random(7)
+    lists = ((), (2, 0, 1), (3, 1, 4, 1, 5, 0), (1, 1, 0, 2, 2))
+    large = ((5, 3, 8, 1, 9, 2, 7, 0, 4, 6), (300, 1000, 5))
+    for _ in range(1200):
+        yield random_term(rng, Sort.LIST_NAT, frozenset({"l"}), max_size=14), "l", lists, large
+
+
+def test_compiled_evaluator_matches_reference_accounting():
+    checked = exhausted = 0
+    for term, var, inputs, large in _accounting_cases():
+        for budget in ACCOUNTING_BUDGETS:
+            for value in inputs if budget.max_steps > 500 else inputs + large:
+                env = {var: value}
+                ours = _outcome(lambda: evaluate_env(term, env, budget))
+                assert ours == _reference(term, env, budget), (term, env, budget)
+                checked += 1
+                exhausted += ours[0] == "exhausted"
+    # both outcomes are well represented
+    assert checked > 80_000 and exhausted > 2_000
+
+
+def test_nested_binders_accounting_at_every_step_budget():
+    # Exhaustion at each step of a sort, and of binders nested so that a
+    # variable is read after an inner binder rebound it: an outer filter's
+    # x in a pivotrec combiner, an outer precnat's acc after an inner loop,
+    # a filter predicate's x after an inner filter, and acc and l inside a
+    # pivotrec in a precnat step.
+    lists = ((), (2, 0, 1), (3, 1, 4, 1, 5, 0, 2))
+    cases = [
+        (list_program(QUICKSORT), lists),
+        (list_program("(filter l (lt (len (pivotrec l (lt x pivot) (lt pivot x) (cons x (filter (append l r) (lt x pivot))))) x))"), lists),
+        (list_program("(filter l (lt (len (filter l (lt x (first l)))) x))"), lists),
+        (list_program("(precnat zero (len (pivotrec (cons idx l) (lt x pivot) (lt pivot acc) (cons (len l) r))) (len l))"), lists),
+        (nat_program("(precnat zero (add (precnat acc (add acc idx) n) acc) n)"), (0, 1, 3, 6)),
+    ]
+    for program, inputs in cases:
+        var = next(iter(program.free_vars))
+        for value in inputs:
+            env = {var: value}
+            for max_steps in range(1, 400, 3):
+                budget = EvalBudget(max_steps=max_steps)
+                assert _outcome(lambda: evaluate_env(program.term, env, budget)) == _reference(program.term, env, budget)
+
+
+def test_batched_probes_equal_per_probe_evaluation():
+    probes = (0, 1, 2, 3, 5, 8, 40, 300)
+    vectors = [slot_vector({"n": p}) for p in probes]
+    raised = 0
+    for program in islice(enumerate_stream(Tier.FULL), 0, 3000, 3):
+        for budget in ACCOUNTING_BUDGETS[1:]:
+            expected = []
+            for p in probes:
+                expected.append(_outcome(lambda: evaluate_env(program.term, {"n": p}, budget)))
+                if expected[-1][0] == "exhausted":
+                    break
+            got = []
+            batch = run_probes(compile_term(program.term), vectors, budget)
+            while len(got) < len(probes):
+                got.append(_outcome(lambda: next(batch)))
+                if got[-1][0] == "exhausted":
+                    break
+            assert got == expected, (program, budget)
+            raised += got[-1][0] == "exhausted"
+    assert raised > 100
+
+
+def test_deep_succ_chain_evaluates():
+    term = Term("n")
+    for _ in range(900):
+        term = Term("succ", (term,))
+    assert evaluate_env(term, {"n": 0}) == 900
