@@ -88,6 +88,8 @@ def _cmd_diag(args) -> int:
 
 
 def _cmd_iterate(args) -> int:
+    if args.depth < 1:
+        raise ValueError(f"iteration depth must be >= 1, got {args.depth}")
     budget = _budget(args.budget)
     machine: machines.Machine = machines.Base(Tier.NATFN)
     for level in range(1, args.depth + 1):

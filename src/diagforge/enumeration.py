@@ -5,13 +5,15 @@ lexicographic comparison of pre-order constructor-rank sequences. Indices
 are 1-based. Ill-typed descriptions are never assigned indices, so every
 stream element denotes a total function.
 
-`program_at` and `index_of` rank and unrank by counting completions, the
-recursive method of Nijenhuis and Wilf: a pre-order walk over the stack of
-argument slots still to fill picks, at each node, the constructor whose
-completions cover the index, so no layer is built and both cost polynomial
-time in term size. Streams and synthesis candidate pools still read the
-size layers in order: both are parameterized by an allowed operator set
-and a variable scope, so their canonical orders agree by construction.
+One set of counting tables per (operator set, scope, sort) is the only
+source of that order. `program_at` and `index_of` rank and unrank by
+counting completions, the recursive method of Nijenhuis and Wilf: a
+pre-order walk over the stack of argument slots still to fill picks, at
+each node, the constructor whose completions cover the index, so no layer
+is built and both cost polynomial time in term size. Streams, tier layers
+and synthesis candidate pools walk the same tables depth-first, visiting
+only constructors that can be completed, so they hold one term at a time
+and their canonical orders agree by construction.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from enum import Enum
 from functools import lru_cache
-from itertools import product
 from typing import Iterator
 
 from .errors import NotInTierError, TypeCheckError
@@ -31,7 +32,6 @@ from .kernel import (
     Term,
     TypedProgram,
     infer_sort,
-    rank_seq,
     size,
     subterms,
 )
@@ -51,16 +51,6 @@ TIER_OPS: dict[Tier, frozenset[str]] = {
 
 ROOT_SORT = Sort.NAT
 ROOT_SCOPE = frozenset({"n"})
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All ways to write total as an ordered sum of `parts` positive ints."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(1, total - parts + 2):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 # A position in a term still to be filled: the variables in scope there and
@@ -85,73 +75,8 @@ def _fillers(ops: frozenset[str], scope: frozenset[str], sort: Sort) -> list[tup
     return out
 
 
-@lru_cache(maxsize=None)
-def terms_of_size(ops: frozenset[str], scope: frozenset[str], sort: Sort, size_: int) -> tuple[Term, ...]:
-    """All well-formed terms of exactly this size, canonically ordered.
-
-    `ops` is the allowed non-variable operator set; variables come from
-    `scope` and binders extend it for the relevant subtrees. Construction
-    is sort- and scope-directed, so no post-hoc filtering is needed.
-    """
-    out: list[Term] = []
-    for spec, slots in _fillers(ops, scope, sort):
-        if not slots:
-            if size_ == 1:
-                out.append(Term(spec.name))
-            continue
-        if size_ - 1 < len(slots):
-            continue
-        for split in _compositions(size_ - 1, len(slots)):
-            pools = [terms_of_size(ops, arg_scope, arg_sort, k) for (arg_scope, arg_sort), k in zip(slots, split)]
-            if any(not pool for pool in pools):
-                continue
-            _product_into(out, spec.name, pools)
-    out.sort(key=rank_seq)
-    return tuple(out)
-
-
-def _product_into(out: list[Term], head: str, pools: list[tuple[Term, ...]]) -> None:
-    if len(pools) == 1:
-        out.extend(Term(head, (a,)) for a in pools[0])
-    elif len(pools) == 2:
-        out.extend(Term(head, (a, b)) for a in pools[0] for b in pools[1])
-    else:
-        out.extend(Term(head, combo) for combo in product(*pools))
-
-
-def tier_layer(tier: Tier, size_: int) -> tuple[Term, ...]:
-    return terms_of_size(TIER_OPS[tier], ROOT_SCOPE, ROOT_SORT, size_)
-
-
 def _typed(t: Term) -> TypedProgram:
     return TypedProgram(t, ROOT_SORT, ROOT_SCOPE)
-
-
-def enumerate_stream(tier: Tier) -> Iterator[TypedProgram]:
-    """Every well-formed program of the tier, exactly once, in canonical order."""
-    size_ = 1
-    while True:
-        for t in tier_layer(tier, size_):
-            yield _typed(t)
-        size_ += 1
-
-
-class EnumCursor:
-    """Single-consumer cursor over a tier's stream; `next_index` is 1-based.
-
-    Independent cursors over the same tier agree element-wise.
-    """
-
-    def __init__(self, tier: Tier):
-        self.tier = tier
-        self.next_index = 1
-        self._stream = enumerate_stream(tier)
-
-    def take(self) -> tuple[int, TypedProgram]:
-        index = self.next_index
-        program = next(self._stream)
-        self.next_index += 1
-        return index, program
 
 
 # One constructor that can fill a slot: head, arity, the slots its
@@ -161,7 +86,7 @@ _Choice = tuple[str, int, tuple[int, ...], "Term | None"]
 
 
 class _Counts:
-    """Counting tables for ranking and unranking one tier's programs.
+    """Counting tables for the terms of one root slot (ops, scope, sort).
 
     Slots are interned as small ints, the root slot as 0. A pending stack
     is a tuple of slots, next one last. The tables hold the number of
@@ -171,14 +96,14 @@ class _Counts:
     completion counts, so each step of a walk is one lookup and one bisect.
     """
 
-    def __init__(self, ops: frozenset[str]):
-        ids = {(ROOT_SCOPE, ROOT_SORT): 0}
-        work = [(ROOT_SCOPE, ROOT_SORT)]
+    def __init__(self, ops: frozenset[str], scope: frozenset[str], sort: Sort):
+        work = [(scope, sort)]
+        ids = {work[0]: 0}
         # Per slot, in rank order.
         self._choices: list[tuple[_Choice, ...]] = []
-        for scope, sort in work:
+        for slot_scope, slot_sort in work:
             row = []
-            for spec, slots in _fillers(ops, scope, sort):
+            for spec, slots in _fillers(ops, slot_scope, slot_sort):
                 for slot in slots:
                     if slot not in ids:
                         ids[slot] = len(ids)
@@ -187,7 +112,7 @@ class _Counts:
                 row.append((spec.name, spec.arity, args, None if slots else Term(spec.name)))
             self._choices.append(tuple(row))
         self._by_size: list[list[int]] = [[0] for _ in work]  # terms per slot and size
-        self._cumulative = [0]  # programs of size <= s
+        self._cumulative = [0]  # root terms of size <= s
         self._fill: dict[tuple[tuple[int, ...], int], int] = {}
         self.steps: dict[tuple[tuple[int, ...], int], tuple[list[int], list[_Choice]]] = {}
 
@@ -229,7 +154,7 @@ class _Counts:
         return found
 
     def before(self, size_: int) -> int:
-        """Number of programs smaller than this size; counts grow through it."""
+        """Number of root terms smaller than this size; counts grow through it."""
         cumulative = self._cumulative
         for s in range(len(cumulative), size_ + 1):
             self._grow(s)
@@ -246,23 +171,95 @@ class _Counts:
 
 
 @lru_cache(maxsize=None)
+def _counts(ops: frozenset[str], scope: frozenset[str], sort: Sort) -> _Counts:
+    return _Counts(ops, scope, sort)
+
+
 def _tier_counts(tier: Tier) -> _Counts:
-    return _Counts(TIER_OPS[tier])
+    return _counts(TIER_OPS[tier], ROOT_SCOPE, ROOT_SORT)
 
 
-def _from_preorder(nodes: list[_Choice]) -> Term:
-    """The term whose constructors, in pre-order, these are."""
-    stack: list[Term] = []
-    for head, arity, _, leaf in reversed(nodes):
-        if leaf is not None:
-            stack.append(leaf)
-        elif arity == 1:
-            stack[-1] = Term(head, (stack[-1],))
+# A term being built in pre-order is a chain of its open nodes, innermost
+# first: (parent, head, arguments still missing, arguments so far), with
+# None above the root. Nodes are never changed, so walk frames share them
+# and backing up is free.
+def _push(open_: tuple | None, choice: _Choice) -> tuple | Term:
+    """Add the next constructor in pre-order, closing every node it
+    completes; the whole term once the root closes."""
+    head, arity, _, term = choice
+    if term is None:
+        return (open_, head, arity, ())
+    while open_ is not None:
+        parent, head, missing, args = open_
+        if missing > 1:
+            return (parent, head, missing - 1, args + (term,))
+        term = Term(head, args + (term,))
+        open_ = parent
+    return term
+
+
+def _walk(counts: _Counts, size_: int) -> Iterator[Term]:
+    """Every term of the root slot with exactly this size, in canonical order.
+
+    Depth-first over the `steps` memo: a frame holds a pending stack, the
+    remaining size, the partly built term and an iterator over the
+    constructors that can complete it, so no dead end is entered.
+    """
+    if size_ < 1:
+        return
+    counts.before(size_)
+    steps = counts.steps
+    frames = [((0,), size_, None, iter(counts.step((0,), size_)[1]))]
+    while frames:
+        pending, remaining, open_, choices = frames[-1]
+        for choice in choices:
+            built = _push(open_, choice)
+            rest = pending[:-1] + choice[2]
+            if rest:
+                key = (rest, remaining - 1)
+                frames.append((rest, remaining - 1, built, iter((steps.get(key) or counts.step(*key))[1])))
+                break
+            yield built
         else:
-            args = tuple(stack[: -arity - 1 : -1])
-            del stack[-arity:]
-            stack.append(Term(head, args))
-    return stack[0]
+            frames.pop()
+
+
+def walk_layer(ops: frozenset[str], scope: frozenset[str], sort: Sort, size_: int) -> Iterator[Term]:
+    """Every term of this size, sort and scope over the non-variable
+    operators `ops`, in canonical order, one at a time."""
+    return _walk(_counts(ops, scope, sort), size_)
+
+
+def tier_layer(tier: Tier, size_: int) -> tuple[Term, ...]:
+    return tuple(_walk(_tier_counts(tier), size_))
+
+
+def enumerate_stream(tier: Tier) -> Iterator[TypedProgram]:
+    """Every well-formed program of the tier, exactly once, in canonical order."""
+    counts = _tier_counts(tier)
+    size_ = 1
+    while True:
+        for t in _walk(counts, size_):
+            yield _typed(t)
+        size_ += 1
+
+
+class EnumCursor:
+    """Single-consumer cursor over a tier's stream; `next_index` is 1-based.
+
+    Independent cursors over the same tier agree element-wise.
+    """
+
+    def __init__(self, tier: Tier):
+        self.tier = tier
+        self.next_index = 1
+        self._stream = enumerate_stream(tier)
+
+    def take(self) -> tuple[int, TypedProgram]:
+        index = self.next_index
+        program = next(self._stream)
+        self.next_index += 1
+        return index, program
 
 
 def program_at(tier: Tier, i: int) -> TypedProgram:
@@ -273,17 +270,17 @@ def program_at(tier: Tier, i: int) -> TypedProgram:
     steps = counts.steps
     remaining, pos = counts.locate(i)
     pending: tuple[int, ...] = (0,)
-    nodes = []
+    built = None
     while pending:
         bounds, choices = steps.get((pending, remaining)) or counts.step(pending, remaining)
         k = bisect_left(bounds, pos)
         if k:
             pos -= bounds[k - 1]
         choice = choices[k]
-        nodes.append(choice)
+        built = _push(built, choice)
         pending = pending[:-1] + choice[2]
         remaining -= 1
-    return _typed(_from_preorder(nodes))
+    return _typed(built)
 
 
 def index_of(tier: Tier, p: TypedProgram | Term) -> int:

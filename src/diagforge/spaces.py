@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DuplicateProbeError, EmptyProbesError
+from .errors import DuplicateProbeError, EmptyProbesError, ParseError
 from .interp import EvalBudget, compile_term, run_probes, slot_vector
 from .kernel import (
     INPUT_VARS,
@@ -81,6 +81,13 @@ def _fingerprint(term: Term, vectors: list[list], var: str, budget: EvalBudget |
     return (out_sort.value, tuple(run_probes(compile_term(term), vectors, budget)))
 
 
+def _class(fingerprint: tuple, members) -> SpaceClass:
+    """The class of these members; the canonically least one represents it."""
+    unique = sorted(set(members), key=canonical_key)
+    best = unique[0]
+    return SpaceClass(fingerprint, Candidate(best, size(best), fingerprint), tuple(unique))
+
+
 def _rebuild(
     probes: tuple[Value, ...],
     members: list[Term],
@@ -93,13 +100,7 @@ def _rebuild(
     grouped: dict[tuple, list[Term]] = {}
     for term in members:
         grouped.setdefault(_fingerprint(term, vectors, var, budget), []).append(term)
-    classes = []
-    for fingerprint, group in grouped.items():
-        unique = sorted(set(group), key=canonical_key)
-        best = unique[0]
-        classes.append(
-            SpaceClass(fingerprint, Candidate(best, size(best), fingerprint), tuple(unique))
-        )
+    classes = [_class(fingerprint, group) for fingerprint, group in grouped.items()]
     classes.sort(key=lambda c: canonical_key(c.representative.term))
     return AnalyticalSpace(probes, tuple(classes), history)
 
@@ -126,15 +127,11 @@ def absorb(space: AnalyticalSpace, term: Term, budget: EvalBudget | None = None)
     existing = space.class_map().get(fingerprint)
     if existing is None:
         outcome = "new"
-        updated = SpaceClass(fingerprint, Candidate(term, size(term), fingerprint), (term,))
+    elif canonical_key(term) < canonical_key(existing.representative.term):
+        outcome = "displaced"
     else:
-        if canonical_key(term) < canonical_key(existing.representative.term):
-            outcome = "displaced"
-        else:
-            outcome = "kept"
-        members = sorted(set(existing.members) | {term}, key=canonical_key)
-        best = members[0]
-        updated = SpaceClass(fingerprint, Candidate(best, size(best), fingerprint), tuple(members))
+        outcome = "kept"
+    updated = _class(fingerprint, (existing.members if existing else ()) + (term,))
     classes = [c for c in space.classes if c.fingerprint != fingerprint] + [updated]
     classes.sort(key=lambda c: canonical_key(c.representative.term))
     history = space.history + (("absorbed", pretty(term), outcome),)
@@ -222,12 +219,22 @@ def _deep_tuple(x):
     return x
 
 
+def _listed(data, key: str, owner: str) -> list:
+    """data[key], which a snapshot requires to be a list."""
+    value = data.get(key) if isinstance(data, dict) else None
+    if not isinstance(value, list):
+        raise ParseError(f"malformed space snapshot: {owner} has no {key!r} list")
+    return value
+
+
 def load_snapshot(data: dict, budget: EvalBudget | None = None) -> AnalyticalSpace:
-    probes = tuple(tuple(p) if isinstance(p, list) else p for p in data["probes"])
+    probes = tuple(tuple(p) if isinstance(p, list) else p for p in _listed(data, "probes", "the snapshot"))
     _check_probes(probes)
-    members = [parse(m) for c in data["classes"] for m in c["members"]]
-    history = tuple(_deep_tuple(event) for event in data["history"])
-    return _rebuild(probes, members, history, budget)
+    members = [m for c in _listed(data, "classes", "the snapshot") for m in _listed(c, "members", "a class")]
+    if not all(isinstance(m, str) for m in members):
+        raise ParseError("malformed space snapshot: a member is not an S-expression string")
+    history = tuple(_deep_tuple(event) for event in _listed(data, "history", "the snapshot"))
+    return _rebuild(probes, [parse(m) for m in members], history, budget)
 
 
 def export_summary(space: AnalyticalSpace) -> dict:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator, Sequence
 
-from .enumeration import terms_of_size
+from .enumeration import walk_layer
 from .interp import Code, EvalBudget, compile_node, compile_term, run_probes, slot_vector
 from .kernel import (
     INPUT_VARS,
@@ -250,7 +250,7 @@ def bottom_up_pool(
     seen: set[tuple] = set()
     pool: list[Candidate] = []
     for size_ in range(1, max_size + 1):
-        for term in terms_of_size(ops, scope, target_sort, size_):
+        for term in walk_layer(ops, scope, target_sort, size_):
             code = compile_term(term)
             fingerprint = tuple(run_probes(code, vectors, budget))
             if fingerprint in seen:

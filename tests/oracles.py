@@ -1,8 +1,8 @@
 """Independent reference implementations the tests check the package against.
 
 Nothing here reuses the package's generators or evaluator internals: the
-brute-force term generator works on S-expression strings from its own copy
-of the grammar, `eval_nat` is a direct recursion with no budget machinery,
+brute-force term generators work on S-expression strings from their own
+copy of the grammar, `eval_nat` is a direct recursion with no budget machinery,
 and `eval_budgeted` is a tree walk over the whole language that counts
 steps and value bits as the package documents them. This module imports
 nothing from the package (the benchmark's output checks load it from a
@@ -10,6 +10,7 @@ bare checkout).
 """
 
 from functools import lru_cache
+from itertools import product
 
 
 def insertion_sort(xs):
@@ -55,6 +56,83 @@ def all_nat_terms(max_size):
     out = []
     for s in range(1, max_size + 1):
         out.extend(nat_terms_of_size(s))
+    return out
+
+
+# The whole grammar: variable name -> (rank, sort), and operator name ->
+# (rank, result sort, parameters as (sort, variables bound)). A parameter
+# sort of None is the sort of the whole term (the branches of `if`); a
+# result sort of None lets the operator take any sort.
+VARIABLES = {
+    "n": (0, "nat"), "x": (16, "nat"), "acc": (17, "nat"), "idx": (18, "nat"),
+    "pivot": (19, "nat"), "l": (20, "list"), "r": (21, "list"),
+}
+OPERATORS = {
+    "zero": (1, "nat", ()),
+    "succ": (2, "nat", (("nat", ()),)),
+    "add": (3, "nat", (("nat", ()), ("nat", ()))),
+    "mul": (4, "nat", (("nat", ()), ("nat", ()))),
+    "precnat": (5, "nat", (("nat", ()), ("nat", ("acc", "idx")), ("nat", ()))),
+    "nil": (6, "list", ()),
+    "cons": (7, "list", (("nat", ()), ("list", ()))),
+    "first": (8, "nat", (("list", ()),)),
+    "rest": (9, "list", (("list", ()),)),
+    "append": (10, "list", (("list", ()), ("list", ()))),
+    "len": (11, "nat", (("list", ()),)),
+    "lt": (12, "bool", (("nat", ()), ("nat", ()))),
+    "if": (13, None, (("bool", ()), (None, ()), (None, ()))),
+    "filter": (14, "list", (("list", ()), ("bool", ("x",)))),
+    "pivotrec": (
+        15,
+        "list",
+        (("list", ()), ("bool", ("x", "pivot")), ("bool", ("x", "pivot")), ("list", ("l", "pivot", "r"))),
+    ),
+}
+
+
+def _splits(total, parts):
+    """Every ordered way to write total as a sum of `parts` positive ints."""
+    if parts == 1:
+        return [(total,)]
+    return [(k,) + rest for k in range(1, total - parts + 2) for rest in _splits(total - k, parts - 1)]
+
+
+@lru_cache(maxsize=None)
+def _ranked_terms(ops, scope, sort, size):
+    """(pre-order rank sequence, S-expression) of every term of exactly
+    `size` nodes, in no particular order."""
+    out = []
+    if size == 1:
+        out.extend(((rank,), name) for name, (rank, var_sort) in VARIABLES.items() if name in scope and var_sort == sort)
+    for name in ops:
+        rank, result, params = OPERATORS[name]
+        if result not in (None, sort):
+            continue
+        if not params:
+            if size == 1:
+                out.append(((rank,), name))
+            continue
+        if size - 1 < len(params):
+            continue
+        for split in _splits(size - 1, len(params)):
+            pools = [
+                _ranked_terms(ops, scope | frozenset(bound), param_sort or sort, k)
+                for (param_sort, bound), k in zip(params, split)
+            ]
+            for args in product(*pools):
+                ranks = (rank,) + tuple(r for arg in args for r in arg[0])
+                out.append((ranks, f"({name} {' '.join(arg[1] for arg in args)})"))
+    return tuple(out)
+
+
+def canonical_terms(ops, scope, sort, max_size):
+    """Every term of size <= max_size over the operators `ops` and the
+    variables `scope`, of sort "nat", "bool" or "list", as S-expressions in
+    canonical order: by size, then by pre-order rank sequence."""
+    out = []
+    for size in range(1, max_size + 1):
+        layer = _ranked_terms(frozenset(ops), frozenset(scope), sort, size)
+        out.extend(text for _, text in sorted(layer))
     return out
 
 

@@ -200,6 +200,36 @@ def test_enum_count_below_one_is_a_usage_error(count):
     assert result.stdout == "" and "count" in result.stderr
 
 
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_iterate_depth_below_one_is_a_usage_error(depth):
+    result = run("iterate", "--depth", depth, "--witness", "2")
+    assert result.returncode == 2
+    assert result.stdout == "" and "iteration depth must be >= 1" in result.stderr
+
+
+MALFORMED_SNAPSHOTS = {
+    "empty-object": {},
+    "list": [1, 2],
+    "numeric-member": {
+        "probes": [0, 1],
+        "classes": [{"fingerprint": {"sort": "nat", "outputs": [0, 1]}, "representative": "n", "members": [3]}],
+        "history": [["created", ["0", "1"]]],
+    },
+}
+
+
+@pytest.mark.parametrize("verb", ["export", "absorb"])
+@pytest.mark.parametrize("name", list(MALFORMED_SNAPSHOTS))
+def test_malformed_snapshot_is_a_usage_error(tmp_path, verb, name):
+    snapshot = tmp_path / "s.json"
+    snapshot.write_text(json.dumps(MALFORMED_SNAPSHOTS[name]) + "\n")
+    out = ["--term", "n", "--out", str(tmp_path / "out.json")] if verb == "absorb" else []
+    result = run("space", verb, "--space", str(snapshot), *out)
+    assert result.returncode == 2
+    assert result.stdout == "" and "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: malformed space snapshot: ")
+
+
 def test_space_workflow(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

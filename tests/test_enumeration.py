@@ -1,23 +1,27 @@
 """Canonical enumeration: ordering, bijection, completeness, stability."""
 
+import tracemalloc
 from itertools import islice
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from diagforge import enumeration
 from diagforge.enumeration import (
+    TIER_OPS,
     EnumCursor,
     Tier,
     enumerate_stream,
     index_of,
     program_at,
-    terms_of_size,
     tier_layer,
+    walk_layer,
 )
 from diagforge.errors import NotInTierError
-from diagforge.kernel import Term, parse, pretty, rank_seq, size
-from oracles import all_nat_terms, nat_terms_of_size
+from diagforge.kernel import Sort, Term, parse, pretty, rank_seq, size
+from diagforge.synthesis import default_list_base, default_nat_base
+from oracles import all_nat_terms, canonical_terms, nat_terms_of_size
 
 
 def stream_prefix(tier, count):
@@ -118,17 +122,38 @@ def test_stream_restarts_identically():
 
 @pytest.mark.parametrize("tier, top", [(Tier.NATFN, 8), (Tier.FULL, 7)])
 def test_counting_agrees_with_materialized_layers(tier, top):
-    index = 0
-    for s in range(1, top + 1):
-        for t in tier_layer(tier, s):
-            index += 1
-            assert program_at(tier, index).term == t
-            assert index_of(tier, t) == index
-    assert index == {Tier.NATFN: 33_072, Tier.FULL: 12_226}[tier]
+    # The oracle's layers are built from its own grammar and sorted by
+    # rank sequence, so stream, unranking and ranking are all checked
+    # against an order the package did not compute.
+    expected = canonical_terms(TIER_OPS[tier], {"n"}, "nat", top)
+    assert len(expected) == {Tier.NATFN: 33_072, Tier.FULL: 12_226}[tier]
+    streamed = [pretty(p.term) for p in islice(enumerate_stream(tier), len(expected))]
+    assert streamed == expected
+    for index, text in enumerate(expected, start=1):
+        assert pretty(program_at(tier, index).term) == text
+        assert index_of(tier, parse(text)) == index
 
 
-def test_rank_and_unrank_far_past_materializable_layers():
-    cached = terms_of_size.cache_info().currsize
+@pytest.mark.parametrize(
+    "base, scope, sort",
+    [
+        (default_nat_base, ("n",), Sort.NAT),
+        (default_list_base, ("x", "pivot"), Sort.BOOL),
+        (default_list_base, ("l", "pivot", "r"), Sort.LIST_NAT),
+    ],
+)
+def test_pool_layers_match_the_oracle(base, scope, sort):
+    ops = base().op_names()
+    ours = [pretty(t) for s in range(1, 7) for t in walk_layer(ops, frozenset(scope), sort, s)]
+    sort_name = {Sort.NAT: "nat", Sort.BOOL: "bool", Sort.LIST_NAT: "list"}[sort]
+    assert ours == canonical_terms(ops, scope, sort_name, 6)
+
+
+def test_rank_and_unrank_far_past_materializable_layers(monkeypatch):
+    def no_walk(counts, size_):
+        raise AssertionError("ranking walked a layer")
+
+    monkeypatch.setattr(enumeration, "_walk", no_walk)
     for tier, index in ((Tier.NATFN, 10**20), (Tier.FULL, 10**40)):
         program = program_at(tier, index)
         assert size(program.term) > 20
@@ -141,4 +166,18 @@ def test_rank_and_unrank_far_past_materializable_layers():
     index = index_of(Tier.NATFN, chain)
     assert rank_seq(program_at(Tier.NATFN, index).term) == rank_seq(chain)
     assert index_of(Tier.NATFN, program_at(Tier.NATFN, index + 1)) == index + 1
-    assert terms_of_size.cache_info().currsize == cached
+
+
+def test_stream_holds_no_layer():
+    # Indices 33,073 on are the first programs of size 9, a layer of
+    # 156,130 terms; the stream reaches them holding one term at a time.
+    first, last = 33_073, 33_100
+    tracemalloc.start()
+    try:
+        streamed = list(islice(enumerate_stream(Tier.NATFN), first - 1, last))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert [size(p.term) for p in streamed] == [9] * (last - first + 1)
+    assert [p.term for p in streamed] == [program_at(Tier.NATFN, i).term for i in range(first, last + 1)]
