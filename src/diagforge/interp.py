@@ -24,6 +24,12 @@ Accounting is exact and the same for every caller. Two caps are enforced:
   sizes and raise ResourceExhaustedError before computing an oversized
   result, with the steps used so far.
 
+A precnat whose step is a single leaf (zero, n, acc, idx, x or pivot)
+runs in one go, with the same accounting: such a step spends one step per
+iteration and checks no value bits, so the loop spends count steps at
+once, fails with the steps error the loop would raise, and returns the
+last iteration's value as a closed form of the count.
+
 Totality defaults: first of an empty list is 0, rest of an empty list is
 the empty list.
 """
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ResourceExhaustedError
-from .kernel import OPS, Sort, Term, TypedProgram, VAR_SORTS, Value
+from .kernel import OPS, Sort, Term, TypedProgram, VAR_SORTS, Value, is_nat
 
 DEFAULT_MAX_STEPS = 1_000_000
 DEFAULT_MAX_VALUE_BITS = 1 << 16
@@ -147,6 +153,10 @@ def _mul(a: Code, b: Code) -> Code:
 
 
 def _precnat(base: Code, step: Code, target: Code) -> Code:
+    last = _LEAF_LOOPS.get(step)
+    if last is not None:
+        return _precnat_leaf(base, last, target)
+
     def run(s, f):
         f.left -= 1
         if f.left < 0:
@@ -160,6 +170,27 @@ def _precnat(base: Code, step: Code, target: Code) -> Code:
             acc = step(s, f)
         s[_ACC], s[_IDX] = saved_acc, saved_idx
         return acc
+
+    return run
+
+
+def _precnat_leaf(base: Code, last: Callable[[list, int, Value], Value], target: Code) -> Code:
+    # A step that is one leaf spends one step per iteration, writes no slot
+    # and checks no value bits, so the loop runs in one go: it spends count
+    # steps, fails where the loop would (every steps error reads the same),
+    # and returns the last iteration's value, last(s, count, base).
+    def run(s, f):
+        f.left -= 1
+        if f.left < 0:
+            raise _out_of_steps(f)
+        count = target(s, f)
+        acc = base(s, f)
+        if not count:
+            return acc
+        f.left -= count
+        if f.left < 0:
+            raise _out_of_steps(f)
+        return last(s, count, acc)
 
     return run
 
@@ -296,6 +327,19 @@ def _pivotrec(items: Code, pred_left: Code, pred_right: Code, combine: Code) -> 
 _LEAVES: dict[str, Code] = {"zero": _const(0), "nil": _const(())}
 _LEAVES.update((name, _var(slot)) for slot, name in enumerate(_SLOTS))
 
+# For a precnat whose step is the leaf keyed here: the loop's value after
+# count >= 1 iterations, from the slots, the count and the base. A variable
+# other than acc and idx keeps its value through the loop.
+_LEAF_LOOPS: dict[Code, Callable[[list, int, Value], Value]] = {
+    _LEAVES[name]: lambda s, count, base, slot=slot: s[slot] for slot, name in enumerate(_SLOTS)
+}
+_LEAF_LOOPS.update({
+    _LEAVES["zero"]: lambda s, count, base: 0,
+    _LEAVES["nil"]: lambda s, count, base: (),
+    _LEAVES["acc"]: lambda s, count, base: base,
+    _LEAVES["idx"]: lambda s, count, base: count - 1,
+})
+
 _RULES: dict[str, Callable[..., Code]] = {
     "succ": _succ,
     "add": _add,
@@ -401,10 +445,10 @@ def evaluate(program: TypedProgram, value: Value, budget: EvalBudget | None = No
     env: dict[str, Value] = {}
     for var in program.free_vars:
         expected = VAR_SORTS[var]
-        if expected is Sort.NAT and (isinstance(value, bool) or not isinstance(value, int) or value < 0):
+        if expected is Sort.NAT and not is_nat(value):
             raise ValueError(f"input for {var!r} must be a non-negative int, got {value!r}")
-        if expected is Sort.LIST_NAT and not isinstance(value, tuple):
-            raise ValueError(f"input for {var!r} must be a tuple of ints, got {value!r}")
+        if expected is Sort.LIST_NAT and not (isinstance(value, tuple) and all(is_nat(v) for v in value)):
+            raise ValueError(f"input for {var!r} must be a tuple of non-negative ints, got {value!r}")
         env[var] = value
     if len(env) > 1:
         raise ValueError(f"program is not single-input: free variables {sorted(env)}")

@@ -228,12 +228,17 @@ def pretty(t: Term) -> str:
 # Values
 
 
+def is_nat(v) -> bool:
+    """A natural: a non-negative int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 def sort_of_value(v: Value) -> Sort:
     if isinstance(v, bool):
         return Sort.BOOL
-    if isinstance(v, int):
+    if is_nat(v):
         return Sort.NAT
-    if isinstance(v, tuple):
+    if isinstance(v, tuple) and all(is_nat(x) for x in v):
         return Sort.LIST_NAT
     raise ParseError(f"not a kernel value: {v!r}")
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DuplicateProbeError, EmptyProbesError, ParseError
+from .errors import DiagforgeError, DuplicateProbeError, EmptyProbesError, ParseError
 from .interp import EvalBudget, compile_term, run_probes, slot_vector
 from .kernel import (
     INPUT_VARS,
@@ -60,14 +60,16 @@ class AnalyticalSpace:
 def _check_probes(probes: tuple[Value, ...]) -> None:
     if not probes:
         raise EmptyProbesError("a space needs at least one probe")
-    if len(set(probes)) != len(probes):
-        raise DuplicateProbeError(f"duplicate probe in {probes!r}")
+    # Sorts first: sort_of_value rejects what is not a kernel value, such
+    # as a list inside a list, which could not even be hashed.
     first = sort_of_value(probes[0])
     if first not in INPUT_VARS:
         raise ValueError(f"no input variable for probes of sort {first.value}")
     for p in probes[1:]:
         if sort_of_value(p) is not first:
             raise ValueError("a space has a single input sort; probes disagree")
+    if len(set(probes)) != len(probes):
+        raise DuplicateProbeError(f"duplicate probe in {probes!r}")
 
 
 def _probe_vectors(probes: tuple[Value, ...], var: str) -> list[list]:
@@ -229,7 +231,10 @@ def _listed(data, key: str, owner: str) -> list:
 
 def load_snapshot(data: dict, budget: EvalBudget | None = None) -> AnalyticalSpace:
     probes = tuple(tuple(p) if isinstance(p, list) else p for p in _listed(data, "probes", "the snapshot"))
-    _check_probes(probes)
+    try:
+        _check_probes(probes)
+    except (DiagforgeError, ValueError) as exc:
+        raise ParseError(f"malformed space snapshot: {exc}") from None
     members = [m for c in _listed(data, "classes", "the snapshot") for m in _listed(c, "members", "a class")]
     if not all(isinstance(m, str) for m in members):
         raise ParseError("malformed space snapshot: a member is not an S-expression string")

@@ -143,6 +143,9 @@ class GoalSpec:
     def __post_init__(self):
         if not self.examples:
             raise ValueError("goal needs at least one example")
+        for p in self.probes:
+            if sort_of_value(p) is not self.input_sort:
+                raise ValueError(f"probe {p!r} is not of the input sort {self.input_sort.value}")
         probe_set = set(self.probes)
         for inp, _ in self.examples:
             if inp not in probe_set:

@@ -215,6 +215,10 @@ MALFORMED_SNAPSHOTS = {
         "classes": [{"fingerprint": {"sort": "nat", "outputs": [0, 1]}, "representative": "n", "members": [3]}],
         "history": [["created", ["0", "1"]]],
     },
+    "no-probes": {"probes": [], "classes": [], "history": []},
+    "repeated-probe": {"probes": [0, 0], "classes": [], "history": []},
+    "negative-probe": {"probes": [-1], "classes": [], "history": []},
+    "non-natural-list-probe": {"probes": [[1, "b"]], "classes": [], "history": []},
 }
 
 

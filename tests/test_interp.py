@@ -1,7 +1,10 @@
 """Evaluator semantics, determinism, and budget behavior."""
 
+import ast
 import random
+import sys
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 from diagforge.enumeration import Tier, enumerate_stream
 from diagforge.errors import ResourceExhaustedError
-from diagforge.interp import EvalBudget, compile_term, evaluate, evaluate_env, run_probes, slot_vector
+from diagforge.interp import DEFAULT_MAX_VALUE_BITS, EvalBudget, compile_term, evaluate, evaluate_env, run_probes, slot_vector
 from diagforge.kernel import Sort, Term, check_well_formed, infer_sort, parse
 from oracles import Exhausted, eval_budgeted, eval_nat, insertion_sort
 from strategies import random_term, terms
@@ -106,6 +109,11 @@ def test_value_size_cap_stops_iterated_squaring():
     with pytest.raises(ResourceExhaustedError) as excinfo:
         evaluate(bomb, 30, EvalBudget(max_steps=10_000_000))
     assert excinfo.value.reason == "value-bits"
+    # cons evaluates its head first: the head runs out of value bits after
+    # 4 steps, where the tail first would have used 7
+    with pytest.raises(ResourceExhaustedError) as excinfo:
+        evaluate_env(parse("(cons (mul n n) (cons zero nil))"), {"n": 2**10}, EvalBudget(max_value_bits=12))
+    assert (excinfo.value.reason, excinfo.value.steps_used) == ("value-bits", 4)
 
 
 def test_budget_validation():
@@ -120,6 +128,9 @@ def test_input_validation():
         evaluate(nat_program("(succ n)"), True)
     with pytest.raises(ValueError):
         evaluate(list_program("(rest l)"), 5)
+    for bad in ((-1, 2), (1, True), (1, (2,))):
+        with pytest.raises(ValueError):
+            evaluate(list_program("(succ (first l))"), bad)
     # an environment must bind every free variable, even one a list
     # default would otherwise hide
     with pytest.raises(KeyError):
@@ -167,6 +178,9 @@ def _accounting_cases():
     for tier, count in ((Tier.NATFN, 2000), (Tier.FULL, 2000)):
         for program in islice(enumerate_stream(tier), count):
             yield program.term, "n", (0, 2, 5, 9), (40, 300)
+    # The head of a cons runs out of value bits under the small budget
+    # before its tail is evaluated.
+    yield parse("(cons (mul n n) (cons zero nil))"), "n", (0, 3), (2**10,)
     rng = random.Random(7)
     lists = ((), (2, 0, 1), (3, 1, 4, 1, 5, 0), (1, 1, 0, 2, 2))
     large = ((5, 3, 8, 1, 9, 2, 7, 0, 4, 6), (300, 1000, 5))
@@ -209,6 +223,33 @@ def test_nested_binders_accounting_at_every_step_budget():
             for max_steps in range(1, 400, 3):
                 budget = EvalBudget(max_steps=max_steps)
                 assert _outcome(lambda: evaluate_env(program.term, env, budget)) == _reference(program.term, env, budget)
+    # precnat loops whose step is a single leaf, which run in one go: each
+    # leaf a step can be, at counts 0, 1, 2 and 300 (x and pivot through
+    # the list elements), a loop nested in a non-leaf step that reads the
+    # outer acc and idx, and target or base out of value bits before the
+    # loop starts, at every step budget up to past the loop's last step.
+    wide = DEFAULT_MAX_VALUE_BITS
+    leaf_loops = [
+        (nat_program("(precnat n zero n)"), (0, 1, 2, 300), wide),
+        (nat_program("(precnat zero n n)"), (0, 1, 2, 300), wide),
+        (nat_program("(precnat (succ n) acc n)"), (0, 1, 2, 300), wide),
+        (nat_program("(precnat n idx n)"), (0, 1, 2, 300), wide),
+        (nat_program("(precnat zero (precnat acc idx idx) n)"), (0, 1, 2, 24), wide),
+        (list_program("(filter l (lt (first l) (precnat zero x x)))"), ((), (0, 1, 2), (2, 300, 1)), wide),
+        (list_program("(pivotrec l (lt x (precnat zero pivot pivot)) (lt pivot x) (append l (cons pivot r)))"),
+         ((0, 1), (1, 0), (2, 1, 0), (300, 2)), wide),
+        (nat_program("(precnat (mul n n) idx n)"), (3, 2**10), 12),
+        (nat_program("(precnat zero acc (mul n n))"), (3, 2**10), 12),
+    ]
+    for program, inputs, bits in leaf_loops:
+        var = next(iter(program.free_vars))
+        for value in inputs:
+            env = {var: value}
+            for max_steps in range(1, 420):
+                budget = EvalBudget(max_steps, bits)
+                outcome = _outcome(lambda: evaluate_env(program.term, env, budget))
+                assert outcome == _reference(program.term, env, budget), (program, env, budget)
+            assert outcome[:2] != ("exhausted", "steps"), (program, env)
 
 
 def test_batched_probes_equal_per_probe_evaluation():
@@ -238,3 +279,19 @@ def test_deep_succ_chain_evaluates():
     for _ in range(900):
         term = Term("succ", (term,))
     assert evaluate_env(term, {"n": 0}) == 900
+
+
+def test_oracles_import_only_the_standard_library():
+    # The benchmark's output checks load tests/oracles.py from a bare
+    # checkout, where the package cannot be imported.
+    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import in oracles.py"
+            imported.append(node.module)
+    assert imported
+    for name in imported:
+        assert name.split(".")[0] in sys.stdlib_module_names and not name.startswith("diagforge"), name

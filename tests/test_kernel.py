@@ -21,6 +21,7 @@ from diagforge.kernel import (
     pretty,
     rank_seq,
     size,
+    sort_of_value,
 )
 from strategies import terms
 
@@ -135,3 +136,11 @@ def test_value_syntax_round_trip():
         parse_value("(1 (2))")
     with pytest.raises(ParseError):
         parse_value("-3")
+
+
+def test_sort_of_value_accepts_only_kernel_values():
+    assert sort_of_value(0) is Sort.NAT and sort_of_value(True) is Sort.BOOL
+    assert sort_of_value(()) is sort_of_value((3, 0)) is Sort.LIST_NAT
+    for bad in (-1, (1, "b"), (-1, 2), (True,), ((1,),), [1], "1", None):
+        with pytest.raises(ParseError):
+            sort_of_value(bad)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from diagforge.errors import DuplicateProbeError, EmptyProbesError
+from diagforge.errors import DuplicateProbeError, EmptyProbesError, ParseError
 from diagforge.interp import evaluate_env
 from diagforge.kernel import canonical_key, parse, pretty, size
 from diagforge.spaces import (
@@ -135,6 +135,11 @@ def test_snapshot_round_trip_and_export():
     summary = export_summary(space)
     assert summary["classes"][0]["member_count"] == 2
     assert summary["history_length"] == len(space.history)
+    # probes that are not kernel values, or repeat or are missing, make the
+    # snapshot malformed
+    for probes in ([], [0, 0], [-1], [[1, "b"]], [[[1]]]):
+        with pytest.raises(ParseError, match="^malformed space snapshot: "):
+            load_snapshot({**data, "probes": probes})
 
 
 def test_list_input_spaces():

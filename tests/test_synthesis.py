@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from diagforge.errors import ParseError
 from diagforge.interp import evaluate
 from diagforge.kernel import Sort, parse, pretty, size
 from diagforge.synthesis import (
@@ -97,6 +98,12 @@ def test_goal_construction():
         make_goal([])
     with pytest.raises(ValueError):
         make_goal([(1, 2), ((), 3)])
+    with pytest.raises(ParseError):
+        make_goal([(-1, 0)])
+    with pytest.raises(ParseError):
+        make_goal([(1, 2)], probes=[-1])
+    with pytest.raises(ValueError):
+        make_goal([(1, 2)], probes=[(1,)])
     with pytest.raises(ValueError):
         GoalSpec(Sort.NAT, Sort.NAT, ((9, 10),), probes=(0, 1))
 
