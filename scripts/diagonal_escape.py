@@ -7,8 +7,7 @@ Usage: python scripts/diagonal_escape.py [--witness N] [--depth K]
 import argparse
 
 from diagforge.enumeration import Tier
-from diagforge.kernel import pretty
-from diagforge.machines import Base, describe, diagonal, extend, function_at, witness_table
+from diagforge.machines import Base, describe, function_at, iterate, witness_rows
 
 
 def main():
@@ -17,17 +16,12 @@ def main():
     parser.add_argument("--depth", type=int, default=3)
     args = parser.parse_args()
 
-    machine = Base(Tier.NATFN)
-    for level in range(args.depth + 1):
+    for machine, g in iterate(Base(Tier.NATFN), args.depth + 1):
         print(f"== machine: {describe(machine)}")
-        for w in witness_table(machine, args.witness):
-            fn = function_at(machine, w.index)
-            label = getattr(fn.provenance, "program", None)
-            name = pretty(label.term) if label else fn.name
+        for w in witness_rows(machine, args.witness):
+            name = function_at(machine, w.index).name
             print(f"  f_{w.index}({w.index}) = {w.fn_at_n:<6} g({w.index}) = {w.g_at_n:<6} f_{w.index} = {name}")
-        g = diagonal(machine)
         print(f"  extending by {g.name}\n")
-        machine = extend(machine, g)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ drives bottom-up program synthesis from a reflection base of component
 facts, organized into analytical spaces of behavior-equivalence classes.
 """
 
-from .enumeration import EnumCursor, Tier, enumerate_stream, index_of, program_at
+from .enumeration import Tier, enumerate_stream, index_of, program_at
 from .errors import (
     DiagforgeError,
     DuplicateProbeError,
@@ -45,8 +45,7 @@ from .machines import (
     extend,
     function_at,
     iterate,
-    machine_stream,
-    witness_table,
+    witness_rows,
 )
 from .refuter import (
     AcceptAll,
@@ -54,7 +53,7 @@ from .refuter import (
     MaxSize,
     ProgramDecider,
     RefutationReport,
-    accepted_stream,
+    accepted_prefix,
     refute,
 )
 from .spaces import AnalyticalSpace, absorb, expand_domain, new_space, unify

@@ -41,10 +41,6 @@ def _budget(steps: int | None) -> EvalBudget:
     return EvalBudget(max_steps=steps)
 
 
-def _tier(name: str) -> Tier:
-    return Tier(name)
-
-
 def _parse_classifier(text: str) -> refuter.Classifier:
     if text == "all":
         return refuter.AcceptAll()
@@ -63,7 +59,7 @@ def _parse_classifier(text: str) -> refuter.Classifier:
 def _cmd_enum(args) -> int:
     if args.count < 1:
         raise ValueError(f"enumeration count must be >= 1, got {args.count}")
-    stream = enumerate_stream(_tier(args.tier))
+    stream = enumerate_stream(Tier(args.tier))
     for index in range(1, args.count + 1):
         program = next(stream)
         print(f"{index}\t{size(program.term)}\t{pretty(program.term)}")
@@ -71,40 +67,35 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_show(args) -> int:
-    program = program_at(_tier(args.tier), args.index)
+    program = program_at(Tier(args.tier), args.index)
     print(f"{args.index}\t{size(program.term)}\t{pretty(program.term)}")
     return 0
 
 
-def _print_rows(machine: machines.Machine, count: int, budget: EvalBudget, **fields) -> None:
+def _print_rows(machine: machines.Machine, count: int, **fields) -> None:
     """One JSON line per witness row, printed as soon as the row is proved."""
-    for w in machines.witness_rows(machine, count, budget):
+    for w in machines.witness_rows(machine, count):
         print(json.dumps({**fields, "index": w.index, "fn_at_n": w.fn_at_n, "g_at_n": w.g_at_n}))
 
 
 def _cmd_diag(args) -> int:
-    _print_rows(machines.Base(_tier(args.tier)), args.witness, _budget(args.budget))
+    _print_rows(machines.Base(Tier(args.tier), _budget(args.budget)), args.witness)
     return 0
 
 
 def _cmd_iterate(args) -> int:
-    if args.depth < 1:
-        raise ValueError(f"iteration depth must be >= 1, got {args.depth}")
-    budget = _budget(args.budget)
-    machine: machines.Machine = machines.Base(Tier.NATFN)
-    for level in range(1, args.depth + 1):
-        _print_rows(machine, args.witness, budget, level=level)
-        machine = machines.extend(machine, machines.diagonal(machine, budget))
+    levels = machines.iterate(machines.Base(Tier.NATFN, _budget(args.budget)), args.depth)
+    for level, (machine, _) in enumerate(levels, start=1):
+        _print_rows(machine, args.witness, level=level)
     return 0
 
 
 def _cmd_refute(args) -> int:
     classifier = _parse_classifier(args.classifier)
-    tier = _tier(args.tier)
-    budget = _budget(args.budget)
-    machine = refuter.accepted_prefix(classifier, tier, args.count, args.horizon, budget)
+    tier = Tier(args.tier)
+    machine = refuter.accepted_prefix(classifier, tier, args.count, args.horizon, _budget(args.budget))
     print(json.dumps({"classifier": refuter.describe_classifier(classifier), "tier": tier.value, "N": args.count}))
-    _print_rows(machine, args.count, budget)
+    _print_rows(machine, args.count)
     return 0
 
 

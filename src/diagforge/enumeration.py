@@ -244,24 +244,6 @@ def enumerate_stream(tier: Tier) -> Iterator[TypedProgram]:
         size_ += 1
 
 
-class EnumCursor:
-    """Single-consumer cursor over a tier's stream; `next_index` is 1-based.
-
-    Independent cursors over the same tier agree element-wise.
-    """
-
-    def __init__(self, tier: Tier):
-        self.tier = tier
-        self.next_index = 1
-        self._stream = enumerate_stream(tier)
-
-    def take(self) -> tuple[int, TypedProgram]:
-        index = self.next_index
-        program = next(self._stream)
-        self.next_index += 1
-        return index, program
-
-
 def program_at(tier: Tier, i: int) -> TypedProgram:
     """The i-th element (1-based) of the tier's stream."""
     if i < 1:

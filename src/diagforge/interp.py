@@ -390,6 +390,20 @@ def slot_vector(env: dict[str, Value]) -> list:
     return [env.get(name) for name in _SLOTS]
 
 
+def probe_vectors(free_vars: tuple[str, ...], probes: Sequence) -> list[list]:
+    """One slot vector per probe. A single variable takes bare values;
+    several take one assignment tuple per probe, aligned with free_vars."""
+    if len(free_vars) == 1:
+        var = free_vars[0]
+        return [slot_vector({var: probe}) for probe in probes]
+    vectors = []
+    for probe in probes:
+        if not isinstance(probe, tuple) or len(probe) != len(free_vars):
+            raise ValueError(f"probe {probe!r} does not match signature {free_vars}")
+        vectors.append(slot_vector(dict(zip(free_vars, probe))))
+    return vectors
+
+
 def run_probes(code: Code, vectors: Iterable[list], budget: EvalBudget | None = None) -> Iterator[Value]:
     """Run compiled code on each slot vector in turn, lazily.
 
@@ -422,13 +436,21 @@ def _unbound_var(t: Term, bound: Iterable[str]) -> str | None:
 
 
 def _run_once(t: Term, env: dict[str, Value], budget: EvalBudget | None) -> Value:
+    """Run t once under env, after checking that env binds each kernel
+    variable to a kernel value of its sort (ValueError otherwise)."""
+    for var, value in env.items():
+        sort = VAR_SORTS.get(var)
+        if sort is Sort.NAT and not is_nat(value):
+            raise ValueError(f"input for {var!r} must be a non-negative int, got {value!r}")
+        if sort is Sort.LIST_NAT and not (isinstance(value, tuple) and all(is_nat(v) for v in value)):
+            raise ValueError(f"input for {var!r} must be a tuple of non-negative ints, got {value!r}")
     return compile_term(t)(slot_vector(env), _Fuel(budget or DEFAULT_BUDGET))
 
 
 def evaluate_env(t: Term, env: dict[str, Value], budget: EvalBudget | None = None) -> Value:
     """Evaluate a term under an explicit variable environment; compiles the
     term on each call. Raises KeyError naming a free variable of the term
-    that env does not bind."""
+    that env does not bind, and ValueError for a value of the wrong sort."""
     missing = _unbound_var(t, env)
     if missing is not None:
         raise KeyError(missing)
@@ -442,14 +464,7 @@ def evaluate(program: TypedProgram, value: Value, budget: EvalBudget | None = No
     (n for naturals, l for lists); the input is bound to it. Evaluation is
     pure and deterministic: identical inputs yield identical outputs.
     """
-    env: dict[str, Value] = {}
-    for var in program.free_vars:
-        expected = VAR_SORTS[var]
-        if expected is Sort.NAT and not is_nat(value):
-            raise ValueError(f"input for {var!r} must be a non-negative int, got {value!r}")
-        if expected is Sort.LIST_NAT and not (isinstance(value, tuple) and all(is_nat(v) for v in value)):
-            raise ValueError(f"input for {var!r} must be a tuple of non-negative ints, got {value!r}")
-        env[var] = value
+    env = dict.fromkeys(program.free_vars, value)
     if len(env) > 1:
         raise ValueError(f"program is not single-input: free variables {sorted(env)}")
     # A TypedProgram's free variables are all bound here: no scope walk.

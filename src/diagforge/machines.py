@@ -1,40 +1,30 @@
 """Machines producing function streams, and the diagonal escape against them.
 
 A machine is a language tier (its stream is the enumeration, seen as
-functions), a finite subsequence of a tier (the programs at fixed indices,
-such as a classifier's accepted prefix), or an extension of a machine by
-prepended functions. The diagonal of a machine m is g(n) = f_n(n) + 1 where
-f_1, f_2, ... is m's stream; g differs from every stream element, and
-extending m by g yields a machine whose own diagonal differs from g again.
-Machine indices are 1-based to match the stream f_1, f_2, ...; g(0) is
-defined as g(1) so oracle functions are total on all naturals.
+functions), a finite subsequence of a tier (given programs with their
+tier indices, such as a classifier's accepted prefix), or an extension of
+a machine by prepended functions. The diagonal of a machine m is
+g(n) = f_n(n) + 1 where f_1, f_2, ... is m's stream; g differs from every
+stream element, and extending m by g yields a machine whose own diagonal
+differs from g again. Machine indices are 1-based to match the stream
+f_1, f_2, ...; g(0) is defined as g(1) so oracle functions are total on all
+naturals.
+
+A tier or subsequence machine owns its functions: it hands out one
+OracleFn per index, built on first use and evaluated under the budget the
+machine was built with, so each f_n(n) is evaluated once per machine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Union
 
 from .errors import ResourceExhaustedError
 from .enumeration import Tier, program_at
 from .interp import EvalBudget, evaluate
 from .kernel import TypedProgram, pretty
-
-
-@dataclass(frozen=True)
-class ProgramBacked:
-    """Provenance: the function evaluates an enumerated program."""
-
-    program: TypedProgram
-    tier: Tier
-
-
-@dataclass(frozen=True)
-class DiagonalOf:
-    """Provenance: the function was constructed by diagonalizing a machine."""
-
-    machine: str
 
 
 class OracleFn:
@@ -45,9 +35,8 @@ class OracleFn:
     queries may race on the cache without changing any result.
     """
 
-    def __init__(self, fn: Callable[[int], int], provenance, name: str | Callable[[], str]):
+    def __init__(self, fn: Callable[[int], int], name: str | Callable[[], str]):
         self._fn = fn
-        self.provenance = provenance
         self._name = name
         self._cache: dict[int, int] = {}
 
@@ -70,16 +59,22 @@ class OracleFn:
 
 @dataclass(frozen=True)
 class Base:
+    """The tier's whole enumeration, evaluated under `budget`."""
+
     tier: Tier
+    budget: EvalBudget | None = None
+    _fns: dict[int, OracleFn] = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Subsequence:
-    """A finite machine: the tier's programs at `indices`, in that order."""
+    """A finite machine: `programs` are (tier index, program) pairs in
+    stream order, evaluated under `budget`."""
 
-    tier: Tier
-    indices: tuple[int, ...]
+    programs: tuple[tuple[int, TypedProgram], ...]
     label: str
+    budget: EvalBudget | None = None
+    _fns: dict[int, OracleFn] = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -99,17 +94,7 @@ def describe(m: Machine) -> str:
     return f"extend({describe(m.inner)}, +{len(m.prepended)})"
 
 
-@lru_cache(maxsize=None)
-def _program_fn(tier: Tier, i: int, budget: EvalBudget | None) -> OracleFn:
-    program = program_at(tier, i)
-    return OracleFn(
-        lambda n: evaluate(program, n, budget),
-        ProgramBacked(program, tier),
-        name=lambda: f"{tier.value}[{i}]={pretty(program.term)}",
-    )
-
-
-def function_at(m: Machine, i: int, budget: EvalBudget | None = None) -> OracleFn:
+def function_at(m: Machine, i: int) -> OracleFn:
     """The i-th function (1-based) of the machine's stream."""
     if i < 1:
         raise ValueError(f"stream index must be >= 1, got {i}")
@@ -118,19 +103,16 @@ def function_at(m: Machine, i: int, budget: EvalBudget | None = None) -> OracleF
             return m.prepended[i - 1]
         i -= len(m.prepended)
         m = m.inner
-    if isinstance(m, Subsequence):
-        if i > len(m.indices):
-            raise ValueError(f"stream index {i} is past the end of {m.label}")
-        i = m.indices[i - 1]
-    return _program_fn(m.tier, i, budget)
-
-
-def machine_stream(m: Machine, budget: EvalBudget | None = None):
-    """Unbounded stream f_1, f_2, ... of the machine's functions."""
-    i = 1
-    while True:
-        yield function_at(m, i, budget)
-        i += 1
+    fn = m._fns.get(i)
+    if fn is None:
+        if isinstance(m, Subsequence):
+            if i > len(m.programs):
+                raise ValueError(f"stream index {i} is past the end of {m.label}")
+            program = m.programs[i - 1][1]
+        else:
+            program = program_at(m.tier, i)
+        fn = m._fns[i] = OracleFn(lambda n: evaluate(program, n, m.budget), name=lambda: pretty(program.term))
+    return fn
 
 
 def _apply_indexed(f: OracleFn, index: int) -> int:
@@ -140,14 +122,14 @@ def _apply_indexed(f: OracleFn, index: int) -> int:
         raise ResourceExhaustedError(exc.steps_used, exc.reason, index=index) from exc
 
 
-def diagonal(m: Machine, budget: EvalBudget | None = None) -> OracleFn:
+def diagonal(m: Machine) -> OracleFn:
     """g with g(n) = f_n(n) + 1 against m's stream; g(0) = g(1)."""
 
     def fn(n: int) -> int:
         k = n if n >= 1 else 1
-        return _apply_indexed(function_at(m, k, budget), k) + 1
+        return _apply_indexed(function_at(m, k), k) + 1
 
-    return OracleFn(fn, DiagonalOf(describe(m)), name=f"diag({describe(m)})")
+    return OracleFn(fn, name=f"diag({describe(m)})")
 
 
 def extend(m: Machine, f: OracleFn) -> Machine:
@@ -168,31 +150,26 @@ class Witness:
             raise ValueError(f"witness row {self.index} violates g = f + 1")
 
 
-def witness_rows(m: Machine, count: int, budget: EvalBudget | None = None) -> Iterator[Witness]:
+def witness_rows(m: Machine, count: int) -> Iterator[Witness]:
     """The rows certifying that diagonal(m) escapes m's first `count` functions,
     yielded one by one as each is proved. Each f_n(n) is evaluated once: g
     reads it back from f_n's memo."""
     if count < 1:
         raise ValueError(f"witness count must be >= 1, got {count}")
-    g = diagonal(m, budget)
+    g = diagonal(m)
     for n in range(1, count + 1):
-        fn_value = _apply_indexed(function_at(m, n, budget), n)
+        fn_value = _apply_indexed(function_at(m, n), n)
         yield Witness(n, fn_value, g(n))
 
 
-def witness_table(m: Machine, count: int, budget: EvalBudget | None = None) -> list[Witness]:
-    """The finite certificate that diagonal(m) escapes m's first `count` functions."""
-    return list(witness_rows(m, count, budget))
-
-
-def iterate(m0: Machine, depth: int, budget: EvalBudget | None = None) -> tuple[Machine, list[OracleFn]]:
-    """Repeatedly extend m by its own diagonal; returns m_depth and [g_1..g_depth]."""
+def iterate(m0: Machine, depth: int) -> Iterator[tuple[Machine, OracleFn]]:
+    """Repeatedly extend a machine by its own diagonal: yields (m_0, g_1),
+    (m_1, g_2), ..., (m_{depth-1}, g_depth), where g_k = diagonal(m_{k-1})
+    and m_k = extend(m_{k-1}, g_k)."""
     if depth < 1:
         raise ValueError(f"iteration depth must be >= 1, got {depth}")
     machine = m0
-    gs: list[OracleFn] = []
     for _ in range(depth):
-        g = diagonal(machine, budget)
-        gs.append(g)
+        g = diagonal(machine)
+        yield machine, g
         machine = extend(machine, g)
-    return machine, gs

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import EmptyClassifierError
-from .enumeration import Tier, enumerate_stream, program_at
+from .enumeration import Tier, enumerate_stream
 from .interp import EvalBudget, evaluate
 from .kernel import TypedProgram, pretty, size
 from .machines import OracleFn, Subsequence, Witness, diagonal, witness_rows
@@ -72,15 +72,6 @@ def _accepts(c: Classifier, index: int, program: TypedProgram, budget: EvalBudge
     return evaluate(c.decider, index, budget) != 0
 
 
-def accepted_stream(
-    c: Classifier, tier: Tier, budget: EvalBudget | None = None
-) -> Iterator[tuple[int, TypedProgram]]:
-    """The accepted subsequence of the tier's enumeration, indices attached."""
-    for index, program in enumerate(enumerate_stream(tier), start=1):
-        if _accepts(c, index, program, budget):
-            yield index, program
-
-
 @dataclass(frozen=True)
 class RefutationReport:
     classifier: str
@@ -97,7 +88,8 @@ def accepted_prefix(
     horizon: int = DEFAULT_HORIZON,
     budget: EvalBudget | None = None,
 ) -> Subsequence:
-    """The machine of the first `count` programs the classifier accepts.
+    """The machine of the first `count` programs the classifier accepts,
+    evaluated under `budget` as the classifier's decider is.
 
     Raises EmptyClassifierError when fewer than `count` programs are
     accepted within the first `horizon` enumeration indices.
@@ -108,15 +100,15 @@ def accepted_prefix(
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     # The horizon bounds the scan of the underlying enumeration, not the
     # accepted subsequence (which may be empty).
-    indices: list[int] = []
+    accepted: list[tuple[int, TypedProgram]] = []
     for index, program in islice(enumerate(enumerate_stream(tier), start=1), horizon):
         if _accepts(c, index, program, budget):
-            indices.append(index)
-            if len(indices) == count:
+            accepted.append((index, program))
+            if len(accepted) == count:
                 break
-    if len(indices) < count:
-        raise EmptyClassifierError(len(indices), count, horizon)
-    return Subsequence(tier, tuple(indices), f"accepted({describe_classifier(c)}, {tier.value})")
+    if len(accepted) < count:
+        raise EmptyClassifierError(len(accepted), count, horizon)
+    return Subsequence(tuple(accepted), f"accepted({describe_classifier(c)}, {tier.value})", budget)
 
 
 def refute(
@@ -136,7 +128,7 @@ def refute(
     return RefutationReport(
         classifier=describe_classifier(c),
         tier=tier,
-        accepted_prefix=tuple((i, program_at(tier, i)) for i in machine.indices),
-        witnesses=tuple(witness_rows(machine, count, budget)),
-        diag=diagonal(machine, budget),
+        accepted_prefix=machine.programs,
+        witnesses=tuple(witness_rows(machine, count)),
+        diag=diagonal(machine),
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DiagforgeError, DuplicateProbeError, EmptyProbesError, ParseError
-from .interp import EvalBudget, compile_term, run_probes, slot_vector
+from .interp import EvalBudget, compile_term, probe_vectors, run_probes
 from .kernel import (
     INPUT_VARS,
     Sort,
@@ -72,10 +72,6 @@ def _check_probes(probes: tuple[Value, ...]) -> None:
         raise DuplicateProbeError(f"duplicate probe in {probes!r}")
 
 
-def _probe_vectors(probes: tuple[Value, ...], var: str) -> list[list]:
-    return [slot_vector({var: p}) for p in probes]
-
-
 def _fingerprint(term: Term, vectors: list[list], var: str, budget: EvalBudget | None) -> tuple:
     # The output sort tags the key: True and 1 are equal (and hash alike)
     # in Python, so raw vectors of mixed-sort outputs could collide.
@@ -98,7 +94,7 @@ def _rebuild(
 ) -> AnalyticalSpace:
     """Group members by fingerprint over `probes`; minimal-cost representatives."""
     var = INPUT_VARS[sort_of_value(probes[0])]
-    vectors = _probe_vectors(probes, var)
+    vectors = probe_vectors((var,), probes)
     grouped: dict[tuple, list[Term]] = {}
     for term in members:
         grouped.setdefault(_fingerprint(term, vectors, var, budget), []).append(term)
@@ -125,7 +121,7 @@ def absorb(space: AnalyticalSpace, term: Term, budget: EvalBudget | None = None)
     """
     var = space.input_var
     check_well_formed(term, infer_sort(term, frozenset({var})), {var})
-    fingerprint = _fingerprint(term, _probe_vectors(space.probes, var), var, budget)
+    fingerprint = _fingerprint(term, probe_vectors((var,), space.probes), var, budget)
     existing = space.class_map().get(fingerprint)
     if existing is None:
         outcome = "new"

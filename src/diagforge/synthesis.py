@@ -23,7 +23,7 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .enumeration import walk_layer
-from .interp import Code, EvalBudget, compile_node, compile_term, run_probes, slot_vector
+from .interp import Code, EvalBudget, compile_node, compile_term, probe_vectors, run_probes
 from .kernel import (
     INPUT_VARS,
     OPS,
@@ -204,24 +204,6 @@ class Candidate:
     code: Code | None = field(default=None, compare=False, repr=False)
 
 
-def _probe_vectors(free_vars: tuple[str, ...], probes: Sequence) -> list[list]:
-    # Single-variable signatures take bare values; multi-variable ones take
-    # one assignment tuple per probe, aligned with free_vars.
-    if len(free_vars) == 1:
-        var = free_vars[0]
-        return [slot_vector({var: probe}) for probe in probes]
-    vectors = []
-    for probe in probes:
-        if not isinstance(probe, tuple) or len(probe) != len(free_vars):
-            raise ValueError(f"probe {probe!r} does not match signature {free_vars}")
-        vectors.append(slot_vector(dict(zip(free_vars, probe))))
-    return vectors
-
-
-def _input_vectors(var: str, goal: GoalSpec) -> list[list]:
-    return [slot_vector({var: inp}) for inp, _ in goal.examples]
-
-
 def _matches(code: Code, inputs: list[list], outputs: list[Value], budget: EvalBudget | None) -> bool:
     """Whether code maps every input slot vector to its output; stops at
     the first mismatch, so later examples are not evaluated."""
@@ -247,7 +229,7 @@ def bottom_up_pool(
         raise ValueError(f"max_size must be >= 1, got {max_size}")
     if not probes:
         raise ValueError("pool needs at least one probe")
-    vectors = _probe_vectors(free_vars, probes)
+    vectors = probe_vectors(free_vars, probes)
     ops = base.op_names()
     scope = frozenset(free_vars)
     seen: set[tuple] = set()
@@ -270,18 +252,6 @@ def bottom_up_pool(
 SCHEMA_BOTTOM_UP = "bottomup"
 SCHEMA_PIVOT_DC = "pivotdc"
 
-
-@dataclass(frozen=True)
-class HoleSpec:
-    free_vars: tuple[str, ...]
-    sort: Sort
-
-
-PIVOT_HOLES: tuple[HoleSpec, ...] = (
-    HoleSpec(("x", "pivot"), Sort.BOOL),  # left predicate
-    HoleSpec(("x", "pivot"), Sort.BOOL),  # right predicate
-    HoleSpec(("l", "pivot", "r"), Sort.LIST_NAT),  # combiner
-)
 
 # Hole fingerprints use small fixed domains per bound variable; rich enough
 # to separate the elementary list components at desk-scale budgets.
@@ -348,7 +318,7 @@ def synthesize(
     outputs = [out for _, out in goal.examples]
     if schema == SCHEMA_BOTTOM_UP:
         var = INPUT_VARS[goal.input_sort]
-        inputs = _input_vectors(var, goal)
+        inputs = probe_vectors((var,), [inp for inp, _ in goal.examples])
         pool = bottom_up_pool(base, (var,), goal.output_sort, goal.probes, budget, eval_budget)
         for candidate in pool:
             if _matches(candidate.code, inputs, outputs, eval_budget):
@@ -357,13 +327,11 @@ def synthesize(
     if schema == SCHEMA_PIVOT_DC:
         if goal.input_sort is not Sort.LIST_NAT or goal.output_sort is not Sort.LIST_NAT:
             raise ValueError("the divide-and-conquer schema sorts lists into lists")
-        pred_pool = bottom_up_pool(
-            base, PIVOT_HOLES[0].free_vars, PIVOT_HOLES[0].sort, PIVOT_PRED_PROBES, budget, eval_budget
-        )
+        pred_pool = bottom_up_pool(base, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, budget, eval_budget)
         combine_pool = bottom_up_pool(
-            base, PIVOT_HOLES[2].free_vars, PIVOT_HOLES[2].sort, PIVOT_COMBINE_PROBES, budget, eval_budget
+            base, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, budget, eval_budget
         )
-        inputs = _input_vectors("l", goal)
+        inputs = probe_vectors(("l",), [inp for inp, _ in goal.examples])
         input_code = compile_node("l")
         for filling in fill_schema_holes((pred_pool, pred_pool, combine_pool)):
             code = compile_node("pivotrec", [input_code] + [c.code for c in filling])

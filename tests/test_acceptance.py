@@ -14,7 +14,7 @@ from diagforge.enumeration import Tier, enumerate_stream, index_of, program_at, 
 from diagforge.errors import EmptyClassifierError, ResourceExhaustedError
 from diagforge.interp import EvalBudget, evaluate, evaluate_env
 from diagforge.kernel import parse, pretty, size
-from diagforge.machines import Base, iterate, witness_table
+from diagforge.machines import Base, iterate, witness_rows
 from diagforge.refuter import AcceptNone, MaxSize, ProgramDecider, refute
 from diagforge.spaces import absorb, expand_domain, new_space, unify
 from diagforge.synthesis import (
@@ -40,7 +40,7 @@ def _report(number: int, description: str, ok: bool):
 
 def test_criterion_1_diagonal_escape():
     start = time.perf_counter()
-    rows = witness_table(Base(NATFN), 500, EvalBudget(max_steps=1_000_000))
+    rows = list(witness_rows(Base(NATFN, EvalBudget(max_steps=1_000_000)), 500))
     elapsed = time.perf_counter() - start
     ok = (
         len(rows) == 500
@@ -68,7 +68,7 @@ def test_criterion_2_enumeration_bijection():
 
 
 def test_criterion_3_iterated_extension():
-    _, gs = iterate(Base(NATFN), 5)
+    gs = [g for _, g in iterate(Base(NATFN), 5)]
     ok = all(gs[i](1) == gs[i - 1](1) + 1 for i in range(1, 5))
     tables = [[g(n) for n in range(1, 6)] for g in gs]
     for i in range(5):
@@ -91,7 +91,7 @@ def test_criterion_4_refuter():
         pass
     decider = ProgramDecider(check_well_formed(parse("(succ zero)"), Sort.NAT, {"n"}))
     report = refute(decider, NATFN, 500)
-    plain = witness_table(Base(NATFN), 500)
+    plain = list(witness_rows(Base(NATFN), 500))
     ok = ok and list(report.witnesses) == plain
     _report(4, "maxsize:3 yields +1 witnesses for every N <= 14, none is empty, "
                "constant-nonzero decider reproduces the plain diagonal", ok)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,57 @@ def test_certificate_stdout_is_pinned(command, digest):
     assert result.returncode == 0
     assert result.stderr == ""
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+# sha256 of the stdout of `scripts/diagonal_escape.py --witness 8 --depth 3`.
+PINNED_ESCAPE_STDOUT = "5eb17404d84b5d125414792b46e47f18561220de40221c66bb416648f9277de6"
+
+
+def test_diagonal_escape_script_stdout_is_pinned():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "scripts/diagonal_escape.py", "--witness", "8", "--depth", "3"],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == PINNED_ESCAPE_STDOUT
+
+
+def test_each_command_unranks_each_program_at_most_once(monkeypatch, capsys):
+    # In process, counting unranking and the machines' evaluations.
+    from diagforge import cli, enumeration, interp, machines
+
+    unranked, evaluated = [], []
+
+    def counting_program_at(tier, i):
+        unranked.append(i)
+        return enumeration.program_at(tier, i)
+
+    def counting_evaluate(program, n, budget=None):
+        evaluated.append((id(program), n))
+        return interp.evaluate(program, n, budget)
+
+    monkeypatch.setattr(machines, "program_at", counting_program_at)
+    monkeypatch.setattr(machines, "evaluate", counting_evaluate)
+
+    assert cli.main(["diag", "--witness", "40"]) == 0
+    assert unranked == list(range(1, 41))
+    assert len(evaluated) == 40  # each f_n(n) once; g(n) reads it back
+
+    unranked.clear()
+    evaluated.clear()
+    assert cli.main(["iterate", "--depth", "3", "--witness", "10"]) == 0
+    assert sorted(unranked) == list(range(1, 11))
+    assert len(set(evaluated)) == len(evaluated)
+
+    unranked.clear()
+    evaluated.clear()
+    assert cli.main(["refute", "--tier", "full", "--classifier", "maxsize:3", "--count", "14"]) == 0
+    assert unranked == []
+    assert len(evaluated) == 14
+    capsys.readouterr()
 
 
 def test_enum_prints_tab_separated_records():
@@ -170,8 +222,6 @@ def test_too_deep_terms_exit_3_without_traceback(tmp_path):
 
 
 def test_env_var_overrides_budget():
-    import os
-
     env = dict(os.environ)
     env["DIAGFORGE_BUDGET"] = "1"
     result = run("diag", "--tier", "natfn", "--witness", "3", env=env)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from diagforge import enumeration
 from diagforge.enumeration import (
     TIER_OPS,
-    EnumCursor,
     Tier,
     enumerate_stream,
     index_of,
@@ -102,16 +101,6 @@ def test_full_tier_contains_natfn():
     full = {pretty(t) for s in range(1, 4) for t in tier_layer(Tier.FULL, s)}
     assert natfn < full
     assert "(first nil)" in full
-
-
-def test_independent_cursors_agree():
-    a = EnumCursor(Tier.NATFN)
-    b = EnumCursor(Tier.NATFN)
-    for expected_index in range(1, 2001):
-        ia, pa = a.take()
-        ib, pb = b.take()
-        assert ia == ib == expected_index
-        assert pa == pb
 
 
 def test_stream_restarts_identically():

@@ -139,6 +139,15 @@ def test_input_validation():
         evaluate_env(parse("(filter l (lt x acc))"), {"l": (1,)})
 
 
+@pytest.mark.parametrize(
+    "text, env",
+    [("(succ n)", {"n": -1}), ("(precnat zero idx n)", {"n": -5}), ("(first l)", {"l": (-3,)}), ("(succ n)", {"n": True})],
+)
+def test_environment_values_must_be_kernel_values(text, env):
+    with pytest.raises(ValueError):
+        evaluate_env(parse(text), env)
+
+
 def test_totality_at_documented_scale():
     # random well-formed programs up to size 10 on inputs 0..20 either finish
     # or raise ResourceExhausted under a 10^7-step budget; they never loop
@@ -281,17 +290,24 @@ def test_deep_succ_chain_evaluates():
     assert evaluate_env(term, {"n": 0}) == 900
 
 
-def test_oracles_import_only_the_standard_library():
-    # The benchmark's output checks load tests/oracles.py from a bare
-    # checkout, where the package cannot be imported.
-    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text())
+ROOT = Path(__file__).resolve().parent.parent
+STDLIB_ONLY = [ROOT / "tests" / "oracles.py"] + sorted((ROOT / "src" / "diagforge").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", STDLIB_ONLY, ids=lambda path: path.relative_to(ROOT).as_posix())
+def test_module_imports_only_the_standard_library(path):
+    # The package depends on the standard library alone. The benchmark's
+    # output checks load tests/oracles.py from a bare checkout, where the
+    # package cannot be imported, so oracles.py may not import it at all.
+    in_package = path.parent.name == "diagforge"
     imported = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            assert in_package, f"relative import in {path.name}"
         elif isinstance(node, ast.ImportFrom):
-            assert node.level == 0, "relative import in oracles.py"
             imported.append(node.module)
-    assert imported
+    assert imported or in_package
     for name in imported:
         assert name.split(".")[0] in sys.stdlib_module_names and not name.startswith("diagforge"), name

@@ -1,4 +1,4 @@
-"""Diagonal construction, machine extension, and witness tables."""
+"""Diagonal construction, machine extension, and witness rows."""
 
 import pytest
 
@@ -7,15 +7,13 @@ from diagforge.errors import ResourceExhaustedError
 from diagforge.interp import EvalBudget
 from diagforge.machines import (
     Base,
-    DiagonalOf,
     Extend,
     Witness,
     diagonal,
     extend,
     function_at,
     iterate,
-    machine_stream,
-    witness_table,
+    witness_rows,
 )
 
 BASE = Base(Tier.NATFN)
@@ -26,6 +24,7 @@ def test_base_stream_starts_with_identity_and_zero():
     f2 = function_at(BASE, 2)
     assert [f1(k) for k in range(5)] == [0, 1, 2, 3, 4]
     assert [f2(k) for k in range(5)] == [0, 0, 0, 0, 0]
+    assert (f1.name, f2.name, function_at(BASE, 3).name) == ("n", "zero", "(succ n)")
 
 
 def test_diagonal_values_against_base():
@@ -33,7 +32,7 @@ def test_diagonal_values_against_base():
     assert g(1) == 2  # f_1 is the identity
     assert g(2) == 1  # f_2 is constant zero
     assert g(0) == g(1)
-    assert isinstance(g.provenance, DiagonalOf)
+    assert g.name == "diag(base(natfn))"
 
 
 def test_diagonal_is_plus_one_pointwise():
@@ -43,9 +42,9 @@ def test_diagonal_is_plus_one_pointwise():
 
 
 def test_witness_table_rows():
-    rows = witness_table(BASE, 2)
+    rows = list(witness_rows(BASE, 2))
     assert [(w.index, w.fn_at_n, w.g_at_n) for w in rows] == [(1, 1, 2), (2, 0, 1)]
-    for w in witness_table(BASE, 500):
+    for w in witness_rows(BASE, 500):
         assert w.g_at_n == w.fn_at_n + 1
         assert w.g_at_n != w.fn_at_n
 
@@ -63,8 +62,7 @@ def test_extend_prepends():
         assert function_at(m, k + 1)(k) == function_at(BASE, k)(k)
     g2 = diagonal(m)
     assert g2(1) == g(1) + 1
-    rows = witness_table(m, 1)
-    assert rows[0] == Witness(1, g(1), g(1) + 1)
+    assert list(witness_rows(m, 1)) == [Witness(1, g(1), g(1) + 1)]
 
 
 def test_extend_twice_prepends_in_order():
@@ -77,18 +75,13 @@ def test_extend_twice_prepends_in_order():
     assert function_at(m2, 3)(7) == function_at(BASE, 1)(7)
 
 
-def test_machine_stream_matches_function_at():
-    stream = machine_stream(extend(BASE, diagonal(BASE)))
-    for k in range(1, 20):
-        assert next(stream)(k) == function_at(extend(BASE, diagonal(BASE)), k)(k)
-
-
 def test_iterate_unrolls_extension():
-    m1, gs = iterate(BASE, 1)
-    assert isinstance(m1, Extend) and m1.inner == BASE
-    assert gs[0](1) == diagonal(BASE)(1)
+    (m0, g1), (m1, g2) = iterate(BASE, 2)
+    assert m0 is BASE and g1(1) == diagonal(BASE)(1)
+    assert isinstance(m1, Extend) and m1.inner is BASE and m1.prepended == (g1,)
+    assert g2.name == "diag(extend(base(natfn), +1))"
 
-    _, gs = iterate(BASE, 5)
+    gs = [g for _, g in iterate(BASE, 5)]
     for i in range(1, 5):
         assert gs[i](1) == gs[i - 1](1) + 1
     tables = [[g(n) for n in range(1, 6)] for g in gs]
@@ -100,7 +93,7 @@ def test_iterate_unrolls_extension():
 def test_memoization_is_transparent():
     g = diagonal(BASE)
     assert g(7) == g(7)
-    assert witness_table(BASE, 10) == witness_table(BASE, 10)
+    assert list(witness_rows(BASE, 10)) == list(witness_rows(BASE, 10))
 
 
 def test_concurrent_queries_agree():
@@ -114,5 +107,5 @@ def test_concurrent_queries_agree():
 
 def test_budget_exhaustion_reports_index():
     with pytest.raises(ResourceExhaustedError) as excinfo:
-        witness_table(BASE, 3, EvalBudget(max_steps=1))
+        list(witness_rows(Base(Tier.NATFN, EvalBudget(max_steps=1)), 3))
     assert excinfo.value.index == 3  # f_3 = (succ n) needs two steps

@@ -4,17 +4,18 @@ from itertools import islice
 
 import pytest
 
+from diagforge import enumeration, machines, refuter
 from diagforge.enumeration import Tier
 from diagforge.errors import EmptyClassifierError
 from diagforge.interp import evaluate
 from diagforge.kernel import Sort, check_well_formed, parse, pretty
-from diagforge.machines import DiagonalOf
+from diagforge.machines import Base, witness_rows
 from diagforge.refuter import (
     AcceptAll,
     AcceptNone,
     MaxSize,
     ProgramDecider,
-    accepted_stream,
+    accepted_prefix,
     refute,
 )
 
@@ -24,25 +25,24 @@ def decider(text):
 
 
 def test_maxsize_accepts_exactly_the_small_programs():
-    got = [(i, pretty(p.term)) for i, p in islice(accepted_stream(MaxSize(1), Tier.NATFN), 2)]
-    assert got == [(1, "n"), (2, "zero")]
+    machine = accepted_prefix(MaxSize(1), Tier.NATFN, 2)
+    assert [(i, pretty(p.term)) for i, p in machine.programs] == [(1, "n"), (2, "zero")]
+    assert machine.label == "accepted(maxsize:1, natfn)"
     # nothing of size 1 remains: the third accepted program does not exist
     with pytest.raises(EmptyClassifierError):
         refute(MaxSize(1), Tier.NATFN, 3, horizon=200)
 
 
 def test_accept_all_is_the_plain_enumeration():
-    from diagforge.enumeration import enumerate_stream
-
-    accepted = list(islice(accepted_stream(AcceptAll(), Tier.NATFN), 50))
-    stream = list(islice(enumerate_stream(Tier.NATFN), 50))
+    accepted = accepted_prefix(AcceptAll(), Tier.NATFN, 50).programs
+    stream = list(islice(enumeration.enumerate_stream(Tier.NATFN), 50))
     assert [i for i, _ in accepted] == list(range(1, 51))
     assert [p for _, p in accepted] == stream
 
 
 def test_accept_none_is_empty():
-    # the accepted subsequence never yields, so emptiness is observed through
-    # refute's bounded scan of the underlying enumeration
+    # nothing is ever accepted, so emptiness is observed through the
+    # bounded scan of the underlying enumeration
     with pytest.raises(EmptyClassifierError) as excinfo:
         refute(AcceptNone(), Tier.NATFN, 1, horizon=300)
     assert excinfo.value.horizon == 300
@@ -69,10 +69,8 @@ def test_constant_reject_decider_is_empty():
 
 
 def test_constant_accept_decider_reproduces_plain_diagonal():
-    from diagforge.machines import witness_table, Base
-
     report = refute(decider("(succ zero)"), Tier.NATFN, 40)
-    assert list(report.witnesses) == witness_table(Base(Tier.NATFN), 40)
+    assert list(report.witnesses) == list(witness_rows(Base(Tier.NATFN), 40))
 
 
 def test_program_backed_deciders_filter_by_output():
@@ -94,26 +92,27 @@ def test_refute_rejects_bad_count():
 
 
 def test_refute_evaluates_each_accepted_program_once(monkeypatch):
-    from diagforge import machines, refuter
-
     calls = []
 
     def counting(program, n, budget=None):
         calls.append(n)
         return evaluate(program, n, budget)
 
-    machines._program_fn.cache_clear()  # no memoized values from earlier tests
+    def unranking(tier, i):
+        raise AssertionError(f"refute unranked index {i}")
+
     monkeypatch.setattr(machines, "evaluate", counting)
     monkeypatch.setattr(refuter, "evaluate", counting)
+    monkeypatch.setattr(machines, "program_at", unranking)
     report = refute(AcceptAll(), Tier.FULL, 400)
     assert len(report.witnesses) == 400
-    assert len(calls) == 400
+    assert calls == list(range(1, 401))
+    assert report.accepted_prefix == tuple(enumerate(islice(enumeration.enumerate_stream(Tier.FULL), 400), start=1))
 
 
 def test_refute_diag_is_the_accepted_prefix_diagonal():
     report = refute(MaxSize(2), Tier.NATFN, 4)
     assert report.diag.name == "diag(accepted(maxsize:2, natfn))"
-    assert report.diag.provenance == DiagonalOf("accepted(maxsize:2, natfn)")
     assert report.diag(0) == report.diag(1)
     with pytest.raises(ValueError):
         report.diag(5)
