@@ -58,7 +58,7 @@ def test_diagonal_escape_script_stdout_is_pinned():
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == PINNED_ESCAPE_STDOUT
 
 
-def test_each_command_unranks_each_program_at_most_once(monkeypatch, capsys):
+def test_each_command_unranks_each_program_at_most_once(monkeypatch):
     # In process, counting unranking and the machines' evaluations.
     from diagforge import cli, enumeration, interp, machines
 
@@ -90,7 +90,6 @@ def test_each_command_unranks_each_program_at_most_once(monkeypatch, capsys):
     assert cli.main(["refute", "--tier", "full", "--classifier", "maxsize:3", "--count", "14"]) == 0
     assert unranked == []
     assert len(evaluated) == 14
-    capsys.readouterr()
 
 
 def test_enum_prints_tab_separated_records():
