@@ -3,11 +3,15 @@
 The reflection base holds components (kernel operators with their
 domain/range sorts, checked against the kernel typing table) plus the
 allowed literal constants. Candidate pools are built bottom-up in
-canonical enumeration order and pruned by behavioral fingerprint: two
-terms with identical output vectors over the probe inputs collapse to the
-cheaper one. Pruning is relative to probes only; final acceptance
-re-evaluates every goal example, so a collapse can at worst force a larger
-budget, never a wrong answer.
+canonical enumeration order and pruned by observational equivalence, as
+in Escher (Albarghouthi et al., CAV 2013) and TRANSIT (Udupa et al., PLDI
+2013): two terms with identical output vectors over the probe inputs
+collapse to the cheaper one, and a term built on a non-representative is
+never run (see `bottom_up_pool`). Pruning is relative to probes only;
+final acceptance re-evaluates every goal example, so a collapse can at
+worst force a larger budget, never a wrong answer. A candidate that
+exhausts the evaluation budget is dropped, so a search that then finds
+nothing is inconclusive: `synthesize` raises the first error dropped.
 
 Recursion enters only through schemas. The divide-and-conquer schema
 fills the three pivotrec holes (two predicates over x and pivot, one
@@ -23,6 +27,7 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .enumeration import walk_layer
+from .errors import ResourceExhaustedError
 from .interp import Code, EvalBudget, compile_node, compile_term, probe_vectors, run_probes
 from .kernel import (
     INPUT_VARS,
@@ -210,6 +215,13 @@ def _matches(code: Code, inputs: list[list], outputs: list[Value], budget: EvalB
     return all(got == out for got, out in zip(run_probes(code, inputs, budget), outputs))
 
 
+class Pool(list):
+    """Candidates in canonical order, and the first ResourceExhaustedError
+    of a dropped candidate (None when none was dropped)."""
+
+    dropped: ResourceExhaustedError | None = None
+
+
 def bottom_up_pool(
     base: ReflectionBase,
     free_vars: tuple[str, ...],
@@ -217,13 +229,27 @@ def bottom_up_pool(
     probes: Sequence,
     max_size: int,
     budget: EvalBudget | None = None,
-) -> list[Candidate]:
+) -> Pool:
     """One minimal representative per behavior among terms of size <= max_size.
 
     Candidates come out in canonical enumeration order (size ascending, then
     rank-lexicographic), so the first member of each behavior class is the
     minimum under (cost, canonical order); later equals are destroyed as
     uneconomical variants.
+
+    A term is skipped unrun when an argument at a binder-free position of
+    sort `target_sort` is not a representative. Such an argument is always
+    evaluated, in the term's own environment (the lazy `if` branches have
+    no fixed sort), so its representative in its place keeps every probe
+    output; and as pre-order rank sequences are prefix-free, that term
+    comes earlier in canonical order, so its fingerprint is already seen.
+
+    A candidate that exhausts the budget on a probe is dropped; the first
+    such error is kept as `dropped`. Under the value-bits cap skipping
+    stays exact, as a representative runs in the term as on its own and a
+    dropped argument exhausts in the term too. Under the steps cap it need
+    not be: a representative can take more steps than the argument it
+    replaces.
     """
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
@@ -232,15 +258,27 @@ def bottom_up_pool(
     vectors = probe_vectors(free_vars, probes)
     ops = base.op_names()
     scope = frozenset(free_vars)
+    pooled = {
+        name: tuple(i for i, p in enumerate(spec.params) if not p.binders and p.sort is target_sort)
+        for name, spec in OPS.items()
+    }
     seen: set[tuple] = set()
-    pool: list[Candidate] = []
+    reps: set[Term] = set()
+    pool = Pool()
     for size_ in range(1, max_size + 1):
         for term in walk_layer(ops, scope, target_sort, size_):
+            if any(term.args[i] not in reps for i in pooled[term.head]):
+                continue
             code = compile_term(term)
-            fingerprint = tuple(run_probes(code, vectors, budget))
+            try:
+                fingerprint = tuple(run_probes(code, vectors, budget))
+            except ResourceExhaustedError as exc:
+                pool.dropped = pool.dropped or exc
+                continue
             if fingerprint in seen:
                 continue
             seen.add(fingerprint)
+            reps.add(term)
             pool.append(Candidate(term, size_, fingerprint, code))
     return pool
 
@@ -313,7 +351,9 @@ def synthesize(
 
     `budget` is the per-hole (pivotdc) or whole-term (bottomup) size bound.
     Every returned program has been re-verified by evaluation on every
-    example.
+    example. When nothing is found and a pool dropped a candidate for
+    exhausting `eval_budget`, the first such ResourceExhaustedError is
+    raised instead of returning None.
     """
     outputs = [out for _, out in goal.examples]
     if schema == SCHEMA_BOTTOM_UP:
@@ -323,6 +363,8 @@ def synthesize(
         for candidate in pool:
             if _matches(candidate.code, inputs, outputs, eval_budget):
                 return check_well_formed(candidate.term, goal.output_sort, {var})
+        if pool.dropped:
+            raise pool.dropped
         return None
     if schema == SCHEMA_PIVOT_DC:
         if goal.input_sort is not Sort.LIST_NAT or goal.output_sort is not Sort.LIST_NAT:
@@ -337,5 +379,8 @@ def synthesize(
             code = compile_node("pivotrec", [input_code] + [c.code for c in filling])
             if _matches(code, inputs, outputs, eval_budget):
                 return check_well_formed(_assemble_pivot(filling), Sort.LIST_NAT, {"l"})
+        dropped = pred_pool.dropped or combine_pool.dropped
+        if dropped:
+            raise dropped
         return None
     raise ValueError(f"unknown schema: {schema!r}")

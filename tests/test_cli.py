@@ -3,11 +3,15 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from diagforge.kernel import parse
+from oracles import Exhausted, canonical_terms, eval_budgeted
 
 CMD = [sys.executable, "-m", "diagforge"]
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,6 +44,72 @@ def test_certificate_stdout_is_pinned(command, digest):
     assert result.returncode == 0
     assert result.stderr == ""
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+def _synth_batch(seed=7):
+    """Seeded synth runs as (name, schema, budget, goal text): bottom-up
+    goals at budgets 4-7, each the outputs of a random non-constant nat
+    term of at most the budget's size on four inputs, and sort goals over
+    three random lists at budgets 4-6."""
+    rng = random.Random(seed)
+    batch = []
+    for budget in (4, 5, 5, 6, 6, 7, 7, 7, 7):
+        terms = canonical_terms({"zero", "succ", "add", "mul", "precnat"}, {"n"}, "nat", budget)
+        while True:
+            term = parse(rng.choice(terms))
+            inputs = rng.sample(range(10), 4)
+            try:
+                outputs = [eval_budgeted(term, {"n": v}, 10**6, 1 << 16) for v in inputs]
+            except Exhausted:
+                continue
+            if len(set(outputs)) > 1:
+                break
+        text = "".join(f"{v} -> {o}\n" for v, o in zip(inputs, outputs))
+        batch.append((f"bottomup-{len(batch)}", "bottomup", budget, text))
+    for budget in (4, 5, 5, 6, 6):
+        lists = [[rng.randint(0, 5) for _ in range(rng.randint(lo, hi))] for lo, hi in ((0, 1), (2, 3), (3, 4))]
+        text = "".join(f"({' '.join(map(str, xs))}) -> ({' '.join(map(str, sorted(xs)))})\n" for xs in lists)
+        batch.append((f"pivotdc-{len(batch)}", "pivotdc", budget, text))
+    return batch
+
+
+# Exit code and sha256 of stdout of synth runs, taken from pools that ran
+# every term, so they show that skipping non-representatives changes no
+# synthesized program: the README's two synth commands (goals/*.txt at
+# their budgets) and the seeded batch.
+PINNED_SYNTH = {
+    "succ": (0, "9376d0dd21c9610b23e2af46ee4f29f01bdc286c14e2e7b42a89cd151c4e62a8"),
+    "qsort": (0, "e3899412edae03a0c50c1aef8dc76e42d09c94dc9ebb8bd58b9f770ac36ede2c"),
+    "bottomup-0": (0, "a28c11df5e9458a26e2c164a0276fcae5c85f656930b22e0d3c6aa9bb88fbd22"),
+    "bottomup-1": (0, "a4fb621495a0122493b2203591c448903c472e306a1ede54fabad829e01075c0"),
+    "bottomup-2": (0, "ba1f3499f41caea47d5fa34b40d06fdacba14e5b87478aebb2965844297bb317"),
+    "bottomup-3": (0, "93632d6d9eb7da3c2641b5837febf2f61e36b2f0d69f2fb1afd61ee54012b173"),
+    "bottomup-4": (0, "a4fb621495a0122493b2203591c448903c472e306a1ede54fabad829e01075c0"),
+    "bottomup-5": (0, "9376d0dd21c9610b23e2af46ee4f29f01bdc286c14e2e7b42a89cd151c4e62a8"),
+    "bottomup-6": (0, "969e36f826d0eb669ebe2a38e248bd18b2449bf5448e26ed8ade2618ee98e07b"),
+    "bottomup-7": (0, "0e4f844ac441b2ab6aa7263750ae3fc805c4703632c94e5db74140d5b15b342a"),
+    "bottomup-8": (0, "05887cacf8b283d17ec25e35526c4d856301d4074d9873d03e61fb198efd79fb"),
+    "pivotdc-9": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "pivotdc-10": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "pivotdc-11": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "pivotdc-12": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "pivotdc-13": (0, "e3899412edae03a0c50c1aef8dc76e42d09c94dc9ebb8bd58b9f770ac36ede2c"),
+}
+SYNTH_RUNS = [
+    ("succ", "bottomup", 3, (ROOT / "goals" / "succ.txt").read_text()),
+    ("qsort", "pivotdc", 5, (ROOT / "goals" / "qsort.txt").read_text()),
+] + _synth_batch()
+
+
+@pytest.mark.parametrize("name,schema,budget,goal", SYNTH_RUNS, ids=[r[0] for r in SYNTH_RUNS])
+def test_synth_stdout_is_pinned(name, schema, budget, goal, tmp_path, capsys):
+    from diagforge import cli
+
+    path = tmp_path / "goal.txt"
+    path.write_text(goal)
+    code = cli.main(["synth", "--schema", schema, "--goal", str(path), "--budget", str(budget)])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED_SYNTH[name]
 
 
 # sha256 of the stdout of `scripts/diagonal_escape.py --witness 8 --depth 3`.
@@ -176,6 +246,25 @@ def test_synth_pivotdc(tmp_path):
     result = run("synth", "--schema", "pivotdc", "--goal", str(goal), "--budget", "5")
     assert result.returncode == 0
     assert result.stdout == "(pivotrec l (lt x pivot) (lt pivot x) (append l (cons pivot r)))\n"
+
+
+def test_synth_drops_exhausting_candidates(tmp_path):
+    # Some terms of size 8 overflow the value-bits cap on a probe; they are
+    # dropped, and the search still answers.
+    goal = tmp_path / "parity.txt"
+    goal.write_text("0 -> 1\n1 -> 0\n2 -> 1\n3 -> 0\n")
+    argv = ["synth", "--schema", "bottomup", "--goal", str(goal)]
+    result = run(*argv, "--budget", "7")
+    assert result.returncode == 1
+    assert "no program found" in result.stderr
+    result = run(*argv, "--budget", "8")
+    assert result.returncode == 0
+    program = parse(result.stdout)
+    assert [eval_budgeted(program, {"n": n}, 10**6, 1 << 16) for n in range(4)] == [1, 0, 1, 0]
+    # Every candidate exhausts: nothing found is inconclusive, not exit 1.
+    result = run(*argv, "--budget", "3", "--budget-steps", "1")
+    assert result.returncode == 3
+    assert "budget exhausted" in result.stderr
 
 
 def test_budget_exhaustion_exits_3():

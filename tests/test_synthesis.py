@@ -4,8 +4,9 @@ from itertools import combinations, permutations
 
 import pytest
 
-from diagforge.errors import ParseError
-from diagforge.interp import evaluate
+from diagforge import synthesis
+from diagforge.errors import ParseError, ResourceExhaustedError
+from diagforge.interp import EvalBudget, evaluate
 from diagforge.kernel import Sort, parse, pretty, size
 from diagforge.synthesis import (
     Candidate,
@@ -19,13 +20,14 @@ from diagforge.synthesis import (
     bottom_up_pool,
     default_list_base,
     default_nat_base,
+    default_probes,
     fact,
     fill_schema_holes,
     make_goal,
     parse_goal_text,
     synthesize,
 )
-from oracles import all_nat_terms, eval_nat, insertion_sort
+from oracles import Exhausted, all_nat_terms, canonical_terms, eval_budgeted, eval_nat, insertion_sort
 
 
 def test_component_facts_check_against_kernel_typing():
@@ -88,6 +90,82 @@ def test_pool_representative_agrees_with_discarded_terms():
         rep = by_fingerprint[fingerprint]
         for p in probes:
             assert eval_nat(rep.term, {"n": p}) == eval_nat(term, {"n": p})
+
+
+def _unpruned_pool(base, free_vars, sort, probes, max_size, budget):
+    """The pool by its plain definition, from the oracle grammar and
+    evaluator: every term in canonical order is run, terms that exhaust the
+    budget are left out, and the first term of each fingerprint is kept.
+    Returns the (term, cost, fingerprint) rows and the number left out."""
+    envs = [{free_vars[0]: p} if len(free_vars) == 1 else dict(zip(free_vars, p)) for p in probes]
+    sort_name = {Sort.NAT: "nat", Sort.BOOL: "bool", Sort.LIST_NAT: "list"}[sort]
+    seen, rows, dropped = set(), [], 0
+    for text in canonical_terms(base.op_names(), free_vars, sort_name, max_size):
+        term = parse(text)
+        try:
+            fingerprint = tuple(eval_budgeted(term, env, budget.max_steps, budget.max_value_bits) for env in envs)
+        except Exhausted:
+            dropped += 1
+            continue
+        if fingerprint not in seen:
+            seen.add(fingerprint)
+            rows.append((text, size(term), fingerprint))
+    return rows, dropped
+
+
+@pytest.mark.parametrize(
+    "base, free_vars, sort, probes, max_size, budget, drops",
+    [
+        pytest.param(default_nat_base, ("n",), Sort.NAT, default_probes(Sort.NAT), 7, EvalBudget(), False, id="nat"),
+        pytest.param(default_list_base, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, 6, EvalBudget(), False, id="predicate"),
+        pytest.param(
+            default_list_base, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 6, EvalBudget(), False, id="combiner"
+        ),
+        pytest.param(default_list_base, ("l",), Sort.NAT, default_probes(Sort.LIST_NAT), 6, EvalBudget(), False, id="list-nat"),
+        pytest.param(
+            default_list_base, ("l",), Sort.LIST_NAT, default_probes(Sort.LIST_NAT), 6, EvalBudget(), False, id="list-list"
+        ),
+        # Value-bits exhaustion depends on values only, so skipping stays
+        # exact while terms are dropped.
+        pytest.param(
+            default_nat_base, ("n",), Sort.NAT, default_probes(Sort.NAT), 7, EvalBudget(max_value_bits=6), True, id="nat-6-bits"
+        ),
+    ],
+)
+def test_pruned_pools_match_the_unpruned_oracle(base, free_vars, sort, probes, max_size, budget, drops):
+    pool = bottom_up_pool(base(), free_vars, sort, probes, max_size, budget)
+    rows, dropped = _unpruned_pool(base(), free_vars, sort, probes, max_size, budget)
+    assert [(pretty(c.term), c.cost, c.fingerprint) for c in pool] == rows
+    assert (dropped > 0) is drops
+    assert (pool.dropped is not None) is drops
+
+
+def test_pools_run_only_terms_whose_pooled_arguments_are_representatives(monkeypatch):
+    # Unpruned, the nat pool runs 6,038 terms through size 7 and the
+    # combiner pool 1,404 through size 6.
+    runs = []
+    real_run_probes = synthesis.run_probes
+
+    def counting_run_probes(code, vectors, budget=None):
+        runs.append(code)
+        return real_run_probes(code, vectors, budget)
+
+    monkeypatch.setattr(synthesis, "run_probes", counting_run_probes)
+    bottom_up_pool(default_nat_base(), ("n",), Sort.NAT, default_probes(Sort.NAT), 7)
+    nat_runs = len(runs)
+    bottom_up_pool(default_list_base(), ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 6)
+    assert nat_runs <= 2000
+    assert len(runs) - nat_runs <= 750
+
+
+def test_a_search_that_dropped_candidates_and_found_nothing_is_inconclusive():
+    goal = make_goal([(0, 5), (1, 0)])
+    with pytest.raises(ResourceExhaustedError) as caught:
+        synthesize(default_nat_base(), goal, SCHEMA_BOTTOM_UP, 4, EvalBudget(max_value_bits=2))
+    assert caught.value.reason == "value-bits"
+    sort_goal = make_goal([((), ()), ((2, 1), (1, 2))])
+    with pytest.raises(ResourceExhaustedError):
+        synthesize(default_list_base(), sort_goal, SCHEMA_PIVOT_DC, 5, EvalBudget(max_steps=1))
 
 
 def test_goal_construction():
