@@ -32,7 +32,7 @@ def main():
     print("\ncheapest representative per behavior (first 12):")
     for cls in space.classes[:12]:
         _, outputs = cls.fingerprint
-        print(f"  {pretty(cls.representative.term):<24} -> {outputs} ({len(cls.members)} members)")
+        print(f"  {pretty(cls.representative):<24} -> {outputs} ({len(cls.members)} members)")
 
 
 if __name__ == "__main__":

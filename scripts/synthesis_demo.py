@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Reconstruct the successor function and the quicksort core from component facts.
+"""Reconstruct the successor function and the quicksort core from a reflection base.
+
+The bases are sets of kernel operators; the kernel typing table gives
+each component's sorts.
 
 Usage: python scripts/synthesis_demo.py
 """
@@ -8,13 +11,13 @@ import time
 
 from diagforge.kernel import Sort, pretty
 from diagforge.synthesis import (
+    LIST_BASE,
+    NAT_BASE,
     PIVOT_COMBINE_PROBES,
     PIVOT_PRED_PROBES,
     SCHEMA_BOTTOM_UP,
     SCHEMA_PIVOT_DC,
     bottom_up_pool,
-    default_list_base,
-    default_nat_base,
     make_goal,
     synthesize,
 )
@@ -23,19 +26,18 @@ from diagforge.synthesis import (
 def main():
     goal = make_goal([(1, 2), (5, 6)])
     start = time.perf_counter()
-    program = synthesize(default_nat_base(), goal, SCHEMA_BOTTOM_UP, budget=3)
+    program = synthesize(NAT_BASE, goal, SCHEMA_BOTTOM_UP, budget=3)
     print(f"successor goal {{1->2, 5->6}}: {pretty(program.term)} "
           f"({time.perf_counter() - start:.3f}s)")
 
-    base = default_list_base()
-    pred_pool = bottom_up_pool(base, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, 5)
-    combine_pool = bottom_up_pool(base, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 5)
+    pred_pool = bottom_up_pool(LIST_BASE, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, 5)
+    combine_pool = bottom_up_pool(LIST_BASE, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 5)
     print(f"pivot holes: {len(pred_pool)} predicate behaviors, "
           f"{len(combine_pool)} combiner behaviors after pruning")
 
     goal = make_goal([((), ()), ((2, 1), (1, 2)), ((3, 1, 2), (1, 2, 3))])
     start = time.perf_counter()
-    program = synthesize(base, goal, SCHEMA_PIVOT_DC, budget=5)
+    program = synthesize(LIST_BASE, goal, SCHEMA_PIVOT_DC, budget=5)
     print(f"sorting goal: {pretty(program.term)} ({time.perf_counter() - start:.3f}s)")
 
 

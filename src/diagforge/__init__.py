@@ -4,8 +4,9 @@ A total term language is enumerated effectively; the diagonal function
 g(n) = f_n(n) + 1 escapes any machine producing the stream, extension by g
 yields a machine escaped again by its own diagonal, and any classifier of
 total functions is refuted the same way. The same enumeration machinery
-drives bottom-up program synthesis from a reflection base of component
-facts, organized into analytical spaces of behavior-equivalence classes.
+drives bottom-up program synthesis from a reflection base (a set of kernel
+operators, whose component facts are the kernel typing table), organized
+into analytical spaces of behavior-equivalence classes.
 """
 
 from .enumeration import Tier, enumerate_stream, index_of, program_at
@@ -58,13 +59,11 @@ from .refuter import (
 )
 from .spaces import AnalyticalSpace, absorb, expand_domain, new_space, unify
 from .synthesis import (
+    LIST_BASE,
+    NAT_BASE,
     Candidate,
-    ComponentFact,
     GoalSpec,
-    ReflectionBase,
     bottom_up_pool,
-    default_list_base,
-    default_nat_base,
     fill_schema_holes,
     make_goal,
     synthesize,

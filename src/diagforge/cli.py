@@ -102,10 +102,10 @@ def _cmd_refute(args) -> int:
 def _cmd_synth(args) -> int:
     goal = synthesis.load_goal(args.goal)
     if args.schema == synthesis.SCHEMA_PIVOT_DC or goal.input_sort is Sort.LIST_NAT:
-        base = synthesis.default_list_base()
+        ops = synthesis.LIST_BASE
     else:
-        base = synthesis.default_nat_base()
-    program = synthesis.synthesize(base, goal, args.schema, args.budget, _budget(args.budget_steps))
+        ops = synthesis.NAT_BASE
+    program = synthesis.synthesize(ops, goal, args.schema, args.budget, _budget(args.budget_steps))
     if program is None:
         print("no program found within budget", file=sys.stderr)
         return 1

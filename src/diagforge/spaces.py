@@ -2,9 +2,9 @@
 
 A space is partial knowledge whose domain of application is its probe list.
 Terms absorbed into a space are grouped by fingerprint (output vector over
-the probes); each class keeps its full member list plus a minimal-cost
-representative, so economical variants survive and uneconomical ones are
-displaced. Domains expand explicitly: new probes refine the equivalence and
+the probes); each class keeps its members in canonical order, and the
+first, which has minimal cost, represents it, so economical variants
+survive and uneconomical ones are displaced. Domains expand explicitly: new probes refine the equivalence and
 may split classes; unification merges two spaces over the union of their
 probes. Spaces are values: every operation returns a new space.
 """
@@ -26,17 +26,18 @@ from .kernel import (
     infer_sort,
     parse,
     pretty,
-    size,
     sort_of_value,
 )
-from .synthesis import Candidate
 
 
 @dataclass(frozen=True)
 class SpaceClass:
     fingerprint: tuple  # (output sort tag, output vector) over the space's probes
-    representative: Candidate
-    members: tuple[Term, ...]
+    members: tuple[Term, ...]  # in canonical order
+
+    @property
+    def representative(self) -> Term:
+        return self.members[0]
 
 
 @dataclass(frozen=True)
@@ -81,9 +82,7 @@ def _fingerprint(term: Term, vectors: list[list], var: str, budget: EvalBudget |
 
 def _class(fingerprint: tuple, members) -> SpaceClass:
     """The class of these members; the canonically least one represents it."""
-    unique = sorted(set(members), key=canonical_key)
-    best = unique[0]
-    return SpaceClass(fingerprint, Candidate(best, size(best), fingerprint), tuple(unique))
+    return SpaceClass(fingerprint, tuple(sorted(set(members), key=canonical_key)))
 
 
 def _rebuild(
@@ -99,7 +98,7 @@ def _rebuild(
     for term in members:
         grouped.setdefault(_fingerprint(term, vectors, var, budget), []).append(term)
     classes = [_class(fingerprint, group) for fingerprint, group in grouped.items()]
-    classes.sort(key=lambda c: canonical_key(c.representative.term))
+    classes.sort(key=lambda c: canonical_key(c.representative))
     return AnalyticalSpace(probes, tuple(classes), history)
 
 
@@ -125,13 +124,13 @@ def absorb(space: AnalyticalSpace, term: Term, budget: EvalBudget | None = None)
     existing = space.class_map().get(fingerprint)
     if existing is None:
         outcome = "new"
-    elif canonical_key(term) < canonical_key(existing.representative.term):
+    elif canonical_key(term) < canonical_key(existing.representative):
         outcome = "displaced"
     else:
         outcome = "kept"
     updated = _class(fingerprint, (existing.members if existing else ()) + (term,))
     classes = [c for c in space.classes if c.fingerprint != fingerprint] + [updated]
-    classes.sort(key=lambda c: canonical_key(c.representative.term))
+    classes.sort(key=lambda c: canonical_key(c.representative))
     history = space.history + (("absorbed", pretty(term), outcome),)
     return AnalyticalSpace(space.probes, tuple(classes), history)
 
@@ -202,7 +201,7 @@ def snapshot(space: AnalyticalSpace) -> dict:
         "classes": [
             {
                 "fingerprint": _fingerprint_json(c.fingerprint),
-                "representative": pretty(c.representative.term),
+                "representative": pretty(c.representative),
                 "members": [pretty(m) for m in c.members],
             }
             for c in space.classes
@@ -234,7 +233,10 @@ def load_snapshot(data: dict, budget: EvalBudget | None = None) -> AnalyticalSpa
     members = [m for c in _listed(data, "classes", "the snapshot") for m in _listed(c, "members", "a class")]
     if not all(isinstance(m, str) for m in members):
         raise ParseError("malformed space snapshot: a member is not an S-expression string")
-    history = tuple(_deep_tuple(event) for event in _listed(data, "history", "the snapshot"))
+    events = _listed(data, "history", "the snapshot")
+    if not all(isinstance(event, list) for event in events):
+        raise ParseError("malformed space snapshot: a history event is not a list")
+    history = tuple(_deep_tuple(event) for event in events)
     return _rebuild(probes, [parse(m) for m in members], history, budget)
 
 
@@ -244,7 +246,7 @@ def export_summary(space: AnalyticalSpace) -> dict:
         "classes": [
             {
                 "fingerprint": _fingerprint_json(c.fingerprint),
-                "representative": pretty(c.representative.term),
+                "representative": pretty(c.representative),
                 "member_count": len(c.members),
             }
             for c in space.classes

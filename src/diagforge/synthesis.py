@@ -1,17 +1,19 @@
 """Type-directed bottom-up synthesis from a reflection base.
 
-The reflection base holds components (kernel operators with their
-domain/range sorts, checked against the kernel typing table) plus the
-allowed literal constants. Candidate pools are built bottom-up in
-canonical enumeration order and pruned by observational equivalence, as
-in Escher (Albarghouthi et al., CAV 2013) and TRANSIT (Udupa et al., PLDI
-2013): two terms with identical output vectors over the probe inputs
-collapse to the cheaper one, and a term built on a non-representative is
-never run (see `bottom_up_pool`). Pruning is relative to probes only;
-final acceptance re-evaluates every goal example, so a collapse can at
-worst force a larger budget, never a wrong answer. A candidate that
-exhausts the evaluation budget is dropped, so a search that then finds
-nothing is inconclusive: `synthesize` raises the first error dropped.
+A reflection base is a set of kernel operators; its component facts (sorts
+and binders) are the kernel typing table, which the walk reads. Candidate
+pools are built bottom-up in canonical enumeration order and pruned by
+observational equivalence, as in Escher (Albarghouthi et al., CAV 2013)
+and TRANSIT (Udupa et al., PLDI 2013): two terms with identical output
+vectors over the probe inputs collapse to the cheaper one, and a term
+built on a non-representative is never run (see `bottom_up_pool`). A
+goal's probes cover its example inputs, so a bottom-up candidate is
+matched on its fingerprint. Schema holes are fingerprinted on their own
+probes and each filling is run on the examples, so a collapse there can
+at worst force a larger budget, never a wrong answer. A candidate or
+filling that exhausts the evaluation budget is dropped, so a search that
+then finds nothing is inconclusive: `synthesize` raises the first error
+dropped.
 
 Recursion enters only through schemas. The divide-and-conquer schema
 fills the three pivotrec holes (two predicates over x and pivot, one
@@ -37,84 +39,21 @@ from .kernel import (
     TypedProgram,
     Value,
     check_well_formed,
+    format_value,
     parse_value,
     sort_of_value,
 )
 
 
 # ---------------------------------------------------------------------------
-# Reflection base
+# Reflection bases
 
 
-LITERAL_NAMES = ("zero", "nil")
-
-
-@dataclass(frozen=True)
-class ComponentFact:
-    """One reflection-base entry: a component with its domain/range knowledge."""
-
-    component: str
-    arg_sorts: tuple[Sort, ...]
-    result_sort: Sort
-
-    def __post_init__(self):
-        spec = OPS.get(self.component)
-        if spec is None or spec.is_variable or spec.arity == 0:
-            raise ValueError(f"not a compound kernel component: {self.component!r}")
-        if len(self.arg_sorts) != spec.arity:
-            raise ValueError(f"{self.component!r} has arity {spec.arity}")
-        for i, param in enumerate(spec.params):
-            expected = param.sort if param.sort is not None else self.result_sort
-            if self.arg_sorts[i] is not expected:
-                raise ValueError(f"{self.component!r} argument {i} has sort {expected.value}")
-        expected_result = spec.result if spec.result is not None else self.result_sort
-        if self.result_sort is not expected_result:
-            raise ValueError(f"{self.component!r} has result sort {expected_result.value}")
-
-
-def fact(component: str) -> ComponentFact:
-    """Build a ComponentFact with sorts taken from the kernel typing table."""
-    spec = OPS[component]
-    if spec.result is None:
-        raise ValueError("polymorphic components need explicit sorts; use ComponentFact")
-    return ComponentFact(component, tuple(p.sort for p in spec.params), spec.result)
-
-
-@dataclass(frozen=True)
-class ReflectionBase:
-    components: tuple[ComponentFact, ...]
-    literals: tuple[str, ...] = LITERAL_NAMES
-
-    def __post_init__(self):
-        if not self.components and not self.literals:
-            raise ValueError("reflection base must not be empty")
-        for lit in self.literals:
-            if lit not in LITERAL_NAMES:
-                raise ValueError(f"not an allowed literal: {lit!r}")
-
-    def op_names(self) -> frozenset[str]:
-        return frozenset(c.component for c in self.components) | frozenset(self.literals)
-
-
-def default_nat_base() -> ReflectionBase:
-    return ReflectionBase(
-        components=(fact("succ"), fact("add"), fact("mul"), fact("precnat")),
-        literals=("zero",),
-    )
-
-
-def default_list_base() -> ReflectionBase:
-    return ReflectionBase(
-        components=(
-            fact("cons"),
-            fact("first"),
-            fact("rest"),
-            fact("append"),
-            fact("len"),
-            fact("lt"),
-        ),
-        literals=("zero", "nil"),
-    )
+# A reflection base is a set of kernel operator names. Its component facts
+# (argument and result sorts, binders) are the kernel typing table `OPS`,
+# which the walk reads; variables enter through the pool's scope.
+NAT_BASE = frozenset({"zero", "succ", "add", "mul", "precnat"})
+LIST_BASE = frozenset({"zero", "nil", "cons", "first", "rest", "append", "len", "lt"})
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +87,9 @@ class GoalSpec:
     def __post_init__(self):
         if not self.examples:
             raise ValueError("goal needs at least one example")
+        for inp, out in self.examples:
+            if sort_of_value(inp) is not self.input_sort or sort_of_value(out) is not self.output_sort:
+                raise ValueError(f"example {format_value(inp)} -> {format_value(out)} does not have the goal's sorts")
         for p in self.probes:
             if sort_of_value(p) is not self.input_sort:
                 raise ValueError(f"probe {p!r} is not of the input sort {self.input_sort.value}")
@@ -158,15 +100,12 @@ class GoalSpec:
 
 
 def make_goal(examples: Sequence[tuple[Value, Value]], probes: Sequence[Value] | None = None) -> GoalSpec:
-    """Infer sorts from the example values; default probes by input sort."""
+    """Infer sorts from the first example; default probes by input sort."""
     examples = tuple(examples)
     if not examples:
         raise ValueError("goal needs at least one example")
     input_sort = sort_of_value(examples[0][0])
     output_sort = sort_of_value(examples[0][1])
-    for inp, out in examples:
-        if sort_of_value(inp) is not input_sort or sort_of_value(out) is not output_sort:
-            raise ValueError("examples disagree on input/output sorts")
     if probes is None:
         probes = default_probes(input_sort)
     probe_list = list(probes)
@@ -209,12 +148,6 @@ class Candidate:
     code: Code | None = field(default=None, compare=False, repr=False)
 
 
-def _matches(code: Code, inputs: list[list], outputs: list[Value], budget: EvalBudget | None) -> bool:
-    """Whether code maps every input slot vector to its output; stops at
-    the first mismatch, so later examples are not evaluated."""
-    return all(got == out for got, out in zip(run_probes(code, inputs, budget), outputs))
-
-
 class Pool(list):
     """Candidates in canonical order, and the first ResourceExhaustedError
     of a dropped candidate (None when none was dropped)."""
@@ -223,7 +156,7 @@ class Pool(list):
 
 
 def bottom_up_pool(
-    base: ReflectionBase,
+    ops: frozenset[str],
     free_vars: tuple[str, ...],
     target_sort: Sort,
     probes: Sequence,
@@ -255,8 +188,9 @@ def bottom_up_pool(
         raise ValueError(f"max_size must be >= 1, got {max_size}")
     if not probes:
         raise ValueError("pool needs at least one probe")
+    if not ops <= OPS.keys():
+        raise ValueError(f"not kernel operators: {sorted(ops - OPS.keys())}")
     vectors = probe_vectors(free_vars, probes)
-    ops = base.op_names()
     scope = frozenset(free_vars)
     pooled = {
         name: tuple(i for i, p in enumerate(spec.params) if not p.binders and p.sort is target_sort)
@@ -341,46 +275,49 @@ def _assemble_pivot(filling: tuple[Candidate, ...]) -> Term:
 
 
 def synthesize(
-    base: ReflectionBase,
+    ops: frozenset[str],
     goal: GoalSpec,
     schema: str,
     budget: int,
     eval_budget: EvalBudget | None = None,
 ) -> TypedProgram | None:
-    """Search for a program matching every goal example; None when absent.
+    """Search for a program over `ops` matching every goal example; None
+    when absent.
 
     `budget` is the per-hole (pivotdc) or whole-term (bottomup) size bound.
-    Every returned program has been re-verified by evaluation on every
-    example. When nothing is found and a pool dropped a candidate for
-    exhausting `eval_budget`, the first such ResourceExhaustedError is
-    raised instead of returning None.
+    A candidate or filling that exhausts `eval_budget` is dropped; when
+    nothing is found after a drop, the first ResourceExhaustedError of the
+    pools, or else of the fillings, is raised instead of returning None.
     """
     outputs = [out for _, out in goal.examples]
     if schema == SCHEMA_BOTTOM_UP:
         var = INPUT_VARS[goal.input_sort]
-        inputs = probe_vectors((var,), [inp for inp, _ in goal.examples])
-        pool = bottom_up_pool(base, (var,), goal.output_sort, goal.probes, budget, eval_budget)
+        pool = bottom_up_pool(ops, (var,), goal.output_sort, goal.probes, budget, eval_budget)
+        at = [goal.probes.index(inp) for inp, _ in goal.examples]
         for candidate in pool:
-            if _matches(candidate.code, inputs, outputs, eval_budget):
+            if [candidate.fingerprint[i] for i in at] == outputs:
                 return check_well_formed(candidate.term, goal.output_sort, {var})
-        if pool.dropped:
-            raise pool.dropped
-        return None
-    if schema == SCHEMA_PIVOT_DC:
+        dropped = pool.dropped
+    elif schema == SCHEMA_PIVOT_DC:
         if goal.input_sort is not Sort.LIST_NAT or goal.output_sort is not Sort.LIST_NAT:
             raise ValueError("the divide-and-conquer schema sorts lists into lists")
-        pred_pool = bottom_up_pool(base, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, budget, eval_budget)
+        pred_pool = bottom_up_pool(ops, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, budget, eval_budget)
         combine_pool = bottom_up_pool(
-            base, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, budget, eval_budget
+            ops, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, budget, eval_budget
         )
+        dropped = pred_pool.dropped or combine_pool.dropped
         inputs = probe_vectors(("l",), [inp for inp, _ in goal.examples])
         input_code = compile_node("l")
         for filling in fill_schema_holes((pred_pool, pred_pool, combine_pool)):
             code = compile_node("pivotrec", [input_code] + [c.code for c in filling])
-            if _matches(code, inputs, outputs, eval_budget):
-                return check_well_formed(_assemble_pivot(filling), Sort.LIST_NAT, {"l"})
-        dropped = pred_pool.dropped or combine_pool.dropped
-        if dropped:
-            raise dropped
-        return None
-    raise ValueError(f"unknown schema: {schema!r}")
+            try:
+                # Stops at the first mismatch; later examples are not run.
+                if all(got == out for got, out in zip(run_probes(code, inputs, eval_budget), outputs)):
+                    return check_well_formed(_assemble_pivot(filling), Sort.LIST_NAT, {"l"})
+            except ResourceExhaustedError as exc:
+                dropped = dropped or exc
+    else:
+        raise ValueError(f"unknown schema: {schema!r}")
+    if dropped:
+        raise dropped
+    return None

@@ -20,9 +20,9 @@ from diagforge.spaces import absorb, expand_domain, new_space, unify
 from diagforge.synthesis import (
     SCHEMA_BOTTOM_UP,
     SCHEMA_PIVOT_DC,
+    LIST_BASE,
+    NAT_BASE,
     bottom_up_pool,
-    default_list_base,
-    default_nat_base,
     make_goal,
     synthesize,
 )
@@ -100,7 +100,7 @@ def test_criterion_4_refuter():
 def test_criterion_5_successor_synthesis():
     goal = make_goal([(1, 2), (5, 6)])
     start = time.perf_counter()
-    program = synthesize(default_nat_base(), goal, SCHEMA_BOTTOM_UP, 3)
+    program = synthesize(NAT_BASE, goal, SCHEMA_BOTTOM_UP, 3)
     elapsed = time.perf_counter() - start
     ok = program is not None and pretty(program.term) == "(succ n)" and elapsed < 1.0
     _report(5, f"bottom-up goal {{1->2, 5->6}} returns (succ n) in {elapsed:.3f}s < 1s", ok)
@@ -109,7 +109,7 @@ def test_criterion_5_successor_synthesis():
 def test_criterion_6_quicksort_synthesis():
     goal = make_goal([((), ()), ((2, 1), (1, 2)), ((3, 1, 2), (1, 2, 3))])
     start = time.perf_counter()
-    program = synthesize(default_list_base(), goal, SCHEMA_PIVOT_DC, 5)
+    program = synthesize(LIST_BASE, goal, SCHEMA_PIVOT_DC, 5)
     ok = program is not None and pretty(program.term) == (
         "(pivotrec l (lt x pivot) (lt pivot x) (append l (cons pivot r)))"
     )
@@ -126,7 +126,7 @@ def test_criterion_6_quicksort_synthesis():
 
 def test_criterion_7_pool_pruning():
     probes = tuple(range(7))
-    pool = bottom_up_pool(default_nat_base(), ("n",), Sort.NAT, probes, 4)
+    pool = bottom_up_pool(NAT_BASE, ("n",), Sort.NAT, probes, 4)
     by_fingerprint = {c.fingerprint: c for c in pool}
     oracle_best = {}
     for text in all_nat_terms(4):
@@ -167,9 +167,9 @@ def test_criterion_8_spaces():
 
     seen = set()
     for cls in current.classes:
-        recomputed_rep = tuple(evaluate_env(cls.representative.term, {"n": p}) for p in current.probes)
+        recomputed_rep = tuple(evaluate_env(cls.representative, {"n": p}) for p in current.probes)
         ok = ok and cls.fingerprint[1] == recomputed_rep
-        ok = ok and cls.representative.cost == min(size(m) for m in cls.members)
+        ok = ok and size(cls.representative) == min(size(m) for m in cls.members)
         for member in cls.members:
             recomputed = tuple(evaluate_env(member, {"n": p}) for p in current.probes)
             ok = ok and recomputed == cls.fingerprint[1]

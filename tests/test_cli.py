@@ -265,6 +265,16 @@ def test_synth_drops_exhausting_candidates(tmp_path):
     result = run(*argv, "--budget", "3", "--budget-steps", "1")
     assert result.returncode == 3
     assert "budget exhausted" in result.stderr
+    # Pivot fillings tried before the quicksort core exhaust 60 steps on an
+    # example; they are dropped the same way. At 40 steps nothing is found
+    # after a drop.
+    argv = ["synth", "--schema", "pivotdc", "--goal", "goals/qsort.txt", "--budget", "5", "--budget-steps"]
+    result = run(*argv, "60", cwd=ROOT)
+    assert result.returncode == 0
+    assert result.stdout == "(pivotrec l (lt x pivot) (lt pivot x) (append l (cons pivot r)))\n"
+    result = run(*argv, "40", cwd=ROOT)
+    assert result.returncode == 3
+    assert "budget exhausted" in result.stderr
 
 
 def test_budget_exhaustion_exits_3():
@@ -357,6 +367,8 @@ MALFORMED_SNAPSHOTS = {
     "repeated-probe": {"probes": [0, 0], "classes": [], "history": []},
     "negative-probe": {"probes": [-1], "classes": [], "history": []},
     "non-natural-list-probe": {"probes": [[1, "b"]], "classes": [], "history": []},
+    "string-event": {"probes": [0], "classes": [], "history": ["abc"]},
+    "object-event": {"probes": [0], "classes": [], "history": [{"a": 1}]},
 }
 
 

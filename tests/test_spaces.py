@@ -35,7 +35,7 @@ def test_new_space():
 def test_absorb_first_term_founds_a_class():
     space = absorb(new_space((0, 1, 2)), parse("(succ n)"))
     assert len(space.classes) == 1
-    assert pretty(space.classes[0].representative.term) == "(succ n)"
+    assert pretty(space.classes[0].representative) == "(succ n)"
 
 
 def test_absorb_keeps_the_cheaper_representative():
@@ -44,12 +44,12 @@ def test_absorb_keeps_the_cheaper_representative():
     assert len(space.classes) == 1
     cls = space.classes[0]
     assert cls.fingerprint == ("nat", (1, 2, 3))
-    assert pretty(cls.representative.term) == "(succ n)"  # cost 2 beats cost 4
+    assert pretty(cls.representative) == "(succ n)"  # cost 2 beats cost 4
     assert len(cls.members) == 2
     # arrival order does not matter
     other = absorb(new_space((0, 1, 2)), parse("(add n (succ zero))"))
     other = absorb(other, parse("(succ n)"))
-    assert pretty(other.classes[0].representative.term) == "(succ n)"
+    assert pretty(other.classes[0].representative) == "(succ n)"
 
 
 def test_absorbing_the_representative_again_only_logs():
@@ -83,8 +83,8 @@ def test_unify_is_symmetric_up_to_probe_order():
     members_ab = {frozenset(c.members) for c in ab.classes}
     members_ba = {frozenset(c.members) for c in ba.classes}
     assert members_ab == members_ba
-    reps_ab = {c.representative.term for c in ab.classes}
-    assert reps_ab == {c.representative.term for c in ba.classes}
+    reps_ab = {c.representative for c in ab.classes}
+    assert reps_ab == {c.representative for c in ba.classes}
 
 
 def test_unify_preserves_every_member():
@@ -176,8 +176,8 @@ def test_random_operations_keep_invariants():
         for member in cls.members:
             recomputed = tuple(evaluate_env(member, {"n": p}) for p in space.probes)
             assert (out_sort, recomputed) == (cls.fingerprint[0], cls.fingerprint[1])
-            assert cls.representative.cost <= size(member)
+            assert size(cls.representative) <= size(member)
             assert member not in seen
             seen.add(member)
-        assert cls.representative.term in cls.members
-        assert cls.representative.cost == min(size(m) for m in cls.members)
+        assert cls.representative in cls.members
+        assert size(cls.representative) == min(size(m) for m in cls.members)

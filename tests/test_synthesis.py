@@ -9,19 +9,16 @@ from diagforge.errors import ParseError, ResourceExhaustedError
 from diagforge.interp import EvalBudget, evaluate
 from diagforge.kernel import Sort, parse, pretty, size
 from diagforge.synthesis import (
+    LIST_BASE,
+    NAT_BASE,
     Candidate,
-    ComponentFact,
     GoalSpec,
     PIVOT_COMBINE_PROBES,
     PIVOT_PRED_PROBES,
-    ReflectionBase,
     SCHEMA_BOTTOM_UP,
     SCHEMA_PIVOT_DC,
     bottom_up_pool,
-    default_list_base,
-    default_nat_base,
     default_probes,
-    fact,
     fill_schema_holes,
     make_goal,
     parse_goal_text,
@@ -30,19 +27,8 @@ from diagforge.synthesis import (
 from oracles import Exhausted, all_nat_terms, canonical_terms, eval_budgeted, eval_nat, insertion_sort
 
 
-def test_component_facts_check_against_kernel_typing():
-    lt = fact("lt")
-    assert lt.arg_sorts == (Sort.NAT, Sort.NAT) and lt.result_sort is Sort.BOOL
-    with pytest.raises(ValueError):
-        ComponentFact("succ", (Sort.LIST_NAT,), Sort.NAT)
-    with pytest.raises(ValueError):
-        ComponentFact("n", (), Sort.NAT)
-    with pytest.raises(ValueError):
-        ReflectionBase(components=(), literals=())
-
-
 def test_pool_of_the_nat_base_at_size_2():
-    pool = bottom_up_pool(default_nat_base(), ("n",), Sort.NAT, (0, 1, 2), 2)
+    pool = bottom_up_pool(NAT_BASE, ("n",), Sort.NAT, (0, 1, 2), 2)
     assert [(pretty(c.term), c.cost, c.fingerprint) for c in pool] == [
         ("n", 1, (0, 1, 2)),
         ("zero", 1, (0, 0, 0)),
@@ -52,12 +38,12 @@ def test_pool_of_the_nat_base_at_size_2():
 
 
 def test_pool_at_size_1():
-    pool = bottom_up_pool(default_nat_base(), ("n",), Sort.NAT, (0, 1, 2), 1)
+    pool = bottom_up_pool(NAT_BASE, ("n",), Sort.NAT, (0, 1, 2), 1)
     assert [pretty(c.term) for c in pool] == ["n", "zero"]
 
 
 def test_uneconomical_duplicates_are_destroyed():
-    pool = bottom_up_pool(default_nat_base(), ("n",), Sort.NAT, (0, 1, 2), 3)
+    pool = bottom_up_pool(NAT_BASE, ("n",), Sort.NAT, (0, 1, 2), 3)
     names = [pretty(c.term) for c in pool]
     assert "(add n zero)" not in names  # same behavior as n, higher cost
     assert "n" in names
@@ -65,7 +51,7 @@ def test_uneconomical_duplicates_are_destroyed():
 
 def test_pool_pruning_is_sound_and_complete_up_to_size_4():
     probes = tuple(range(7))
-    pool = bottom_up_pool(default_nat_base(), ("n",), Sort.NAT, probes, 4)
+    pool = bottom_up_pool(NAT_BASE, ("n",), Sort.NAT, probes, 4)
     by_fingerprint = {c.fingerprint: c for c in pool}
 
     oracle_best: dict[tuple, int] = {}
@@ -82,7 +68,7 @@ def test_pool_pruning_is_sound_and_complete_up_to_size_4():
 
 def test_pool_representative_agrees_with_discarded_terms():
     probes = tuple(range(7))
-    pool = bottom_up_pool(default_nat_base(), ("n",), Sort.NAT, probes, 3)
+    pool = bottom_up_pool(NAT_BASE, ("n",), Sort.NAT, probes, 3)
     by_fingerprint = {c.fingerprint: c for c in pool}
     for text in all_nat_terms(3):
         term = parse(text)
@@ -92,7 +78,7 @@ def test_pool_representative_agrees_with_discarded_terms():
             assert eval_nat(rep.term, {"n": p}) == eval_nat(term, {"n": p})
 
 
-def _unpruned_pool(base, free_vars, sort, probes, max_size, budget):
+def _unpruned_pool(ops, free_vars, sort, probes, max_size, budget):
     """The pool by its plain definition, from the oracle grammar and
     evaluator: every term in canonical order is run, terms that exhaust the
     budget are left out, and the first term of each fingerprint is kept.
@@ -100,7 +86,7 @@ def _unpruned_pool(base, free_vars, sort, probes, max_size, budget):
     envs = [{free_vars[0]: p} if len(free_vars) == 1 else dict(zip(free_vars, p)) for p in probes]
     sort_name = {Sort.NAT: "nat", Sort.BOOL: "bool", Sort.LIST_NAT: "list"}[sort]
     seen, rows, dropped = set(), [], 0
-    for text in canonical_terms(base.op_names(), free_vars, sort_name, max_size):
+    for text in canonical_terms(ops, free_vars, sort_name, max_size):
         term = parse(text)
         try:
             fingerprint = tuple(eval_budgeted(term, env, budget.max_steps, budget.max_value_bits) for env in envs)
@@ -114,27 +100,27 @@ def _unpruned_pool(base, free_vars, sort, probes, max_size, budget):
 
 
 @pytest.mark.parametrize(
-    "base, free_vars, sort, probes, max_size, budget, drops",
+    "ops, free_vars, sort, probes, max_size, budget, drops",
     [
-        pytest.param(default_nat_base, ("n",), Sort.NAT, default_probes(Sort.NAT), 7, EvalBudget(), False, id="nat"),
-        pytest.param(default_list_base, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, 6, EvalBudget(), False, id="predicate"),
+        pytest.param(NAT_BASE, ("n",), Sort.NAT, default_probes(Sort.NAT), 7, EvalBudget(), False, id="nat"),
+        pytest.param(LIST_BASE, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, 6, EvalBudget(), False, id="predicate"),
         pytest.param(
-            default_list_base, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 6, EvalBudget(), False, id="combiner"
+            LIST_BASE, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 6, EvalBudget(), False, id="combiner"
         ),
-        pytest.param(default_list_base, ("l",), Sort.NAT, default_probes(Sort.LIST_NAT), 6, EvalBudget(), False, id="list-nat"),
+        pytest.param(LIST_BASE, ("l",), Sort.NAT, default_probes(Sort.LIST_NAT), 6, EvalBudget(), False, id="list-nat"),
         pytest.param(
-            default_list_base, ("l",), Sort.LIST_NAT, default_probes(Sort.LIST_NAT), 6, EvalBudget(), False, id="list-list"
+            LIST_BASE, ("l",), Sort.LIST_NAT, default_probes(Sort.LIST_NAT), 6, EvalBudget(), False, id="list-list"
         ),
         # Value-bits exhaustion depends on values only, so skipping stays
         # exact while terms are dropped.
         pytest.param(
-            default_nat_base, ("n",), Sort.NAT, default_probes(Sort.NAT), 7, EvalBudget(max_value_bits=6), True, id="nat-6-bits"
+            NAT_BASE, ("n",), Sort.NAT, default_probes(Sort.NAT), 7, EvalBudget(max_value_bits=6), True, id="nat-6-bits"
         ),
     ],
 )
-def test_pruned_pools_match_the_unpruned_oracle(base, free_vars, sort, probes, max_size, budget, drops):
-    pool = bottom_up_pool(base(), free_vars, sort, probes, max_size, budget)
-    rows, dropped = _unpruned_pool(base(), free_vars, sort, probes, max_size, budget)
+def test_pruned_pools_match_the_unpruned_oracle(ops, free_vars, sort, probes, max_size, budget, drops):
+    pool = bottom_up_pool(ops, free_vars, sort, probes, max_size, budget)
+    rows, dropped = _unpruned_pool(ops, free_vars, sort, probes, max_size, budget)
     assert [(pretty(c.term), c.cost, c.fingerprint) for c in pool] == rows
     assert (dropped > 0) is drops
     assert (pool.dropped is not None) is drops
@@ -151,9 +137,9 @@ def test_pools_run_only_terms_whose_pooled_arguments_are_representatives(monkeyp
         return real_run_probes(code, vectors, budget)
 
     monkeypatch.setattr(synthesis, "run_probes", counting_run_probes)
-    bottom_up_pool(default_nat_base(), ("n",), Sort.NAT, default_probes(Sort.NAT), 7)
+    bottom_up_pool(NAT_BASE, ("n",), Sort.NAT, default_probes(Sort.NAT), 7)
     nat_runs = len(runs)
-    bottom_up_pool(default_list_base(), ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 6)
+    bottom_up_pool(LIST_BASE, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 6)
     assert nat_runs <= 2000
     assert len(runs) - nat_runs <= 750
 
@@ -161,11 +147,19 @@ def test_pools_run_only_terms_whose_pooled_arguments_are_representatives(monkeyp
 def test_a_search_that_dropped_candidates_and_found_nothing_is_inconclusive():
     goal = make_goal([(0, 5), (1, 0)])
     with pytest.raises(ResourceExhaustedError) as caught:
-        synthesize(default_nat_base(), goal, SCHEMA_BOTTOM_UP, 4, EvalBudget(max_value_bits=2))
+        synthesize(NAT_BASE, goal, SCHEMA_BOTTOM_UP, 4, EvalBudget(max_value_bits=2))
     assert caught.value.reason == "value-bits"
     sort_goal = make_goal([((), ()), ((2, 1), (1, 2))])
     with pytest.raises(ResourceExhaustedError):
-        synthesize(default_list_base(), sort_goal, SCHEMA_PIVOT_DC, 5, EvalBudget(max_steps=1))
+        synthesize(LIST_BASE, sort_goal, SCHEMA_PIVOT_DC, 5, EvalBudget(max_steps=1))
+    # At 8 steps every hole candidate runs, so only fillings are dropped.
+    sort_goal = make_goal([((), ()), ((2, 1), (1, 2)), ((3, 1, 2), (1, 2, 3))])
+    budget = EvalBudget(max_steps=8)
+    assert bottom_up_pool(LIST_BASE, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, 3, budget).dropped is None
+    assert bottom_up_pool(LIST_BASE, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 3, budget).dropped is None
+    with pytest.raises(ResourceExhaustedError):
+        synthesize(LIST_BASE, sort_goal, SCHEMA_PIVOT_DC, 3, budget)
+    assert synthesize(LIST_BASE, sort_goal, SCHEMA_PIVOT_DC, 3, EvalBudget(max_steps=30)) is None
 
 
 def test_goal_construction():
@@ -184,6 +178,8 @@ def test_goal_construction():
         make_goal([(1, 2)], probes=[(1,)])
     with pytest.raises(ValueError):
         GoalSpec(Sort.NAT, Sort.NAT, ((9, 10),), probes=(0, 1))
+    with pytest.raises(ValueError):
+        GoalSpec(Sort.NAT, Sort.NAT, ((0, 1), (1, True)), probes=(0, 1, 2))
 
 
 def test_goal_text_format():
@@ -197,19 +193,19 @@ def test_goal_text_format():
 
 def test_successor_synthesis():
     goal = make_goal([(1, 2), (5, 6)])
-    program = synthesize(default_nat_base(), goal, SCHEMA_BOTTOM_UP, 3)
+    program = synthesize(NAT_BASE, goal, SCHEMA_BOTTOM_UP, 3)
     assert pretty(program.term) == "(succ n)"
 
 
 def test_parity_flip_is_not_found_at_budget_2():
     goal = make_goal([(0, 1), (1, 0)])
-    assert synthesize(default_nat_base(), goal, SCHEMA_BOTTOM_UP, 2) is None
+    assert synthesize(NAT_BASE, goal, SCHEMA_BOTTOM_UP, 2) is None
 
 
 def test_bottom_up_returns_minimal_matching_candidate():
     # doubling: n + n is the smallest matcher (size 3)
     goal = make_goal([(0, 0), (1, 2), (3, 6)])
-    program = synthesize(default_nat_base(), goal, SCHEMA_BOTTOM_UP, 4)
+    program = synthesize(NAT_BASE, goal, SCHEMA_BOTTOM_UP, 4)
     assert pretty(program.term) == "(add n n)"
     assert size(program.term) == 3
 
@@ -239,7 +235,7 @@ def test_fill_schema_holes_with_empty_pool():
 
 def test_quicksort_schema_synthesis():
     goal = make_goal([((), ()), ((2, 1), (1, 2)), ((3, 1, 2), (1, 2, 3))])
-    program = synthesize(default_list_base(), goal, SCHEMA_PIVOT_DC, 5)
+    program = synthesize(LIST_BASE, goal, SCHEMA_PIVOT_DC, 5)
     assert pretty(program.term) == "(pivotrec l (lt x pivot) (lt pivot x) (append l (cons pivot r)))"
     for k in range(5):
         for combo in combinations(range(5), k):
@@ -248,9 +244,9 @@ def test_quicksort_schema_synthesis():
 
 
 def test_quicksort_filling_appears_in_the_frontier():
-    pred_pool = bottom_up_pool(default_list_base(), ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, 5)
+    pred_pool = bottom_up_pool(LIST_BASE, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, 5)
     combine_pool = bottom_up_pool(
-        default_list_base(), ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 5
+        LIST_BASE, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 5
     )
     targets = {"(lt x pivot)", "(lt pivot x)"}
     assert targets <= {pretty(c.term) for c in pred_pool}
@@ -271,9 +267,11 @@ def test_quicksort_filling_appears_in_the_frontier():
 def test_synthesize_verifies_every_example():
     # probes distinguish, examples decide: a goal no term of size <= 4 meets
     goal = make_goal([(0, 5), (1, 0)])
-    assert synthesize(default_nat_base(), goal, SCHEMA_BOTTOM_UP, 4) is None
+    assert synthesize(NAT_BASE, goal, SCHEMA_BOTTOM_UP, 4) is None
 
 
 def test_multi_variable_probe_validation():
     with pytest.raises(ValueError):
-        bottom_up_pool(default_list_base(), ("x", "pivot"), Sort.BOOL, (1, 2, 3), 3)
+        bottom_up_pool(LIST_BASE, ("x", "pivot"), Sort.BOOL, (1, 2, 3), 3)
+    with pytest.raises(ValueError):
+        bottom_up_pool(NAT_BASE | {"sux"}, ("n",), Sort.NAT, (0, 1), 2)
