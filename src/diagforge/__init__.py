@@ -63,6 +63,7 @@ from .synthesis import (
     NAT_BASE,
     Candidate,
     GoalSpec,
+    Pool,
     bottom_up_pool,
     fill_schema_holes,
     make_goal,

@@ -101,10 +101,10 @@ def _cmd_refute(args) -> int:
 
 def _cmd_synth(args) -> int:
     goal = synthesis.load_goal(args.goal)
-    if args.schema == synthesis.SCHEMA_PIVOT_DC or goal.input_sort is Sort.LIST_NAT:
-        ops = synthesis.LIST_BASE
-    else:
+    if goal.input_sort is Sort.NAT and goal.output_sort is Sort.NAT:
         ops = synthesis.NAT_BASE
+    else:
+        ops = synthesis.LIST_BASE
     program = synthesis.synthesize(ops, goal, args.schema, args.budget, _budget(args.budget_steps))
     if program is None:
         print("no program found within budget", file=sys.stderr)

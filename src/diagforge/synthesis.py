@@ -6,14 +6,16 @@ pools are built bottom-up in canonical enumeration order and pruned by
 observational equivalence, as in Escher (Albarghouthi et al., CAV 2013)
 and TRANSIT (Udupa et al., PLDI 2013): two terms with identical output
 vectors over the probe inputs collapse to the cheaper one, and a term
-built on a non-representative is never run (see `bottom_up_pool`). A
-goal's probes cover its example inputs, so a bottom-up candidate is
-matched on its fingerprint. Schema holes are fingerprinted on their own
-probes and each filling is run on the examples, so a collapse there can
-at worst force a larger budget, never a wrong answer. A candidate or
-filling that exhausts the evaluation budget is dropped, so a search that
-then finds nothing is inconclusive: `synthesize` raises the first error
-dropped.
+built on a non-representative is never run (see `Pool`). Pools grow one
+size layer at a time, only as far as the search reaches: it stops at
+the first answer, which is the one the full pools would give. A goal's
+probes cover its example inputs, so a bottom-up candidate is matched on
+its fingerprint as soon as its layer is built. Schema holes are
+fingerprinted on their own probes and each filling is run on the
+examples, so a collapse there can at worst force a larger budget, never
+a wrong answer. A candidate or filling that exhausts the evaluation
+budget is dropped, so a search that then finds nothing is inconclusive:
+`synthesize` raises the first error dropped.
 
 Recursion enters only through schemas. The divide-and-conquer schema
 fills the three pivotrec holes (two predicates over x and pivot, one
@@ -149,10 +151,77 @@ class Candidate:
 
 
 class Pool(list):
-    """Candidates in canonical order, and the first ResourceExhaustedError
-    of a dropped candidate (None when none was dropped)."""
+    """One minimal representative per behavior among terms of size <= max_size,
+    grown one size layer at a time, only as far as `grow` is asked to.
 
-    dropped: ResourceExhaustedError | None = None
+    Members come out in canonical enumeration order (size ascending, then
+    rank-lexicographic), so the first member of each behavior class is the
+    minimum under (cost, canonical order); later equals are destroyed as
+    uneconomical variants. Growing only appends, so members keep their
+    positions and a partly grown pool is a prefix of the full one.
+
+    A term is skipped unrun when an argument at a binder-free position of
+    sort `target_sort` is not a representative. Such an argument is always
+    evaluated, in the term's own environment (the lazy `if` branches have
+    no fixed sort), so its representative in its place keeps every probe
+    output; and as pre-order rank sequences are prefix-free, that term
+    comes earlier in canonical order, so its fingerprint is already seen.
+
+    A candidate that exhausts the budget on a probe is dropped; the first
+    such error is kept as `dropped` (None while none was dropped). Under
+    the value-bits cap skipping stays exact, as a representative runs in
+    the term as on its own and a dropped argument exhausts in the term too.
+    Under the steps cap it need not be: a representative can take more
+    steps than the argument it replaces.
+    """
+
+    def __init__(
+        self,
+        ops: frozenset[str],
+        free_vars: tuple[str, ...],
+        target_sort: Sort,
+        probes: Sequence,
+        max_size: int,
+        budget: EvalBudget | None = None,
+    ):
+        super().__init__()
+        if max_size < 1:
+            raise ValueError(f"max_size must be >= 1, got {max_size}")
+        if not probes:
+            raise ValueError("pool needs at least one probe")
+        if not ops <= OPS.keys():
+            raise ValueError(f"not kernel operators: {sorted(ops - OPS.keys())}")
+        self.max_size = max_size
+        self.built = 0  # the sizes 1..built are in the pool
+        self.dropped: ResourceExhaustedError | None = None
+        self._walk = (ops, frozenset(free_vars), target_sort)
+        self._vectors = probe_vectors(free_vars, probes)
+        self._budget = budget
+        self._pooled = {
+            name: tuple(i for i, p in enumerate(spec.params) if not p.binders and p.sort is target_sort)
+            for name, spec in OPS.items()
+        }
+        self._seen: set[tuple] = set()
+        self._reps: set[Term] = set()
+
+    def grow(self, size: int) -> None:
+        """Build the layers not yet built through `size` (at most max_size)."""
+        for size_ in range(self.built + 1, min(size, self.max_size) + 1):
+            for term in walk_layer(*self._walk, size_):
+                if any(term.args[i] not in self._reps for i in self._pooled[term.head]):
+                    continue
+                code = compile_term(term)
+                try:
+                    fingerprint = tuple(run_probes(code, self._vectors, self._budget))
+                except ResourceExhaustedError as exc:
+                    self.dropped = self.dropped or exc
+                    continue
+                if fingerprint in self._seen:
+                    continue
+                self._seen.add(fingerprint)
+                self._reps.add(term)
+                self.append(Candidate(term, size_, fingerprint, code))
+            self.built = size_
 
 
 def bottom_up_pool(
@@ -163,57 +232,9 @@ def bottom_up_pool(
     max_size: int,
     budget: EvalBudget | None = None,
 ) -> Pool:
-    """One minimal representative per behavior among terms of size <= max_size.
-
-    Candidates come out in canonical enumeration order (size ascending, then
-    rank-lexicographic), so the first member of each behavior class is the
-    minimum under (cost, canonical order); later equals are destroyed as
-    uneconomical variants.
-
-    A term is skipped unrun when an argument at a binder-free position of
-    sort `target_sort` is not a representative. Such an argument is always
-    evaluated, in the term's own environment (the lazy `if` branches have
-    no fixed sort), so its representative in its place keeps every probe
-    output; and as pre-order rank sequences are prefix-free, that term
-    comes earlier in canonical order, so its fingerprint is already seen.
-
-    A candidate that exhausts the budget on a probe is dropped; the first
-    such error is kept as `dropped`. Under the value-bits cap skipping
-    stays exact, as a representative runs in the term as on its own and a
-    dropped argument exhausts in the term too. Under the steps cap it need
-    not be: a representative can take more steps than the argument it
-    replaces.
-    """
-    if max_size < 1:
-        raise ValueError(f"max_size must be >= 1, got {max_size}")
-    if not probes:
-        raise ValueError("pool needs at least one probe")
-    if not ops <= OPS.keys():
-        raise ValueError(f"not kernel operators: {sorted(ops - OPS.keys())}")
-    vectors = probe_vectors(free_vars, probes)
-    scope = frozenset(free_vars)
-    pooled = {
-        name: tuple(i for i, p in enumerate(spec.params) if not p.binders and p.sort is target_sort)
-        for name, spec in OPS.items()
-    }
-    seen: set[tuple] = set()
-    reps: set[Term] = set()
-    pool = Pool()
-    for size_ in range(1, max_size + 1):
-        for term in walk_layer(ops, scope, target_sort, size_):
-            if any(term.args[i] not in reps for i in pooled[term.head]):
-                continue
-            code = compile_term(term)
-            try:
-                fingerprint = tuple(run_probes(code, vectors, budget))
-            except ResourceExhaustedError as exc:
-                pool.dropped = pool.dropped or exc
-                continue
-            if fingerprint in seen:
-                continue
-            seen.add(fingerprint)
-            reps.add(term)
-            pool.append(Candidate(term, size_, fingerprint, code))
+    """The `Pool` grown through `max_size`."""
+    pool = Pool(ops, free_vars, target_sort, probes, max_size, budget)
+    pool.grow(max_size)
     return pool
 
 
@@ -234,18 +255,27 @@ PIVOT_PRED_PROBES: tuple[tuple[int, int], ...] = tuple(product(_HOLE_NATS, _HOLE
 PIVOT_COMBINE_PROBES: tuple[tuple, ...] = tuple(product(_HOLE_LISTS, _HOLE_NATS, _HOLE_LISTS))
 
 
-def fill_schema_holes(pools: Sequence[list[Candidate]]) -> Iterator[tuple[Candidate, ...]]:
+def fill_schema_holes(pools: Sequence[Pool]) -> Iterator[tuple[Candidate, ...]]:
     """All hole fillings, non-decreasing total cost, deterministic order.
 
     Within one total cost, fillings come out lexicographically by their
-    per-hole pool positions; pools are expected in canonical order, so the
-    first filling is the minimal one.
+    per-hole pool positions; pools are in canonical order, so the first
+    filling is the minimal one.
+
+    Each pool is grown only as far as the current total T needs: hole h
+    takes members of cost at most T minus the other holes' least costs,
+    and a pool filling several holes grows to the largest of their needs.
+    A member not yet built costs more than any filling at T can use, so
+    the fillings, and the pruning on the members built, are those of the
+    full pools. Once every pool is grown through its max_size and T
+    passes the sum of the largest costs, the fillings are exhausted.
     """
-    if any(not pool for pool in pools):
-        return
-    costs = [[c.cost for c in pool] for pool in pools]
-    min_costs = [c[0] for c in costs]
-    max_costs = [c[-1] for c in costs]
+    for pool in pools:
+        while not pool and pool.built < pool.max_size:
+            pool.grow(pool.built + 1)
+        if not pool:
+            return
+    min_costs = [pool[0].cost for pool in pools]
 
     def fill(hole: int, remaining: int) -> Iterator[tuple[Candidate, ...]]:
         pool = pools[hole]
@@ -265,8 +295,16 @@ def fill_schema_holes(pools: Sequence[list[Candidate]]) -> Iterator[tuple[Candid
             for rest in fill(hole + 1, remaining - candidate.cost):
                 yield (candidate,) + rest
 
-    for total in range(sum(min_costs), sum(max_costs) + 1):
+    total = sum(min_costs)
+    while True:
+        for pool, least in zip(pools, min_costs):
+            pool.grow(total - sum(min_costs) + least)
+        costs = [[c.cost for c in pool] for pool in pools]
+        max_costs = [c[-1] for c in costs]
+        if total > sum(max_costs) and all(pool.built == pool.max_size for pool in pools):
+            return
         yield from fill(0, total)
+        total += 1
 
 
 def _assemble_pivot(filling: tuple[Candidate, ...]) -> Term:
@@ -284,28 +322,31 @@ def synthesize(
     """Search for a program over `ops` matching every goal example; None
     when absent.
 
-    `budget` is the per-hole (pivotdc) or whole-term (bottomup) size bound.
-    A candidate or filling that exhausts `eval_budget` is dropped; when
-    nothing is found after a drop, the first ResourceExhaustedError of the
-    pools, or else of the fillings, is raised instead of returning None.
+    `budget` is the per-hole (pivotdc) or whole-term (bottomup) size bound;
+    pools are grown only as far as the search needs. A candidate or
+    filling that exhausts `eval_budget` is dropped; when nothing is found
+    after a drop, the first ResourceExhaustedError of the pools grown
+    through `budget`, or else of the fillings, is raised instead of
+    returning None.
     """
     outputs = [out for _, out in goal.examples]
     if schema == SCHEMA_BOTTOM_UP:
         var = INPUT_VARS[goal.input_sort]
-        pool = bottom_up_pool(ops, (var,), goal.output_sort, goal.probes, budget, eval_budget)
+        pool = Pool(ops, (var,), goal.output_sort, goal.probes, budget, eval_budget)
         at = [goal.probes.index(inp) for inp, _ in goal.examples]
-        for candidate in pool:
-            if [candidate.fingerprint[i] for i in at] == outputs:
-                return check_well_formed(candidate.term, goal.output_sort, {var})
+        for size_ in range(1, budget + 1):
+            start = len(pool)
+            pool.grow(size_)
+            for candidate in pool[start:]:
+                if [candidate.fingerprint[i] for i in at] == outputs:
+                    return check_well_formed(candidate.term, goal.output_sort, {var})
         dropped = pool.dropped
     elif schema == SCHEMA_PIVOT_DC:
         if goal.input_sort is not Sort.LIST_NAT or goal.output_sort is not Sort.LIST_NAT:
             raise ValueError("the divide-and-conquer schema sorts lists into lists")
-        pred_pool = bottom_up_pool(ops, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, budget, eval_budget)
-        combine_pool = bottom_up_pool(
-            ops, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, budget, eval_budget
-        )
-        dropped = pred_pool.dropped or combine_pool.dropped
+        pred_pool = Pool(ops, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, budget, eval_budget)
+        combine_pool = Pool(ops, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, budget, eval_budget)
+        filling_dropped = None
         inputs = probe_vectors(("l",), [inp for inp, _ in goal.examples])
         input_code = compile_node("l")
         for filling in fill_schema_holes((pred_pool, pred_pool, combine_pool)):
@@ -315,7 +356,11 @@ def synthesize(
                 if all(got == out for got, out in zip(run_probes(code, inputs, eval_budget), outputs)):
                     return check_well_formed(_assemble_pivot(filling), Sort.LIST_NAT, {"l"})
             except ResourceExhaustedError as exc:
-                dropped = dropped or exc
+                filling_dropped = filling_dropped or exc
+        # Nothing found: the pools' first error is the one of the full pools.
+        pred_pool.grow(budget)
+        combine_pool.grow(budget)
+        dropped = pred_pool.dropped or combine_pool.dropped or filling_dropped
     else:
         raise ValueError(f"unknown schema: {schema!r}")
     if dropped:

@@ -267,3 +267,43 @@ def _pivot(items, pred_left, pred_right, combine, env, fuel):
     sorted_left = _pivot(tuple(left), pred_left, pred_right, combine, env, fuel)
     sorted_right = _pivot(tuple(right), pred_left, pred_right, combine, env, fuel)
     return _run(combine, {**env, "l": sorted_left, "pivot": pivot, "r": sorted_right}, fuel)
+
+
+
+def eager_synthesize(synthesis, ops, goal, schema, budget, eval_budget=None):
+    """The search `synthesis.synthesize` makes, run eagerly: every pool is
+    built through `budget` before any candidate is tried, then the full
+    pools are scanned (bottomup) or filled (pivotdc). Returns the program's
+    term or None, and raises what a search that found nothing after a drop
+    raises: the pools' first error, then the first filling's. It runs the
+    package's own pools, fillings and evaluator, which the caller hands in
+    as the package's `synthesis` module, as this module imports nothing
+    from the package."""
+    outputs = [out for _, out in goal.examples]
+    if schema == synthesis.SCHEMA_BOTTOM_UP:
+        var = synthesis.INPUT_VARS[goal.input_sort]
+        pool = synthesis.bottom_up_pool(ops, (var,), goal.output_sort, goal.probes, budget, eval_budget)
+        at = [goal.probes.index(inp) for inp, _ in goal.examples]
+        for candidate in pool:
+            if [candidate.fingerprint[i] for i in at] == outputs:
+                return candidate.term
+        dropped = pool.dropped
+    else:
+        pred_pool = synthesis.bottom_up_pool(
+            ops, ("x", "pivot"), synthesis.Sort.BOOL, synthesis.PIVOT_PRED_PROBES, budget, eval_budget
+        )
+        combine_pool = synthesis.bottom_up_pool(
+            ops, ("l", "pivot", "r"), synthesis.Sort.LIST_NAT, synthesis.PIVOT_COMBINE_PROBES, budget, eval_budget
+        )
+        dropped = pred_pool.dropped or combine_pool.dropped
+        inputs = synthesis.probe_vectors(("l",), [inp for inp, _ in goal.examples])
+        for filling in synthesis.fill_schema_holes((pred_pool, pred_pool, combine_pool)):
+            code = synthesis.compile_node("pivotrec", [synthesis.compile_node("l")] + [c.code for c in filling])
+            try:
+                if all(got == out for got, out in zip(synthesis.run_probes(code, inputs, eval_budget), outputs)):
+                    return synthesis.Term("pivotrec", (synthesis.Term("l"),) + tuple(c.term for c in filling))
+            except synthesis.ResourceExhaustedError as exc:
+                dropped = dropped or exc
+    if dropped:
+        raise dropped
+    return None

@@ -232,6 +232,15 @@ def test_synth_bottomup(tmp_path):
     assert result.stdout == "(succ n)\n"
 
 
+def test_synth_bottomup_nat_to_bool(tmp_path):
+    # The nat base has no operator of sort bool; the list base has lt.
+    goal = tmp_path / "positive.txt"
+    goal.write_text("1 -> true\n0 -> false\n")
+    result = run("synth", "--schema", "bottomup", "--goal", str(goal), "--budget", "3")
+    assert result.returncode == 0
+    assert result.stdout == "(lt zero n)\n"
+
+
 def test_synth_not_found_exits_1(tmp_path):
     goal = tmp_path / "parity.txt"
     goal.write_text("0 -> 1\n1 -> 0\n")

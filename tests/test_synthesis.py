@@ -1,6 +1,8 @@
 """Bottom-up pools, observational-equivalence pruning, and schema filling."""
 
-from itertools import combinations, permutations
+import random
+from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +13,8 @@ from diagforge.kernel import Sort, parse, pretty, size
 from diagforge.synthesis import (
     LIST_BASE,
     NAT_BASE,
-    Candidate,
     GoalSpec,
+    Pool,
     PIVOT_COMBINE_PROBES,
     PIVOT_PRED_PROBES,
     SCHEMA_BOTTOM_UP,
@@ -20,11 +22,12 @@ from diagforge.synthesis import (
     bottom_up_pool,
     default_probes,
     fill_schema_holes,
+    load_goal,
     make_goal,
     parse_goal_text,
     synthesize,
 )
-from oracles import Exhausted, all_nat_terms, canonical_terms, eval_budgeted, eval_nat, insertion_sort
+from oracles import Exhausted, all_nat_terms, canonical_terms, eager_synthesize, eval_budgeted, eval_nat, insertion_sort
 
 
 def test_pool_of_the_nat_base_at_size_2():
@@ -126,9 +129,7 @@ def test_pruned_pools_match_the_unpruned_oracle(ops, free_vars, sort, probes, ma
     assert (pool.dropped is not None) is drops
 
 
-def test_pools_run_only_terms_whose_pooled_arguments_are_representatives(monkeypatch):
-    # Unpruned, the nat pool runs 6,038 terms through size 7 and the
-    # combiner pool 1,404 through size 6.
+def _count_runs(monkeypatch):
     runs = []
     real_run_probes = synthesis.run_probes
 
@@ -137,6 +138,13 @@ def test_pools_run_only_terms_whose_pooled_arguments_are_representatives(monkeyp
         return real_run_probes(code, vectors, budget)
 
     monkeypatch.setattr(synthesis, "run_probes", counting_run_probes)
+    return runs
+
+
+def test_pools_run_only_terms_whose_pooled_arguments_are_representatives(monkeypatch):
+    # Unpruned, the nat pool runs 6,038 terms through size 7 and the
+    # combiner pool 1,404 through size 6.
+    runs = _count_runs(monkeypatch)
     bottom_up_pool(NAT_BASE, ("n",), Sort.NAT, default_probes(Sort.NAT), 7)
     nat_runs = len(runs)
     bottom_up_pool(LIST_BASE, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 6)
@@ -160,6 +168,98 @@ def test_a_search_that_dropped_candidates_and_found_nothing_is_inconclusive():
     with pytest.raises(ResourceExhaustedError):
         synthesize(LIST_BASE, sort_goal, SCHEMA_PIVOT_DC, 3, budget)
     assert synthesize(LIST_BASE, sort_goal, SCHEMA_PIVOT_DC, 3, EvalBudget(max_steps=30)) is None
+
+
+def _outcome(search, *args):
+    try:
+        found = search(*args)
+    except ResourceExhaustedError as exc:
+        return type(exc), exc.reason
+    return getattr(found, "term", found)
+
+
+def _seeded_nat_goals(count, seed=11):
+    """One goal no term of at most 7 nodes meets, then goals that are the
+    outputs of random nat terms of at most 5 nodes on three inputs."""
+    rng = random.Random(seed)
+    terms = canonical_terms(NAT_BASE, {"n"}, "nat", 5)
+    goals = [make_goal([(0, 5), (1, 0)])]
+    while len(goals) < count:
+        term = parse(rng.choice(terms))
+        inputs = rng.sample(range(8), 3)
+        try:
+            goals.append(make_goal([(v, eval_budgeted(term, {"n": v}, 10**6, 64)) for v in inputs]))
+        except Exhausted:
+            continue
+    return goals
+
+
+SORT_GOALS = [
+    make_goal([((), ()), ((2, 1), (1, 2)), ((3, 1, 2), (1, 2, 3))]),
+    make_goal([((0,), (0,)), ((2, 2, 1), (1, 2, 2)), ((3, 0, 1, 3), (0, 1, 3, 3))]),
+]
+EAGER_CASES = [
+    pytest.param(NAT_BASE, goal, SCHEMA_BOTTOM_UP, budget, EvalBudget(), id=f"bottomup-{g}-{budget}")
+    for g, goal in enumerate(_seeded_nat_goals(5))
+    for budget in range(1, 8)
+] + [
+    # Under 6 value bits the full pool drops candidates of size 7.
+    pytest.param(NAT_BASE, goal, SCHEMA_BOTTOM_UP, 7, EvalBudget(max_value_bits=6), id=f"bottomup-{g}-7-6-bits")
+    for g, goal in enumerate(_seeded_nat_goals(2))
+] + [
+    pytest.param(LIST_BASE, goal, SCHEMA_PIVOT_DC, budget, EvalBudget(**steps), id=f"pivotdc-{g}-{budget}-{steps}")
+    for g, goal in enumerate(SORT_GOALS)
+    for budget in range(2, 7)
+    for steps in ({"max_steps": 1}, {"max_steps": 8}, {"max_steps": 60}, {})
+]
+
+
+@pytest.mark.parametrize("ops, goal, schema, budget, eval_budget", EAGER_CASES)
+def test_synthesize_matches_the_eager_search(ops, goal, schema, budget, eval_budget):
+    want = _outcome(eager_synthesize, synthesis, ops, goal, schema, budget, eval_budget)
+    assert _outcome(synthesize, ops, goal, schema, budget, eval_budget) == want
+
+
+GOALS = Path(__file__).resolve().parent.parent / "goals"
+
+
+def test_bottom_up_search_stops_at_the_answers_layer(monkeypatch):
+    goal = load_goal(GOALS / "succ.txt")
+    runs = _count_runs(monkeypatch)
+    assert pretty(synthesize(NAT_BASE, goal, SCHEMA_BOTTOM_UP, 7).term) == "(succ n)"
+    searched = len(runs)
+    bottom_up_pool(NAT_BASE, ("n",), Sort.NAT, goal.probes, 2)
+    # Only the terms of size <= 2 ran, not the 1,913 of the full pool.
+    assert searched == len(runs) - searched
+
+
+def test_pivot_search_grows_the_combiner_pool_only_as_far_as_it_needs(monkeypatch):
+    layers = []
+    real_walk_layer = synthesis.walk_layer
+
+    def recording_walk_layer(ops, scope, sort, size_):
+        layers.append((sort, size_))
+        return real_walk_layer(ops, scope, sort, size_)
+
+    monkeypatch.setattr(synthesis, "walk_layer", recording_walk_layer)
+    # The quicksort filling costs 3 + 3 + 5.
+    assert synthesize(LIST_BASE, load_goal(GOALS / "qsort.txt"), SCHEMA_PIVOT_DC, 6) is not None
+    assert (Sort.LIST_NAT, 5) in layers and (Sort.LIST_NAT, 6) not in layers
+
+
+def test_invalid_searches_fail_before_any_term_runs(monkeypatch):
+    runs = _count_runs(monkeypatch)
+    goal = make_goal([(1, 2)])
+    sort_goal = make_goal([((2, 1), (1, 2))])
+    with pytest.raises(ValueError):
+        synthesize(NAT_BASE, goal, SCHEMA_BOTTOM_UP, 0)
+    with pytest.raises(ValueError):
+        synthesize(LIST_BASE, sort_goal, SCHEMA_PIVOT_DC, 0)
+    with pytest.raises(ValueError):
+        synthesize(NAT_BASE | {"sux"}, goal, SCHEMA_BOTTOM_UP, 3)
+    with pytest.raises(ValueError):
+        synthesize(LIST_BASE | {"sux"}, sort_goal, SCHEMA_PIVOT_DC, 3)
+    assert runs == []
 
 
 def test_goal_construction():
@@ -211,26 +311,35 @@ def test_bottom_up_returns_minimal_matching_candidate():
 
 
 def test_fill_schema_holes_ordering():
-    def cand(term_text, cost):
-        return Candidate(parse(term_text), cost, (cost,))
+    def pools():
+        nat = Pool(NAT_BASE, ("n",), Sort.NAT, (0, 1, 2), 2)
+        return (nat, nat, Pool(LIST_BASE, ("l",), Sort.LIST_NAT, default_probes(Sort.LIST_NAT), 1))
 
-    pools = (
-        [cand("n", 1), cand("(succ n)", 2)],
-        [cand("zero", 1), cand("(succ zero)", 2)],
-        [cand("nil", 1)],
-    )
-    fillings = list(fill_schema_holes(pools))
-    assert len(fillings) == 4  # full cartesian product
-    totals = [sum(c.cost for c in filling) for filling in fillings]
-    assert totals == sorted(totals)
-    assert totals[0] == 3  # first filling is the minimal one
-    assert fillings[0][0].term == parse("n")
+    fillings = list(fill_schema_holes(pools()))
+    # The full cartesian product of the full pools, by total cost and then
+    # by per-hole positions.
+    full = [list(enumerate(pool)) for pool in (bottom_up_pool(NAT_BASE, ("n",), Sort.NAT, (0, 1, 2), 2),) * 2] + [
+        list(enumerate(bottom_up_pool(LIST_BASE, ("l",), Sort.LIST_NAT, default_probes(Sort.LIST_NAT), 1)))
+    ]
+    expected = sorted(product(*full), key=lambda f: (sum(c.cost for _, c in f), [i for i, _ in f]))
+    assert len(fillings) == 4 * 4 * 2
+    assert fillings == [tuple(c for _, c in f) for f in expected]
+    assert [pretty(c.term) for c in fillings[0]] == ["n", "n", "nil"]  # the minimal filling
     # deterministic: same input, same order
-    assert list(fill_schema_holes(pools)) == fillings
+    assert list(fill_schema_holes(pools())) == fillings
+
+
+def test_fill_schema_holes_grows_past_sizes_with_no_new_member():
+    # On the one probe (), every list term of size 2 behaves as nil.
+    pool = Pool(LIST_BASE, ("l",), Sort.LIST_NAT, ((),), 3)
+    assert [pretty(c.term) for (c,) in fill_schema_holes((pool,))] == ["nil", "(cons zero nil)"]
 
 
 def test_fill_schema_holes_with_empty_pool():
-    assert list(fill_schema_holes(([], [Candidate(parse("n"), 1, (1,))]))) == []
+    # No bool term over l has fewer than 3 nodes.
+    empty = Pool(LIST_BASE, ("l",), Sort.BOOL, default_probes(Sort.LIST_NAT), 2)
+    assert list(fill_schema_holes((empty, bottom_up_pool(NAT_BASE, ("n",), Sort.NAT, (1,), 1)))) == []
+    assert empty.built == 2
 
 
 def test_quicksort_schema_synthesis():
