@@ -30,17 +30,25 @@ iteration and checks no value bits, so the loop spends count steps at
 once, fails with the steps error the loop would raise, and returns the
 last iteration's value as a closed form of the count.
 
+A term with no binder can also be run over whole probe columns at once
+(probe_outputs): each node's rule is applied to its arguments' columns,
+and subterms shared between terms are computed once. It gives what
+run_probes gives, and runs probe by probe wherever the two could differ:
+at a binder, a term of more nodes than max_steps, or a value-bits check
+that fails on some probe.
+
 Totality defaults: first of an empty list is 0, rest of an empty list is
 the empty list.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ResourceExhaustedError
-from .kernel import OPS, Sort, Term, TypedProgram, VAR_SORTS, Value, is_nat
+from .kernel import OPS, Sort, Term, TypedProgram, VAR_SORTS, Value, is_nat, size
 
 DEFAULT_MAX_STEPS = 1_000_000
 DEFAULT_MAX_VALUE_BITS = 1 << 16
@@ -419,6 +427,103 @@ def run_probes(code: Code, vectors: Iterable[list], budget: EvalBudget | None = 
         slots[:] = vector
         fuel.left = full
         yield code(slots, fuel)
+
+
+# ---------------------------------------------------------------------------
+# Whole probe columns
+#
+# A term with no binder spends one step per node it evaluates and evaluates
+# each node at most once, so with at most max_steps nodes it cannot run out
+# of steps on any probe; it can only fail a value-bits check of succ, add or
+# mul. Its values on every probe are then computed a node at a time, each
+# rule applied to its arguments' whole columns. A column rule returns None
+# where the node's closure would raise on some probe (for `if`, possibly
+# only in the branch not taken); the term is then run probe by probe.
+
+
+def _succ_column(bits: int, u: tuple) -> tuple | None:
+    if any(a.bit_length() + 1 > bits for a in u):
+        return None
+    return tuple([a + 1 for a in u])
+
+
+def _add_column(bits: int, u: tuple, v: tuple) -> tuple | None:
+    if any(max(a.bit_length(), b.bit_length()) + 1 > bits for a, b in zip(u, v)):
+        return None
+    return tuple(map(operator.add, u, v))
+
+
+def _mul_column(bits: int, u: tuple, v: tuple) -> tuple | None:
+    if any(a.bit_length() + b.bit_length() > bits for a, b in zip(u, v)):
+        return None
+    return tuple(map(operator.mul, u, v))
+
+
+# The operators whose rules check value bits.
+BITS_CHECKED = frozenset({"succ", "add", "mul"})
+
+_COLUMN_RULES: dict[str, Callable[..., tuple | None]] = {
+    "succ": _succ_column,
+    "add": _add_column,
+    "mul": _mul_column,
+    "cons": lambda bits, u, v: tuple([(a,) + b for a, b in zip(u, v)]),
+    "first": lambda bits, u: tuple([a[0] if a else 0 for a in u]),
+    "rest": lambda bits, u: tuple(map(operator.itemgetter(slice(1, None)), u)),
+    "append": lambda bits, u, v: tuple(map(operator.add, u, v)),
+    "len": lambda bits, u: tuple(map(len, u)),
+    "lt": lambda bits, u, v: tuple(map(operator.lt, u, v)),
+    "if": lambda bits, c, u, v: tuple([a if k else b for k, a, b in zip(c, u, v)]),
+}
+_LEAF_VALUES: dict[str, Value] = {"zero": 0, "nil": ()}
+
+
+def _columns(t: Term, vectors: Sequence[list], max_bits: int, memo: dict[Term, tuple]) -> tuple | None:
+    """t's column, or None at a binder or a failing column rule."""
+    done: list[tuple] = []
+    stack: list[tuple[Term, bool]] = [(t, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            k = len(node.args)
+            column = _COLUMN_RULES[node.head](max_bits, *done[-k:])
+            if column is None:
+                return None
+            done[-k:] = [memo.setdefault(node, column)]
+            continue
+        column = memo.get(node)
+        if column is None and not node.args:
+            if node.head in _LEAF_VALUES:
+                column = (_LEAF_VALUES[node.head],) * len(vectors)
+            else:
+                slot = _SLOTS.index(node.head)
+                column = tuple(vector[slot] for vector in vectors)
+            memo[node] = column
+        if column is not None:
+            done.append(column)
+        elif node.head not in _COLUMN_RULES:
+            return None
+        else:
+            stack.append((node, True))
+            stack.extend((a, False) for a in reversed(node.args))
+    return done[0]
+
+
+def probe_outputs(t: Term, vectors: Sequence[list], budget: EvalBudget | None, memo: dict[Term, tuple]) -> tuple:
+    """t's values on every slot vector: what tuple(run_probes(compile_term(t),
+    vectors, budget)) returns or raises.
+
+    A binder-free term of at most max_steps nodes is computed over whole
+    columns (see above), faster than probe by probe; any other term is
+    compiled and run on each probe. `memo` maps terms to their columns for
+    these vectors and this budget, and keeps the columns computed here, so
+    subterms shared between calls are computed once.
+    """
+    budget = budget or DEFAULT_BUDGET
+    if size(t) <= budget.max_steps:
+        column = _columns(t, vectors, budget.max_value_bits, memo)
+        if column is not None:
+            return column
+    return tuple(run_probes(compile_term(t), vectors, budget))
 
 
 def _unbound_var(t: Term, bound: Iterable[str]) -> str | None:

@@ -10,7 +10,9 @@ built on a non-representative is never run (see `Pool`). Pools grow one
 size layer at a time, only as far as the search reaches: it stops at
 the first answer, which is the one the full pools would give. A goal's
 probes cover its example inputs, so a bottom-up candidate is matched on
-its fingerprint as soon as its layer is built. Schema holes are
+its fingerprint as soon as its layer is built. Fingerprints of
+binder-free terms are computed over whole probe columns from their
+subterms' (`interp.probe_outputs`). Schema holes are
 fingerprinted on their own probes and each filling is run on the
 examples, so a collapse there can at worst force a larger budget, never
 a wrong answer. A candidate or filling that exhausts the evaluation
@@ -20,7 +22,9 @@ budget is dropped, so a search that then finds nothing is inconclusive:
 Recursion enters only through schemas. The divide-and-conquer schema
 fills the three pivotrec holes (two predicates over x and pivot, one
 combiner over l, pivot, r) from their own pools, cheapest total cost
-first; the quicksort core falls out of it.
+first; the quicksort core falls out of it. Where no filling can exhaust
+the budget, each distinct case of a filling on an example runs once
+(see `_PivotExamples`).
 """
 
 from __future__ import annotations
@@ -32,7 +36,17 @@ from typing import Iterator, Sequence
 
 from .enumeration import walk_layer
 from .errors import ResourceExhaustedError
-from .interp import Code, EvalBudget, compile_node, compile_term, probe_vectors, run_probes
+from .interp import (
+    BITS_CHECKED,
+    DEFAULT_BUDGET,
+    Code,
+    EvalBudget,
+    compile_node,
+    compile_term,
+    probe_outputs,
+    probe_vectors,
+    run_probes,
+)
 from .kernel import (
     INPUT_VARS,
     OPS,
@@ -203,6 +217,7 @@ class Pool(list):
         }
         self._seen: set[tuple] = set()
         self._reps: set[Term] = set()
+        self._columns: dict[Term, tuple] = {}
 
     def grow(self, size: int) -> None:
         """Build the layers not yet built through `size` (at most max_size)."""
@@ -210,9 +225,8 @@ class Pool(list):
             for term in walk_layer(*self._walk, size_):
                 if any(term.args[i] not in self._reps for i in self._pooled[term.head]):
                     continue
-                code = compile_term(term)
                 try:
-                    fingerprint = tuple(run_probes(code, self._vectors, self._budget))
+                    fingerprint = probe_outputs(term, self._vectors, self._budget, self._columns)
                 except ResourceExhaustedError as exc:
                     self.dropped = self.dropped or exc
                     continue
@@ -220,7 +234,7 @@ class Pool(list):
                     continue
                 self._seen.add(fingerprint)
                 self._reps.add(term)
-                self.append(Candidate(term, size_, fingerprint, code))
+                self.append(Candidate(term, size_, fingerprint, compile_term(term)))
             self.built = size_
 
 
@@ -307,6 +321,72 @@ def fill_schema_holes(pools: Sequence[Pool]) -> Iterator[tuple[Candidate, ...]]:
         total += 1
 
 
+# Operators that let a hole spend more steps than it has nodes (binders) or
+# fail on the values it meets (value-bits checks).
+_UNBOUNDED_OPS = frozenset(name for name, spec in OPS.items() if any(p.binders for p in spec.params)) | BITS_CHECKED
+
+
+class _PivotExamples:
+    """Whether a pivotrec filling meets every goal example: the examples
+    are run in order and the first mismatch stops, as one run_probes pass
+    over them would, raising what it would raise.
+
+    When no filling can exhaust the evaluation budget, a filling's output
+    on an example depends only on its combiner and on its predicates'
+    values at the example's (later element, earlier element) pairs, the
+    only pairs partitioning compares. Each such case is then run once and
+    its outcome kept, so fillings that share a combiner and agree on the
+    example's pairs cost one lookup. No filling can exhaust when the
+    operators have no binder and no value-bits check, so a hole of at most
+    `budget` nodes spends at most `budget` steps, and the steps of the
+    most partition calls a list allows stay within max_steps.
+    """
+
+    def __init__(self, ops: frozenset[str], goal: GoalSpec, budget: int, eval_budget: EvalBudget | None):
+        lists = [inp for inp, _ in goal.examples]
+        self.inputs = probe_vectors(("l",), lists)
+        self.outputs = [out for _, out in goal.examples]
+        self.eval_budget = eval_budget
+        self.input_code = compile_node("l")
+        longest = max(len(xs) for xs in lists)
+        # Each call splits its tail into two sublists, each possibly the whole tail.
+        calls = 2 ** (longest + 1) - 1
+        steps = 2 + calls * (1 + (2 * longest + 1) * budget)
+        bounded = not ops & _UNBOUNDED_OPS and steps <= (eval_budget or DEFAULT_BUDGET).max_steps
+        self.outcomes: dict[tuple, bool] | None = {} if bounded else None
+        self.pairs = [
+            probe_vectors(("x", "pivot"), [(xs[j], xs[i]) for i in range(len(xs)) for j in range(i + 1, len(xs))])
+            for xs in lists
+        ]
+        self.signatures: dict[tuple[int, int], tuple] = {}
+
+    def __call__(self, filling: tuple[Candidate, ...]) -> bool:
+        if self.outcomes is None:
+            code = self._code(filling)
+            return all(got == out for got, out in zip(run_probes(code, self.inputs, self.eval_budget), self.outputs))
+        pred_left, pred_right, combine = filling
+        code = None
+        for k, out in enumerate(self.outputs):
+            # Pool members stay alive through the search, so ids name them.
+            key = (k, self._signature(pred_left, k), self._signature(pred_right, k), id(combine))
+            met = self.outcomes.get(key)
+            if met is None:
+                code = code or self._code(filling)
+                met = self.outcomes[key] = next(run_probes(code, self.inputs[k : k + 1], self.eval_budget)) == out
+            if not met:
+                return False
+        return True
+
+    def _code(self, filling: tuple[Candidate, ...]) -> Code:
+        return compile_node("pivotrec", [self.input_code] + [c.code for c in filling])
+
+    def _signature(self, pred: Candidate, k: int) -> tuple:
+        key = (id(pred), k)
+        if key not in self.signatures:
+            self.signatures[key] = tuple(run_probes(pred.code, self.pairs[k], self.eval_budget))
+        return self.signatures[key]
+
+
 def _assemble_pivot(filling: tuple[Candidate, ...]) -> Term:
     pred_left, pred_right, combine = filling
     return Term("pivotrec", (Term("l"), pred_left.term, pred_right.term, combine.term))
@@ -347,13 +427,10 @@ def synthesize(
         pred_pool = Pool(ops, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, budget, eval_budget)
         combine_pool = Pool(ops, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, budget, eval_budget)
         filling_dropped = None
-        inputs = probe_vectors(("l",), [inp for inp, _ in goal.examples])
-        input_code = compile_node("l")
+        meets = _PivotExamples(ops, goal, budget, eval_budget)
         for filling in fill_schema_holes((pred_pool, pred_pool, combine_pool)):
-            code = compile_node("pivotrec", [input_code] + [c.code for c in filling])
             try:
-                # Stops at the first mismatch; later examples are not run.
-                if all(got == out for got, out in zip(run_probes(code, inputs, eval_budget), outputs)):
+                if meets(filling):
                     return check_well_formed(_assemble_pivot(filling), Sort.LIST_NAT, {"l"})
             except ResourceExhaustedError as exc:
                 filling_dropped = filling_dropped or exc

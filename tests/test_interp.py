@@ -10,9 +10,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diagforge.enumeration import Tier, enumerate_stream
+from diagforge.enumeration import Tier, enumerate_stream, walk_layer
 from diagforge.errors import ResourceExhaustedError
-from diagforge.interp import DEFAULT_MAX_VALUE_BITS, EvalBudget, compile_term, evaluate, evaluate_env, run_probes, slot_vector
+from diagforge.interp import (
+    DEFAULT_MAX_VALUE_BITS,
+    EvalBudget,
+    compile_term,
+    evaluate,
+    evaluate_env,
+    probe_outputs,
+    run_probes,
+    slot_vector,
+)
 from diagforge.kernel import Sort, Term, check_well_formed, infer_sort, parse
 from oracles import Exhausted, eval_budgeted, eval_nat, insertion_sort
 from strategies import random_term, terms
@@ -281,6 +290,29 @@ def test_batched_probes_equal_per_probe_evaluation():
             assert got == expected, (program, budget)
             raised += got[-1][0] == "exhausted"
     assert raised > 100
+
+
+def test_column_outputs_equal_probe_by_probe_runs():
+    # Full-tier terms over n (binders run probe by probe) and binder-free
+    # list terms with `if`, under budgets that cut steps and value bits;
+    # one memo serves every term of a budget, as in a pool.
+    nat_terms = [p.term for p in islice(enumerate_stream(Tier.FULL), 0, 6000, 2)]
+    list_ops = frozenset({"zero", "succ", "mul", "nil", "cons", "first", "rest", "append", "len", "lt", "if"})
+    list_terms = [t for size_ in range(1, 7) for t in walk_layer(list_ops, frozenset({"l"}), Sort.LIST_NAT, size_)]
+    cases = [
+        (nat_terms, [slot_vector({"n": p}) for p in (0, 1, 2, 3, 5, 8, 40, 300)]),
+        (list_terms, [slot_vector({"l": p}) for p in ((), (0,), (3, 1), (2, 0, 5), (7, 7))]),
+    ]
+    raised = 0
+    for terms_, vectors in cases:
+        for budget in ACCOUNTING_BUDGETS + (EvalBudget(max_steps=4), EvalBudget(max_value_bits=4)):
+            memo = {}
+            for term in terms_:
+                want = _outcome(lambda: tuple(run_probes(compile_term(term), vectors, budget)))
+                assert _outcome(lambda: probe_outputs(term, vectors, budget, memo)) == want, (term, budget)
+                raised += want[0] == "exhausted"
+            assert memo
+    assert raised > 1000
 
 
 def test_deep_succ_chain_evaluates():

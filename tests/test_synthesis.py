@@ -8,7 +8,7 @@ import pytest
 
 from diagforge import synthesis
 from diagforge.errors import ParseError, ResourceExhaustedError
-from diagforge.interp import EvalBudget, evaluate
+from diagforge.interp import EvalBudget, compile_node, evaluate, probe_vectors, run_probes
 from diagforge.kernel import Sort, parse, pretty, size
 from diagforge.synthesis import (
     LIST_BASE,
@@ -130,13 +130,21 @@ def test_pruned_pools_match_the_unpruned_oracle(ops, free_vars, sort, probes, ma
 
 
 def _count_runs(monkeypatch):
+    """Records each term a pool runs on its probes and each compiled
+    predicate or filling run on goal examples."""
     runs = []
+    real_probe_outputs = synthesis.probe_outputs
     real_run_probes = synthesis.run_probes
+
+    def counting_probe_outputs(term, vectors, budget, memo):
+        runs.append(term)
+        return real_probe_outputs(term, vectors, budget, memo)
 
     def counting_run_probes(code, vectors, budget=None):
         runs.append(code)
         return real_run_probes(code, vectors, budget)
 
+    monkeypatch.setattr(synthesis, "probe_outputs", counting_probe_outputs)
     monkeypatch.setattr(synthesis, "run_probes", counting_run_probes)
     return runs
 
@@ -218,6 +226,38 @@ EAGER_CASES = [
 def test_synthesize_matches_the_eager_search(ops, goal, schema, budget, eval_budget):
     want = _outcome(eager_synthesize, synthesis, ops, goal, schema, budget, eval_budget)
     assert _outcome(synthesize, ops, goal, schema, budget, eval_budget) == want
+
+
+def _check_outcome(check):
+    try:
+        return check()
+    except ResourceExhaustedError as exc:
+        return exc.reason, exc.steps_used
+
+
+@pytest.mark.parametrize("goal", SORT_GOALS, ids=["distinct", "repeats"])
+def test_pivot_example_checks_equal_direct_runs(goal):
+    # With holes of at most 6 nodes on lists of at most 4 elements no
+    # filling can spend more than 1,707 steps, so outcomes are kept per
+    # case from there up. Below it predicates of sizes 3 and 6 that agree
+    # on an example's pairs spend different steps, some fillings exhaust,
+    # and each filling is run whole. Either way every filling reads as one
+    # direct run over the examples.
+    pred_pool = bottom_up_pool(LIST_BASE, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, 6)
+    combine_pool = bottom_up_pool(LIST_BASE, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 3)
+    inputs = probe_vectors(("l",), [inp for inp, _ in goal.examples])
+    outputs = [out for _, out in goal.examples]
+    raised = 0
+    for max_steps in (20, 40, 60, 1707, 10**6):
+        budget = EvalBudget(max_steps=max_steps)
+        meets = synthesis._PivotExamples(LIST_BASE, goal, 6, budget)
+        for filling in fill_schema_holes((pred_pool, pred_pool, combine_pool)):
+            code = compile_node("pivotrec", [compile_node("l")] + [c.code for c in filling])
+            runs = zip(run_probes(code, inputs, budget), outputs)
+            want = _check_outcome(lambda: all(got == out for got, out in runs))
+            assert _check_outcome(lambda: meets(filling)) == want, (max_steps, filling)
+            raised += isinstance(want, tuple)
+    assert raised > 100
 
 
 GOALS = Path(__file__).resolve().parent.parent / "goals"
