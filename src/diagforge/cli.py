@@ -115,7 +115,11 @@ def _cmd_synth(args) -> int:
 
 def _load_space(path: str) -> spaces.AnalyticalSpace:
     with open(path, "r", encoding="utf-8") as handle:
-        return spaces.load_snapshot(json.load(handle))
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ParseError("malformed space snapshot: JSON nested too deeply") from None
+    return spaces.load_snapshot(data)
 
 
 def _save_space(space: spaces.AnalyticalSpace, path: str) -> None:

@@ -19,9 +19,9 @@ and their canonical orders agree by construction.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterator
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import NotInTierError, TypeCheckError
 from .kernel import (

@@ -44,22 +44,21 @@ the empty list.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .errors import ResourceExhaustedError
-from .kernel import OPS, Sort, Term, TypedProgram, VAR_SORTS, Value, is_nat, size
+from .kernel import OPS, Record, Sort, Term, TypedProgram, VAR_SORTS, Value, is_nat, size
 
 DEFAULT_MAX_STEPS = 1_000_000
 DEFAULT_MAX_VALUE_BITS = 1 << 16
 
 
-@dataclass(frozen=True)
-class EvalBudget:
-    max_steps: int = DEFAULT_MAX_STEPS
-    max_value_bits: int = DEFAULT_MAX_VALUE_BITS
+class EvalBudget(Record):
+    __slots__ = _fields = ("max_steps", "max_value_bits")
 
-    def __post_init__(self):
+    def __init__(self, max_steps: int = DEFAULT_MAX_STEPS, max_value_bits: int = DEFAULT_MAX_VALUE_BITS):
+        self.max_steps = max_steps
+        self.max_value_bits = max_value_bits
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.max_value_bits < 1:

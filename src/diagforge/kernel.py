@@ -11,9 +11,8 @@ and usable as fingerprint components).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from enum import Enum
-from typing import Iterable, Iterator, Union
 
 from .errors import (
     ParseError,
@@ -29,39 +28,116 @@ class Sort(Enum):
     LIST_NAT = "listnat"
 
 
-Value = Union[int, bool, tuple]
+Value = int | bool | tuple
 
 
-@dataclass(frozen=True)
+class Record:
+    """A small value record. The fields named in `_fields` are compared,
+    hashed and shown, as a frozen dataclass would; records compare equal
+    only to records of the same class. Other slots are private state.
+    Records are not changed after construction."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+
 class Term:
-    """One node of the abstract syntax tree."""
+    """One node of the abstract syntax tree.
 
-    head: str
-    args: tuple["Term", ...] = ()
+    Equality and hashing are structural and walk the term with explicit
+    stacks, so they hold at any depth. The hash equals that of the tuple
+    (head, args); it is computed on first use and kept.
+    """
+
+    __slots__ = ("head", "args", "_hash")
+
+    def __init__(self, head: str, args: tuple[Term, ...] = ()):
+        self.head = head
+        self.args = args
+        self._hash = None
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Term:
+            return NotImplemented
+        if self.head != other.head:
+            return False
+        stack = [(self.args, other.args)]
+        while stack:
+            xs, ys = stack.pop()
+            if len(xs) != len(ys):
+                return False
+            for x, y in zip(xs, ys):
+                if x is not y:
+                    if x.head != y.head:
+                        return False
+                    stack.append((x.args, y.args))
+        return True
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            # Children before parents, so each tuple hash reads kept hashes.
+            stack = [self]
+            while stack:
+                node = stack[-1]
+                for a in node.args:
+                    if a._hash is None:
+                        stack.append(a)
+                if stack[-1] is node:
+                    stack.pop()
+                    node._hash = hash((node.head, node.args))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Term<{pretty(self)}>"
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(Record):
     """One argument position: its sort and the variables it binds.
 
     ``sort`` is None for the branches of ``if``, which share the sort of
     the whole expression.
     """
 
-    sort: Sort | None
-    binders: tuple[str, ...] = ()
+    __slots__ = _fields = ("sort", "binders")
+
+    def __init__(self, sort: Sort | None, binders: tuple[str, ...] = ()):
+        self.sort = sort
+        self.binders = binders
 
 
-@dataclass(frozen=True)
-class OpSpec:
-    name: str
-    rank: int
-    result: Sort | None  # None: polymorphic (if)
-    params: tuple[Param, ...] = ()
-    var_sort: Sort | None = None  # set for variable occurrences
+class OpSpec(Record):
+    __slots__ = _fields = ("name", "rank", "result", "params", "var_sort")
+
+    def __init__(
+        self,
+        name: str,
+        rank: int,
+        result: Sort | None,  # None: polymorphic (if)
+        params: tuple[Param, ...] = (),
+        var_sort: Sort | None = None,  # set for variable occurrences
+    ):
+        self.name = name
+        self.rank = rank
+        self.result = result
+        self.params = params
+        self.var_sort = var_sort
 
     @property
     def arity(self) -> int:
@@ -294,13 +370,15 @@ def format_value(v: Value) -> str:
 # Typing
 
 
-@dataclass(frozen=True)
-class TypedProgram:
+class TypedProgram(Record):
     """A term together with its checked sort and allowed free variables."""
 
-    term: Term
-    sort: Sort
-    free_vars: frozenset[str]
+    __slots__ = _fields = ("term", "sort", "free_vars")
+
+    def __init__(self, term: Term, sort: Sort, free_vars: frozenset[str]):
+        self.term = term
+        self.sort = sort
+        self.free_vars = free_vars
 
     def __repr__(self) -> str:
         return f"TypedProgram<{pretty(self.term)} : {self.sort.value}>"

@@ -17,14 +17,13 @@ machine was built with, so each f_n(n) is evaluated once per machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator
 from functools import cached_property
-from typing import Callable, Iterator, Union
 
 from .errors import ResourceExhaustedError
 from .enumeration import Tier, program_at
 from .interp import EvalBudget, evaluate
-from .kernel import TypedProgram, pretty
+from .kernel import Record, TypedProgram, pretty
 
 
 class OracleFn:
@@ -57,33 +56,41 @@ class OracleFn:
         return f"OracleFn<{self.name}>"
 
 
-@dataclass(frozen=True)
-class Base:
+class Base(Record):
     """The tier's whole enumeration, evaluated under `budget`."""
 
-    tier: Tier
-    budget: EvalBudget | None = None
-    _fns: dict[int, OracleFn] = field(default_factory=dict, init=False, compare=False, repr=False)
+    _fields = ("tier", "budget")
+    __slots__ = _fields + ("_fns",)
+
+    def __init__(self, tier: Tier, budget: EvalBudget | None = None):
+        self.tier = tier
+        self.budget = budget
+        self._fns: dict[int, OracleFn] = {}
 
 
-@dataclass(frozen=True)
-class Subsequence:
+class Subsequence(Record):
     """A finite machine: `programs` are (tier index, program) pairs in
     stream order, evaluated under `budget`."""
 
-    programs: tuple[tuple[int, TypedProgram], ...]
-    label: str
-    budget: EvalBudget | None = None
-    _fns: dict[int, OracleFn] = field(default_factory=dict, init=False, compare=False, repr=False)
+    _fields = ("programs", "label", "budget")
+    __slots__ = _fields + ("_fns",)
+
+    def __init__(self, programs: tuple[tuple[int, TypedProgram], ...], label: str, budget: EvalBudget | None = None):
+        self.programs = programs
+        self.label = label
+        self.budget = budget
+        self._fns: dict[int, OracleFn] = {}
 
 
-@dataclass(frozen=True)
-class Extend:
-    inner: "Machine"
-    prepended: tuple[OracleFn, ...]
+class Extend(Record):
+    __slots__ = _fields = ("inner", "prepended")
+
+    def __init__(self, inner: Machine, prepended: tuple[OracleFn, ...]):
+        self.inner = inner
+        self.prepended = prepended
 
 
-Machine = Union[Base, Subsequence, Extend]
+Machine = Base | Subsequence | Extend
 
 
 def describe(m: Machine) -> str:
@@ -137,15 +144,15 @@ def extend(m: Machine, f: OracleFn) -> Machine:
     return Extend(inner=m, prepended=(f,))
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """One row of pointwise escape: g differs from f_n at n by exactly +1."""
 
-    index: int
-    fn_at_n: int
-    g_at_n: int
+    __slots__ = _fields = ("index", "fn_at_n", "g_at_n")
 
-    def __post_init__(self):
+    def __init__(self, index: int, fn_at_n: int, g_at_n: int):
+        self.index = index
+        self.fn_at_n = fn_at_n
+        self.g_at_n = g_at_n
         if self.g_at_n != self.fn_at_n + 1:
             raise ValueError(f"witness row {self.index} violates g = f + 1")
 

@@ -12,44 +12,44 @@ accepts index i iff d(i) != 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Union
 
 from .errors import EmptyClassifierError
 from .enumeration import Tier, enumerate_stream
 from .interp import EvalBudget, evaluate
-from .kernel import TypedProgram, pretty, size
+from .kernel import Record, TypedProgram, pretty, size
 from .machines import OracleFn, Subsequence, Witness, diagonal, witness_rows
 
 DEFAULT_HORIZON = 100_000
 
 
-@dataclass(frozen=True)
-class MaxSize:
+class MaxSize(Record):
     """Accept exactly the programs of size <= bound."""
 
-    bound: int
+    __slots__ = _fields = ("bound",)
+
+    def __init__(self, bound: int):
+        self.bound = bound
 
 
-@dataclass(frozen=True)
-class AcceptAll:
-    pass
+class AcceptAll(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AcceptNone:
-    pass
+class AcceptNone(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ProgramDecider:
+class ProgramDecider(Record):
     """A kernel program as its own decider: accept index i iff decider(i) != 0."""
 
-    decider: TypedProgram
+    __slots__ = _fields = ("decider",)
+
+    def __init__(self, decider: TypedProgram):
+        self.decider = decider
 
 
-Classifier = Union[MaxSize, AcceptAll, AcceptNone, ProgramDecider]
+Classifier = MaxSize | AcceptAll | AcceptNone | ProgramDecider
 
 
 def describe_classifier(c: Classifier) -> str:
@@ -72,13 +72,22 @@ def _accepts(c: Classifier, index: int, program: TypedProgram, budget: EvalBudge
     return evaluate(c.decider, index, budget) != 0
 
 
-@dataclass(frozen=True)
-class RefutationReport:
-    classifier: str
-    tier: Tier
-    accepted_prefix: tuple[tuple[int, TypedProgram], ...]
-    witnesses: tuple[Witness, ...]
-    diag: OracleFn
+class RefutationReport(Record):
+    __slots__ = _fields = ("classifier", "tier", "accepted_prefix", "witnesses", "diag")
+
+    def __init__(
+        self,
+        classifier: str,
+        tier: Tier,
+        accepted_prefix: tuple[tuple[int, TypedProgram], ...],
+        witnesses: tuple[Witness, ...],
+        diag: OracleFn,
+    ):
+        self.classifier = classifier
+        self.tier = tier
+        self.accepted_prefix = accepted_prefix
+        self.witnesses = witnesses
+        self.diag = diag
 
 
 def accepted_prefix(

@@ -11,12 +11,11 @@ probes. Spaces are values: every operation returns a new space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DiagforgeError, DuplicateProbeError, EmptyProbesError, ParseError
 from .interp import EvalBudget, compile_term, probe_vectors, run_probes
 from .kernel import (
     INPUT_VARS,
+    Record,
     Sort,
     Term,
     Value,
@@ -30,21 +29,25 @@ from .kernel import (
 )
 
 
-@dataclass(frozen=True)
-class SpaceClass:
-    fingerprint: tuple  # (output sort tag, output vector) over the space's probes
-    members: tuple[Term, ...]  # in canonical order
+class SpaceClass(Record):
+    __slots__ = _fields = ("fingerprint", "members")
+
+    def __init__(self, fingerprint: tuple, members: tuple[Term, ...]):
+        self.fingerprint = fingerprint  # (output sort tag, output vector) over the space's probes
+        self.members = members  # in canonical order
 
     @property
     def representative(self) -> Term:
         return self.members[0]
 
 
-@dataclass(frozen=True)
-class AnalyticalSpace:
-    probes: tuple[Value, ...]
-    classes: tuple[SpaceClass, ...]
-    history: tuple[tuple, ...]
+class AnalyticalSpace(Record):
+    __slots__ = _fields = ("probes", "classes", "history")
+
+    def __init__(self, probes: tuple[Value, ...], classes: tuple[SpaceClass, ...], history: tuple[tuple, ...]):
+        self.probes = probes
+        self.classes = classes
+        self.history = history
 
     @property
     def input_sort(self) -> Sort:

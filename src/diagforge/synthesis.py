@@ -30,9 +30,8 @@ the budget, each distinct case of a filling on an example runs once
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
 from itertools import product
-from typing import Iterator, Sequence
 
 from .enumeration import walk_layer
 from .errors import ResourceExhaustedError
@@ -50,6 +49,7 @@ from .interp import (
 from .kernel import (
     INPUT_VARS,
     OPS,
+    Record,
     Sort,
     Term,
     TypedProgram,
@@ -91,16 +91,22 @@ def _lists_over(alphabet: tuple[int, ...], max_len: int) -> tuple[tuple[int, ...
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class GoalSpec:
+class GoalSpec(Record):
     """A synthesis task: I/O examples plus probe inputs for fingerprinting."""
 
-    input_sort: Sort
-    output_sort: Sort
-    examples: tuple[tuple[Value, Value], ...]
-    probes: tuple[Value, ...]
+    __slots__ = _fields = ("input_sort", "output_sort", "examples", "probes")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        input_sort: Sort,
+        output_sort: Sort,
+        examples: tuple[tuple[Value, Value], ...],
+        probes: tuple[Value, ...],
+    ):
+        self.input_sort = input_sort
+        self.output_sort = output_sort
+        self.examples = examples
+        self.probes = probes
         if not self.examples:
             raise ValueError("goal needs at least one example")
         for inp, out in self.examples:
@@ -154,14 +160,17 @@ def load_goal(path: str) -> GoalSpec:
 # Candidate pools
 
 
-@dataclass(frozen=True)
-class Candidate:
-    term: Term
-    cost: int
-    fingerprint: tuple
-    # The compiled term, kept for pool members so schemas and verification
-    # run them without recompiling; None where nothing will run it again.
-    code: Code | None = field(default=None, compare=False, repr=False)
+class Candidate(Record):
+    _fields = ("term", "cost", "fingerprint")
+    __slots__ = _fields + ("code",)
+
+    def __init__(self, term: Term, cost: int, fingerprint: tuple, code: Code | None = None):
+        self.term = term
+        self.cost = cost
+        self.fingerprint = fingerprint
+        # The compiled term, kept for pool members so schemas and verification
+        # run them without recompiling; None where nothing will run it again.
+        self.code = code
 
 
 class Pool(list):

@@ -393,6 +393,36 @@ def test_malformed_snapshot_is_a_usage_error(tmp_path, verb, name):
     assert result.stderr.startswith("error: malformed space snapshot: ")
 
 
+def test_deeply_nested_snapshot_is_a_usage_error(tmp_path):
+    # json.load itself overflows the stack on this nesting: still a malformed
+    # snapshot (exit 2). A valid snapshot holding a too deep term exits 3.
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    deep_term = tmp_path / "deep-term.json"
+    deep_term.write_text(json.dumps({
+        "probes": [0],
+        "classes": [{"fingerprint": {"sort": "nat", "outputs": [0]}, "members": ["(succ " * 2000 + "n" + ")" * 2000]}],
+        "history": [],
+    }) + "\n")
+    for snapshot, code, error in (
+        (nested, 2, "error: malformed space snapshot: "),
+        (deep_term, 3, "error: interpreter resources exhausted"),
+    ):
+        result = run("space", "export", "--space", str(snapshot))
+        assert result.returncode == code
+        assert result.stdout == "" and "Traceback" not in result.stderr
+        assert result.stderr.startswith(error) and result.stderr.count("\n") == 1
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import diagforge.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0 and result.stdout == "[]\n"
+
+
 def test_space_workflow(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given
 
+from diagforge.enumeration import Tier
 from diagforge.errors import (
     ParseError,
     SortMismatchError,
@@ -23,6 +24,10 @@ from diagforge.kernel import (
     size,
     sort_of_value,
 )
+from diagforge.interp import EvalBudget
+from diagforge.machines import Base, Subsequence, Witness
+from diagforge.refuter import AcceptAll, AcceptNone, MaxSize
+from diagforge.synthesis import Candidate, GoalSpec
 from strategies import terms
 
 
@@ -144,3 +149,39 @@ def test_sort_of_value_accepts_only_kernel_values():
     for bad in (-1, (1, "b"), (-1, 2), (True,), ((1,),), [1], "1", None):
         with pytest.raises(ParseError):
             sort_of_value(bad)
+
+
+def _succ_chain(depth, leaf):
+    term = Term(leaf)
+    for _ in range(depth):
+        term = Term("succ", (term,))
+    return term
+
+
+def test_deep_terms_compare_and_hash():
+    a, b = _succ_chain(10_000, "zero"), _succ_chain(10_000, "zero")
+    other = _succ_chain(10_000, "n")
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert a != other and not a == other
+    assert len({a, b, other}) == 2
+
+
+def test_records_keep_dataclass_semantics():
+    assert AcceptAll() != AcceptNone() and AcceptAll() == AcceptAll()
+    assert MaxSize(3) != (3,) and MaxSize(bound=3) == MaxSize(3)
+    term = Term("n")
+    assert Candidate(term, 1, (0,), code=len) == Candidate(term, 1, (0,))
+    assert hash(Candidate(term, 1, (0,), code=len)) == hash(Candidate(term, 1, (0,)))
+    base = Base(Tier.NATFN)
+    base._fns[1] = None
+    assert base == Base(tier=Tier.NATFN) and repr(base) == "Base(tier=<Tier.NATFN: 'natfn'>, budget=None)"
+    subsequence = Subsequence((), "s")
+    subsequence._fns[1] = None
+    assert subsequence == Subsequence(programs=(), label="s")
+    with pytest.raises(ValueError):
+        EvalBudget(max_steps=0)
+    with pytest.raises(ValueError):
+        GoalSpec(Sort.NAT, Sort.NAT, ((1, 2),), (0,))
+    with pytest.raises(ValueError):
+        Witness(1, 2, 4)
+    assert repr(parse("(succ n)")) == "Term<(succ n)>"
