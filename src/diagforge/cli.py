@@ -12,7 +12,6 @@ budget.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -35,9 +34,17 @@ from .kernel import check_well_formed, parse, parse_value_list, pretty, size, So
 ENV_BUDGET = "DIAGFORGE_BUDGET"
 
 
+def _int(text: str | int, source: str) -> int:
+    """int(text); a bad value is a usage error that names its source."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{source}: invalid int value {text!r}") from None
+
+
 def _budget(steps: int | None) -> EvalBudget:
     if steps is None:
-        steps = int(os.environ.get(ENV_BUDGET, DEFAULT_MAX_STEPS))
+        steps = _int(os.environ.get(ENV_BUDGET, DEFAULT_MAX_STEPS), ENV_BUDGET)
     return EvalBudget(max_steps=steps)
 
 
@@ -47,7 +54,7 @@ def _parse_classifier(text: str) -> refuter.Classifier:
     if text == "none":
         return refuter.AcceptNone()
     if text.startswith("maxsize:"):
-        return refuter.MaxSize(int(text.split(":", 1)[1]))
+        return refuter.MaxSize(_int(text.split(":", 1)[1], "--classifier maxsize"))
     if text.startswith("program:"):
         path = text.split(":", 1)[1]
         with open(path, "r", encoding="utf-8") as handle:
@@ -56,20 +63,18 @@ def _parse_classifier(text: str) -> refuter.Classifier:
     raise ParseError(f"unknown classifier spec: {text!r}")
 
 
-def _cmd_enum(args) -> int:
-    if args.count < 1:
-        raise ValueError(f"enumeration count must be >= 1, got {args.count}")
-    stream = enumerate_stream(Tier(args.tier))
-    for index in range(1, args.count + 1):
+def _cmd_enum(tier: str, count: int) -> None:
+    if count < 1:
+        raise ValueError(f"enumeration count must be >= 1, got {count}")
+    stream = enumerate_stream(Tier(tier))
+    for index in range(1, count + 1):
         program = next(stream)
         print(f"{index}\t{size(program.term)}\t{pretty(program.term)}")
-    return 0
 
 
-def _cmd_show(args) -> int:
-    program = program_at(Tier(args.tier), args.index)
-    print(f"{args.index}\t{size(program.term)}\t{pretty(program.term)}")
-    return 0
+def _cmd_show(tier: str, index: int) -> None:
+    program = program_at(Tier(tier), index)
+    print(f"{index}\t{size(program.term)}\t{pretty(program.term)}")
 
 
 def _print_rows(machine: machines.Machine, count: int, **fields) -> None:
@@ -78,39 +83,34 @@ def _print_rows(machine: machines.Machine, count: int, **fields) -> None:
         print(json.dumps({**fields, "index": w.index, "fn_at_n": w.fn_at_n, "g_at_n": w.g_at_n}))
 
 
-def _cmd_diag(args) -> int:
-    _print_rows(machines.Base(Tier(args.tier), _budget(args.budget)), args.witness)
-    return 0
+def _cmd_diag(tier: str, witness: int, budget: int | None) -> None:
+    _print_rows(machines.Base(Tier(tier), _budget(budget)), witness)
 
 
-def _cmd_iterate(args) -> int:
-    levels = machines.iterate(machines.Base(Tier.NATFN, _budget(args.budget)), args.depth)
+def _cmd_iterate(depth: int, witness: int, budget: int | None) -> None:
+    levels = machines.iterate(machines.Base(Tier.NATFN, _budget(budget)), depth)
     for level, (machine, _) in enumerate(levels, start=1):
-        _print_rows(machine, args.witness, level=level)
-    return 0
+        _print_rows(machine, witness, level=level)
 
 
-def _cmd_refute(args) -> int:
-    classifier = _parse_classifier(args.classifier)
-    tier = Tier(args.tier)
-    machine = refuter.accepted_prefix(classifier, tier, args.count, args.horizon, _budget(args.budget))
-    print(json.dumps({"classifier": refuter.describe_classifier(classifier), "tier": tier.value, "N": args.count}))
-    _print_rows(machine, args.count)
-    return 0
+def _cmd_refute(classifier: str, count: int, horizon: int, tier: str, budget: int | None) -> None:
+    accepts = _parse_classifier(classifier)
+    machine = refuter.accepted_prefix(accepts, Tier(tier), count, horizon, _budget(budget))
+    print(json.dumps({"classifier": refuter.describe_classifier(accepts), "tier": tier, "N": count}))
+    _print_rows(machine, count)
 
 
-def _cmd_synth(args) -> int:
-    goal = synthesis.load_goal(args.goal)
-    if goal.input_sort is Sort.NAT and goal.output_sort is Sort.NAT:
+def _cmd_synth(schema: str, goal: str, budget: int, budget_steps: int | None) -> int | None:
+    spec = synthesis.load_goal(goal)
+    if spec.input_sort is Sort.NAT and spec.output_sort is Sort.NAT:
         ops = synthesis.NAT_BASE
     else:
         ops = synthesis.LIST_BASE
-    program = synthesis.synthesize(ops, goal, args.schema, args.budget, _budget(args.budget_steps))
+    program = synthesis.synthesize(ops, spec, schema, budget, _budget(budget_steps))
     if program is None:
         print("no program found within budget", file=sys.stderr)
         return 1
     print(pretty(program.term))
-    return 0
 
 
 def _load_space(path: str) -> spaces.AnalyticalSpace:
@@ -128,98 +128,109 @@ def _save_space(space: spaces.AnalyticalSpace, path: str) -> None:
         handle.write("\n")
 
 
-def _cmd_space(args) -> int:
-    if args.verb == "new":
-        space = spaces.new_space(parse_value_list(args.probes))
-        _save_space(space, args.out)
-    elif args.verb == "absorb":
-        space = spaces.absorb(_load_space(args.space), parse(args.term), _budget(None))
-        _save_space(space, args.out)
-    elif args.verb == "unify":
-        space = spaces.unify(_load_space(args.left), _load_space(args.right), _budget(None))
-        _save_space(space, args.out)
-    elif args.verb == "expand":
-        space = spaces.expand_domain(_load_space(args.space), parse_value_list(args.probes), _budget(None))
-        _save_space(space, args.out)
-    else:  # export
-        print(json.dumps(spaces.export_summary(_load_space(args.space))))
-    return 0
+def _space_new(probes: str, out: str) -> None:
+    _save_space(spaces.new_space(parse_value_list(probes)), out)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="diagforge",
-        description="Enumerate a total program language, diagonalize against it, "
-        "refute deciders, and synthesize programs from component facts.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _space_absorb(space: str, term: str, out: str) -> None:
+    _save_space(spaces.absorb(_load_space(space), parse(term), _budget(None)), out)
 
-    p = sub.add_parser("enum", help="print an enumeration prefix")
-    p.add_argument("--tier", choices=["natfn", "full"], default="natfn")
-    p.add_argument("--count", type=int, required=True)
-    p.set_defaults(run=_cmd_enum)
 
-    p = sub.add_parser("show", help="print the program at one index")
-    p.add_argument("--tier", choices=["natfn", "full"], default="natfn")
-    p.add_argument("--index", type=int, required=True)
-    p.set_defaults(run=_cmd_show)
+def _space_unify(left: str, right: str, out: str) -> None:
+    _save_space(spaces.unify(_load_space(left), _load_space(right), _budget(None)), out)
 
-    p = sub.add_parser("diag", help="witness table of the diagonal against a tier")
-    p.add_argument("--tier", choices=["natfn"], default="natfn")
-    p.add_argument("--witness", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
-    p.set_defaults(run=_cmd_diag)
 
-    p = sub.add_parser("iterate", help="repeatedly extend the machine by its diagonal")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--witness", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
-    p.set_defaults(run=_cmd_iterate)
+def _space_expand(space: str, probes: str, out: str) -> None:
+    _save_space(spaces.expand_domain(_load_space(space), parse_value_list(probes), _budget(None)), out)
 
-    p = sub.add_parser("refute", help="diagonalize over a classifier's accepted programs")
-    p.add_argument("--classifier", required=True, help="maxsize:B | all | none | program:FILE")
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--horizon", type=int, default=refuter.DEFAULT_HORIZON)
-    p.add_argument("--tier", choices=["natfn", "full"], default="natfn")
-    p.add_argument("--budget", type=int, default=None)
-    p.set_defaults(run=_cmd_refute)
 
-    p = sub.add_parser("synth", help="synthesize a program from a goal file")
-    p.add_argument("--schema", choices=["bottomup", "pivotdc"], required=True)
-    p.add_argument("--goal", required=True)
-    p.add_argument("--budget", type=int, required=True, help="term/hole size bound")
-    p.add_argument("--budget-steps", type=int, default=None, dest="budget_steps")
-    p.set_defaults(run=_cmd_synth)
+def _space_export(space: str) -> None:
+    print(json.dumps(spaces.export_summary(_load_space(space))))
 
-    p = sub.add_parser("space", help="operate on analytical-space snapshot files")
-    verbs = p.add_subparsers(dest="verb", required=True)
-    v = verbs.add_parser("new")
-    v.add_argument("--probes", required=True, help='e.g. "(0 1 2)" or "((0 1) ())"')
-    v.add_argument("--out", required=True)
-    v = verbs.add_parser("absorb")
-    v.add_argument("--space", required=True)
-    v.add_argument("--term", required=True)
-    v.add_argument("--out", required=True)
-    v = verbs.add_parser("unify")
-    v.add_argument("--left", required=True)
-    v.add_argument("--right", required=True)
-    v.add_argument("--out", required=True)
-    v = verbs.add_parser("expand")
-    v.add_argument("--space", required=True)
-    v.add_argument("--probes", required=True)
-    v.add_argument("--out", required=True)
-    v = verbs.add_parser("export")
-    v.add_argument("--space", required=True)
-    p.set_defaults(run=_cmd_space)
 
-    return parser
+# An option is (type, default or REQUIRED, allowed values or None).
+REQUIRED = object()
+INT, STR, MAYBE_INT = (int, REQUIRED, None), (str, REQUIRED, None), (int, None, None)
+TIER = (str, "natfn", ("natfn", "full"))
+
+# Each command, or `space <verb>`, mapped to its handler and its options.
+# A handler takes the options as keyword arguments (`--budget-steps` as
+# `budget_steps`) and returns the exit code, or None for 0.
+COMMANDS = {
+    "enum": (_cmd_enum, {"--tier": TIER, "--count": INT}),
+    "show": (_cmd_show, {"--tier": TIER, "--index": INT}),
+    "diag": (_cmd_diag, {"--tier": (str, "natfn", ("natfn",)), "--witness": INT, "--budget": MAYBE_INT}),
+    "iterate": (_cmd_iterate, {"--depth": INT, "--witness": INT, "--budget": MAYBE_INT}),
+    "refute": (_cmd_refute, {"--classifier": STR, "--count": INT, "--horizon": (int, refuter.DEFAULT_HORIZON, None),
+                             "--tier": TIER, "--budget": MAYBE_INT}),
+    "synth": (_cmd_synth, {"--schema": (str, REQUIRED, ("bottomup", "pivotdc")), "--goal": STR, "--budget": INT,
+                           "--budget-steps": MAYBE_INT}),
+    "space new": (_space_new, {"--probes": STR, "--out": STR}),
+    "space absorb": (_space_absorb, {"--space": STR, "--term": STR, "--out": STR}),
+    "space unify": (_space_unify, {"--left": STR, "--right": STR, "--out": STR}),
+    "space expand": (_space_expand, {"--space": STR, "--probes": STR, "--out": STR}),
+    "space export": (_space_export, {"--space": STR}),
+}
+HELP = ("-h", "--help")
+
+
+def _print_usage(prefix: str) -> None:
+    """One usage line per command whose name starts with the words of prefix."""
+    for command, (_, options) in COMMANDS.items():
+        if (command + " ").startswith(prefix):
+            line = f"usage: diagforge {command}"
+            for name, (_, default, choices) in options.items():
+                word = f"{name} {{{','.join(choices)}}}" if choices else f"{name} {name[2:].upper()}"
+                line += f" {word}" if default is REQUIRED else f" [{word}]"
+            print(line)
+
+
+def parse_argv(argv: list[str]):
+    """The handler that argv names in COMMANDS and its keyword arguments.
+
+    `--opt value` and `--opt=value` both set an option; the word after an
+    option is always its value, and a repeated option keeps its last value.
+    `-h` or `--help` yields the usage printer. Every usage error raises
+    ParseError.
+    """
+    words, command = list(argv), ""
+    while command not in COMMANDS:
+        prefix = command + " " if command else ""
+        names = dict.fromkeys(c[len(prefix):].split()[0] for c in COMMANDS if c.startswith(prefix))
+        word = words.pop(0) if words else None
+        if word in HELP:
+            return _print_usage, {"prefix": prefix}
+        if word not in names:
+            what = "missing command" if word is None else f"unknown command {prefix + word!r}"
+            raise ParseError(f"{what}: choose {prefix}{{{','.join(names)}}}")
+        command = prefix + word
+    handler, options = COMMANDS[command]
+    values = {}
+    while words:
+        word = words.pop(0)
+        if word in HELP:
+            return _print_usage, {"prefix": command + " "}
+        name, eq, value = word.partition("=")
+        if name not in options:
+            raise ParseError(f"{command}: unrecognized argument {word!r}")
+        if not eq:
+            if not words:
+                raise ParseError(f"{name}: expected a value")
+            value = words.pop(0)
+        kind, _, choices = options[name]
+        values[name] = _int(value, name) if kind is int else value
+        if choices and value not in choices:
+            raise ParseError(f"{name}: invalid choice {value!r} (choose from {', '.join(choices)})")
+    missing = [name for name, (_, default, _) in options.items() if default is REQUIRED and name not in values]
+    if missing:
+        raise ParseError(f"{command}: missing required options: {', '.join(missing)}")
+    return handler, {name[2:].replace("-", "_"): values.get(name, default) for name, (_, default, _) in options.items()}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        handler, options = parse_argv(sys.argv[1:] if argv is None else argv)
+        return handler(**options) or 0
     except ResourceExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

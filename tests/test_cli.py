@@ -333,15 +333,68 @@ def test_env_var_overrides_budget():
     env["DIAGFORGE_BUDGET"] = "1"
     result = run("diag", "--tier", "natfn", "--witness", "3", env=env)
     assert result.returncode == 3
+    env["DIAGFORGE_BUDGET"] = "abc"
+    result = run("diag", "--tier", "natfn", "--witness", "3", env=env)
+    assert result.returncode == 2
+    assert result.stdout == "" and result.stderr == "error: DIAGFORGE_BUDGET: invalid int value 'abc'\n"
 
 
-def test_usage_errors_exit_2(tmp_path):
-    assert run("enum", "--count", "4", "--bogus").returncode == 2
-    assert run("enum").returncode == 2
-    assert run("refute", "--classifier", "sometimes", "--count", "1").returncode == 2
+# Argv that must exit 2 with one `error:` line on stderr, holding the
+# fragment, and nothing on stdout.
+USAGE_ERRORS = [
+    ([], "missing command"),
+    (["frobnicate"], "unknown command 'frobnicate'"),
+    (["space"], "missing command: choose space {new,"),
+    (["enum", "--count", "4", "--bogus"], "enum: unrecognized argument '--bogus'"),
+    (["diag", "--wit", "3"], "diag: unrecognized argument '--wit'"),  # no abbreviations
+    (["enum", "--count"], "--count: expected a value"),
+    (["enum"], "enum: missing required options: --count"),
+    (["diag", "--tier", "full", "--witness", "2"], "--tier: invalid choice 'full'"),
+    (["synth", "--schema", "topdown", "--goal", "goals/succ.txt", "--budget", "3"], "--schema: invalid choice"),
+    (["enum", "--count", "x"], "--count: invalid int value 'x'"),
+    (["show", "--index", "9" * 5000], "--index: invalid int value '999"),  # past int()'s digit limit
+    (["enum", "--count", "3", "stray"], "enum: unrecognized argument 'stray'"),
+    (["refute", "--classifier", "sometimes", "--count", "1"], "unknown classifier spec"),
+    (["refute", "--classifier", "maxsize:x", "--count", "1"], "--classifier maxsize: invalid int value 'x'"),
+    (["refute", "--classifier", "program:{bad}", "--count", "1"], "'first' takes 1 arguments"),
+]
+
+
+@pytest.mark.parametrize("argv,fragment", USAGE_ERRORS, ids=[" ".join(a)[:40] or "no-arguments" for a, _ in USAGE_ERRORS])
+def test_usage_errors_exit_2(argv, fragment, tmp_path, capsys):
+    from diagforge import cli
+
     bad = tmp_path / "bad.txt"
     bad.write_text("(succ first)\n")
-    assert run("refute", "--classifier", f"program:{bad}", "--count", "1").returncode == 2
+    argv = [a.format(bad=bad) for a in argv]
+    result = run(*argv, cwd=ROOT)
+    assert result.returncode == 2
+    assert result.stdout == "" and "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert fragment in result.stderr
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        pytest.fail(f"cli.main raised SystemExit({exc.code})")
+    assert code == 2
+    assert capsys.readouterr() == ("", result.stderr)
+
+
+def test_option_forms_and_help():
+    three = run("enum", "--count", "3").stdout
+    assert three.count("\n") == 3
+    assert run("enum", "--count=3").stdout == three
+    assert run("enum", "--count", "5", "--count", "3").stdout == three  # the last value wins
+    for argv, lines in ((["--help"], 11), (["space", "-h"], 5), (["space", "new", "--help"], 1)):
+        result = run(*argv)
+        assert result.returncode == 0 and result.stderr == ""
+        assert result.stdout.count("\n") == lines and all(
+            line.startswith("usage: diagforge ") for line in result.stdout.splitlines()
+        )
+    result = run("show", "--help")
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, "usage: diagforge show [--tier {natfn,full}] --index INDEX\n", ""
+    )
 
 
 def test_negative_horizon_is_a_usage_error():
@@ -415,12 +468,16 @@ def test_deeply_nested_snapshot_is_a_usage_error(tmp_path):
 
 
 def test_import_loads_no_dataclasses_inspect_or_typing():
+    # Checked after the import and again after a command has run.
     code = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import diagforge.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+        "unwanted = {'argparse', 'dataclasses', 'inspect', 'shutil', 'typing'}; "
+        "print(sorted(unwanted & set(sys.modules))); "
+        "assert diagforge.cli.main(['show', '--index', '1']) == 0; "
+        "print(sorted(unwanted & set(sys.modules)))"
     )
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0 and result.stdout == "[]\n"
+    assert result.returncode == 0 and result.stdout == "[]\n1\t1\tn\n[]\n"
 
 
 def test_space_workflow(tmp_path):
