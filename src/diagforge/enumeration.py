@@ -10,10 +10,12 @@ source of that order. `program_at` and `index_of` rank and unrank by
 counting completions, the recursive method of Nijenhuis and Wilf: a
 pre-order walk over the stack of argument slots still to fill picks, at
 each node, the constructor whose completions cover the index, so no layer
-is built and both cost polynomial time in term size. Streams, tier layers
-and synthesis candidate pools walk the same tables depth-first, visiting
-only constructors that can be completed, so they hold one term at a time
-and their canonical orders agree by construction.
+is built and both cost polynomial time in term size. Streams and
+synthesis candidate pools walk the same tables depth-first, visiting only
+constructors that can be completed, so they hold one term at a time and
+their canonical orders agree by construction. The tables are built on
+demand: a slot's constructors and counts, and the counts of each stack of
+pending slots, only as far as some rank or walk has read them.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ from bisect import bisect_left
 from collections.abc import Iterator
 from enum import Enum
 from functools import lru_cache
+from operator import itemgetter, mul
 
 from .errors import NotInTierError, TypeCheckError
 from .kernel import (
     OPS,
     OP_TABLE,
-    OpSpec,
     Sort,
     Term,
     TypedProgram,
@@ -58,23 +60,6 @@ ROOT_SCOPE = frozenset({"n"})
 _Slot = tuple[frozenset[str], Sort]
 
 
-def _fillers(ops: frozenset[str], scope: frozenset[str], sort: Sort) -> list[tuple[OpSpec, tuple[_Slot, ...]]]:
-    """Constructors that can fill a slot of this scope and sort, in rank
-    order, each with the slots its arguments open."""
-    out = []
-    for spec in sorted(OP_TABLE, key=lambda spec: spec.rank):
-        if spec.is_variable:
-            if spec.name in scope and spec.var_sort is sort:
-                out.append((spec, ()))
-        elif spec.name in ops and (spec.result is None or spec.result is sort):
-            slots = tuple(
-                (scope | frozenset(p.binders) if p.binders else scope, p.sort if p.sort is not None else sort)
-                for p in spec.params
-            )
-            out.append((spec, slots))
-    return out
-
-
 def _typed(t: Term) -> TypedProgram:
     return TypedProgram(t, ROOT_SORT, ROOT_SCOPE)
 
@@ -86,55 +71,112 @@ _Choice = tuple[str, int, tuple[int, ...], "Term | None"]
 
 
 class _Counts:
-    """Counting tables for the terms of one root slot (ops, scope, sort).
+    """Counting tables for the terms of one root slot (ops, scope, sort),
+    built as reads reach them.
 
-    Slots are interned as small ints, the root slot as 0. A pending stack
-    is a tuple of slots, next one last. The tables hold the number of
-    terms per (slot, size), the number of ways to fill a pending stack
-    with exactly k nodes, and per (pending stack, remaining size) the
-    constructors that can fill its top slot with their cumulative
-    completion counts, so each step of a walk is one lookup and one bisect.
+    Slots are interned as small ints, the root slot as 0, and a slot's
+    row of constructors is built when first read. A pending stack is a
+    tuple of slots, next one last. Its series counts the ways to fill it
+    with exactly k nodes, for k = 0, 1, ...; a one-slot stack's series is
+    the slot's number of terms per size. A series grows only through the
+    largest size read from it. Per (pending stack, remaining size) the
+    tables also hold the constructors that can fill its top slot with
+    their cumulative completion counts, so each step of a walk is one
+    lookup and one bisect.
     """
 
     def __init__(self, ops: frozenset[str], scope: frozenset[str], sort: Sort):
-        work = [(scope, sort)]
-        ids = {work[0]: 0}
-        # Per slot, in rank order.
-        self._choices: list[tuple[_Choice, ...]] = []
-        for slot_scope, slot_sort in work:
-            row = []
-            for spec, slots in _fillers(ops, slot_scope, slot_sort):
-                for slot in slots:
-                    if slot not in ids:
-                        ids[slot] = len(ids)
-                        work.append(slot)
-                args = tuple(ids[slot] for slot in reversed(slots))
-                row.append((spec.name, spec.arity, args, None if slots else Term(spec.name)))
-            self._choices.append(tuple(row))
-        self._by_size: list[list[int]] = [[0] for _ in work]  # terms per slot and size
+        self._ops = ops
+        self._slots: list[_Slot] = [(scope, sort)]
+        self._ids = {(scope, sort): 0}
+        self._rows: list[tuple[_Choice, ...] | None] = [None]
+        # Per slot with a row: the stacks its non-leaf constructors open.
+        self._opens: list[tuple[tuple[int, ...], ...]] = [()]
+        self._series: dict[tuple[int, ...], list[int]] = {}
         self._cumulative = [0]  # root terms of size <= s
-        self._fill: dict[tuple[tuple[int, ...], int], int] = {}
         self.steps: dict[tuple[tuple[int, ...], int], tuple[list[int], list[_Choice]]] = {}
 
-    def _grow(self, size_: int) -> None:
-        """Extend the per-slot counts through this size, smallest size first."""
-        for k in range(len(self._by_size[0]), size_ + 1):
-            for slot, row in enumerate(self._choices):
-                self._by_size[slot].append(sum(self.fill(choice[2], k - 1) for choice in row))
-
-    def fill(self, pending: tuple[int, ...], k: int) -> int:
-        """Ways to fill every slot of the pending stack with exactly k nodes."""
-        n = len(pending)
-        if n <= 1:
-            return self._by_size[pending[0]][k] if n else int(k == 0)
-        if k < n:
-            return 0
-        key = (pending, k)
-        found = self._fill.get(key)
+    def _slot(self, scope: frozenset[str], sort: Sort) -> int:
+        """The slot's id, interned on first sight."""
+        key = (scope, sort)
+        found = self._ids.get(key)
         if found is None:
-            top, rest = self._by_size[pending[-1]], pending[:-1]
-            found = self._fill[key] = sum(top[j] * self.fill(rest, k - j) for j in range(1, k - n + 2))
+            found = self._ids[key] = len(self._slots)
+            self._slots.append(key)
+            self._rows.append(None)
+            self._opens.append(())
         return found
+
+    def _row(self, slot: int) -> tuple[_Choice, ...]:
+        """The constructors that can fill the slot, in rank order (the
+        order of OP_TABLE), each with the slots its arguments open."""
+        row = self._rows[slot]
+        if row is not None:
+            return row
+        scope, sort = self._slots[slot]
+        built = []
+        for spec in OP_TABLE:
+            if spec.var_sort is not None:
+                if spec.name in scope and spec.var_sort is sort:
+                    built.append((spec.name, 0, (), Term(spec.name)))
+            elif spec.name in self._ops and (spec.result is None or spec.result is sort):
+                args = tuple(
+                    self._slot(
+                        scope | frozenset(p.binders) if p.binders else scope,
+                        sort if p.sort is None else p.sort,
+                    )
+                    for p in reversed(spec.params)
+                )
+                built.append((spec.name, len(args), args, None if args else Term(spec.name)))
+        row = self._rows[slot] = tuple(built)
+        self._opens[slot] = tuple(choice[2] for choice in row if choice[2])
+        return row
+
+    def fill(self, pending: tuple[int, ...], k: int) -> list[int]:
+        """The series of a non-empty pending stack, grown through k nodes.
+
+        Reads wait on an explicit stack until every series they read is
+        long enough, so no recursion grows with the pending stack or the
+        size.
+        """
+        series = self._series
+        found = series.get(pending)
+        if found is not None and len(found) > k:
+            return found
+        todo = [(pending, k)]
+        while todo:
+            stack, k = todo.pop()
+            own = series.get(stack)
+            n = len(stack)
+            if own is None:
+                own = series[stack] = [0] * n
+            if len(own) > k:
+                continue
+            if n > 1:
+                # The top slot takes j nodes, the rest of the stack the others.
+                top, rest = stack[-1:], stack[:-1]
+                short = [(q, j) for q, j in ((top, k - n + 1), (rest, k - 1)) if len(series.get(q, ())) <= j]
+            else:
+                # A term takes one node and its arguments the others; the
+                # slot's own series grows one size at a time below.
+                if self._rows[stack[0]] is None:
+                    self._row(stack[0])
+                opens = self._opens[stack[0]]
+                short = [(args, k - 1) for args in opens if args != stack and len(series.get(args, ())) < k]
+            if short:
+                todo.append((stack, k))
+                todo += short
+            elif n > 1:
+                top, rest = series[top], series[rest]
+                for t in range(len(own), k + 1):
+                    own.append(sum(map(mul, top[1 : t - n + 2], rest[t - 1 : n - 2 : -1])))
+            else:
+                parts = [series[args] for args in opens]
+                if len(own) == 1:
+                    own.append(len(self._rows[stack[0]]) - len(parts))  # the leaves
+                for t in range(len(own), k + 1):
+                    own.append(sum(map(itemgetter(t - 1), parts)))
+        return series[pending]
 
     def step(self, pending: tuple[int, ...], remaining: int) -> tuple[list[int], list[_Choice]]:
         """Constructors completable in the top slot, with cumulative counts.
@@ -144,8 +186,9 @@ class _Counts:
         rest = pending[:-1]
         bounds, choices = [], []
         total = 0
-        for choice in self._choices[pending[-1]]:
-            ways = self.fill(rest + choice[2], remaining - 1)
+        for choice in self._row(pending[-1]):
+            stack = rest + choice[2]
+            ways = self.fill(stack, remaining - 1)[remaining - 1] if stack else int(remaining == 1)
             if ways:
                 total += ways
                 bounds.append(total)
@@ -154,18 +197,19 @@ class _Counts:
         return found
 
     def before(self, size_: int) -> int:
-        """Number of root terms smaller than this size; counts grow through it."""
+        """Number of root terms smaller than this size."""
         cumulative = self._cumulative
-        for s in range(len(cumulative), size_ + 1):
-            self._grow(s)
-            cumulative.append(cumulative[-1] + self._by_size[0][s])
+        if len(cumulative) < size_:
+            counts = self.fill((0,), size_ - 1)
+            for s in range(len(cumulative), size_):
+                cumulative.append(cumulative[-1] + counts[s])
         return cumulative[size_ - 1]
 
     def locate(self, i: int) -> tuple[int, int]:
         """The size of the i-th program and its 1-based position in that size."""
         cumulative = self._cumulative
         while cumulative[-1] < i:
-            self.before(len(cumulative))
+            self.before(len(cumulative) + 1)
         size_ = bisect_left(cumulative, i)
         return size_, i - cumulative[size_ - 1]
 
@@ -207,7 +251,6 @@ def _walk(counts: _Counts, size_: int) -> Iterator[Term]:
     """
     if size_ < 1:
         return
-    counts.before(size_)
     steps = counts.steps
     frames = [((0,), size_, None, iter(counts.step((0,), size_)[1]))]
     while frames:
@@ -228,10 +271,6 @@ def walk_layer(ops: frozenset[str], scope: frozenset[str], sort: Sort, size_: in
     """Every term of this size, sort and scope over the non-variable
     operators `ops`, in canonical order, one at a time."""
     return _walk(_counts(ops, scope, sort), size_)
-
-
-def tier_layer(tier: Tier, size_: int) -> tuple[Term, ...]:
-    return tuple(_walk(_tier_counts(tier), size_))
 
 
 def enumerate_stream(tier: Tier) -> Iterator[TypedProgram]:

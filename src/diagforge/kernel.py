@@ -294,10 +294,24 @@ def parse(text: str) -> Term:
 
 
 def pretty(t: Term) -> str:
-    """Canonical single-spaced S-expression; parse(pretty(t)) == t."""
+    """Canonical single-spaced S-expression; parse(pretty(t)) == t.
+
+    Arguments wait on an explicit stack, so any depth prints."""
     if not t.args:
         return t.head
-    return "(" + t.head + " " + " ".join(pretty(a) for a in t.args) + ")"
+    out = ["(" + t.head]
+    stack = [")", *t.args[::-1]]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is str:
+            out.append(node)
+        elif node.args:
+            out.append(" (" + node.head)
+            stack.append(")")
+            stack += node.args[::-1]
+        else:
+            out.append(" " + node.head)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,16 @@ from itertools import combinations, islice, permutations
 
 import pytest
 
-from diagforge.enumeration import Tier, enumerate_stream, index_of, program_at, tier_layer
+from diagforge.enumeration import (
+    ROOT_SCOPE,
+    ROOT_SORT,
+    TIER_OPS,
+    Tier,
+    enumerate_stream,
+    index_of,
+    program_at,
+    walk_layer,
+)
 from diagforge.errors import EmptyClassifierError, ResourceExhaustedError
 from diagforge.interp import EvalBudget, evaluate, evaluate_env
 from diagforge.kernel import parse, pretty, size
@@ -54,14 +63,14 @@ def test_criterion_1_diagonal_escape():
 def test_criterion_2_enumeration_bijection():
     ok = True
     for s in range(1, 6):
-        for term in tier_layer(NATFN, s):
+        for term in walk_layer(TIER_OPS[NATFN], ROOT_SCOPE, ROOT_SORT, s):
             ok = ok and program_at(NATFN, index_of(NATFN, term)).term == term
     for i in range(1, 5001):
         ok = ok and index_of(NATFN, program_at(NATFN, i)) == i
     prefix = [p.term for p in islice(enumerate_stream(NATFN), 10_000)]
     sizes = [size(t) for t in prefix]
     ok = ok and len(set(prefix)) == 10_000 and sizes == sorted(sizes)
-    ours = {pretty(t) for s in range(1, 5) for t in tier_layer(NATFN, s)}
+    ours = {pretty(t) for s in range(1, 5) for t in walk_layer(TIER_OPS[NATFN], ROOT_SCOPE, ROOT_SORT, s)}
     ok = ok and ours == set(all_nat_terms(4))
     _report(2, "bijection to 5000 / size 5, duplicate-free size-monotone 10^4 prefix, "
                "size<=4 matches brute force", ok)
@@ -78,7 +87,7 @@ def test_criterion_3_iterated_extension():
 
 
 def test_criterion_4_refuter():
-    accepted_count = sum(len(tier_layer(NATFN, s)) for s in range(1, 4))
+    accepted_count = sum(1 for s in range(1, 4) for _ in walk_layer(TIER_OPS[NATFN], ROOT_SCOPE, ROOT_SORT, s))
     ok = accepted_count == 14
     for count in range(1, accepted_count + 1):
         report = refute(MaxSize(3), NATFN, count)

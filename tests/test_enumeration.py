@@ -1,5 +1,6 @@
 """Canonical enumeration: ordering, bijection, completeness, stability."""
 
+import sys
 import tracemalloc
 from itertools import islice
 
@@ -9,12 +10,13 @@ from hypothesis import strategies as st
 
 from diagforge import enumeration
 from diagforge.enumeration import (
+    ROOT_SCOPE,
+    ROOT_SORT,
     TIER_OPS,
     Tier,
     enumerate_stream,
     index_of,
     program_at,
-    tier_layer,
     walk_layer,
 )
 from diagforge.errors import NotInTierError
@@ -74,7 +76,7 @@ def test_bijection_index_to_program(i):
 
 def test_bijection_program_to_index_small_sizes():
     for s in range(1, 5):
-        for t in tier_layer(Tier.NATFN, s):
+        for t in walk_layer(TIER_OPS[Tier.NATFN], ROOT_SCOPE, ROOT_SORT, s):
             i = index_of(Tier.NATFN, t)
             assert program_at(Tier.NATFN, i).term == t
 
@@ -87,18 +89,18 @@ def test_stream_is_duplicate_free_and_size_monotone():
 
 
 def test_matches_brute_force_generator_up_to_size_4():
-    ours = {pretty(t) for s in range(1, 5) for t in tier_layer(Tier.NATFN, s)}
+    ours = {pretty(t) for s in range(1, 5) for t in walk_layer(TIER_OPS[Tier.NATFN], ROOT_SCOPE, ROOT_SORT, s)}
     assert ours == set(all_nat_terms(4))
 
 
 def test_layer_sizes_match_brute_force_counts():
     for s in range(1, 7):
-        assert len(tier_layer(Tier.NATFN, s)) == len(nat_terms_of_size(s))
+        assert sum(1 for _ in walk_layer(TIER_OPS[Tier.NATFN], ROOT_SCOPE, ROOT_SORT, s)) == len(nat_terms_of_size(s))
 
 
 def test_full_tier_contains_natfn():
-    natfn = {pretty(t) for s in range(1, 4) for t in tier_layer(Tier.NATFN, s)}
-    full = {pretty(t) for s in range(1, 4) for t in tier_layer(Tier.FULL, s)}
+    natfn = {pretty(t) for s in range(1, 4) for t in walk_layer(TIER_OPS[Tier.NATFN], ROOT_SCOPE, ROOT_SORT, s)}
+    full = {pretty(t) for s in range(1, 4) for t in walk_layer(TIER_OPS[Tier.FULL], ROOT_SCOPE, ROOT_SORT, s)}
     assert natfn < full
     assert "(first nil)" in full
 
@@ -154,6 +156,54 @@ def test_rank_and_unrank_far_past_materializable_layers(monkeypatch):
     index = index_of(Tier.NATFN, chain)
     assert rank_seq(program_at(Tier.NATFN, index).term) == rank_seq(chain)
     assert index_of(Tier.NATFN, program_at(Tier.NATFN, index + 1)) == index + 1
+
+
+def test_tables_answer_alike_in_any_access_order():
+    # The counting tables grow only as reads reach them, so each order
+    # starts from empty tables and reads far ahead first.
+    full = canonical_terms(TIER_OPS[Tier.FULL], {"n"}, "nat", 6)
+    enumeration._counts.cache_clear()
+    assert size(program_at(Tier.FULL, 10**40).term) > 40
+    assert [pretty(program_at(Tier.FULL, i).term) for i in range(1, len(full) + 1)] == full
+
+    natfn = canonical_terms(TIER_OPS[Tier.NATFN], {"n"}, "nat", 8)
+    late = "(add (mul n (succ zero)) (succ (succ n)))"
+    enumeration._counts.cache_clear()
+    assert index_of(Tier.NATFN, parse(late)) == natfn.index(late) + 1
+    through_6 = len(canonical_terms(TIER_OPS[Tier.NATFN], {"n"}, "nat", 6))
+    assert [pretty(program_at(Tier.NATFN, i).term) for i in range(1, through_6 + 1)] == natfn[:through_6]
+
+    scope = frozenset({"l", "pivot", "r"})
+    enumeration._counts.cache_clear()
+    last = [pretty(t) for t in walk_layer(LIST_BASE, scope, Sort.LIST_NAT, 6)]
+    first = [pretty(t) for s in range(1, 6) for t in walk_layer(LIST_BASE, scope, Sort.LIST_NAT, s)]
+    assert first + last == canonical_terms(LIST_BASE, scope, "list", 6)
+
+
+def test_unranking_does_not_recurse_per_pending_slot():
+    # A left-nested add chain keeps 100 argument slots pending at once.
+    chain = Term("n")
+    for _ in range(100):
+        chain = Term("add", (chain, Term("n")))
+    index = index_of(Tier.NATFN, chain)
+    # The walk reaches its deep stacks one slot at a time; a read of 100
+    # pending root slots (slot 0) from empty tables reaches one at once.
+    deep = (0,) * 100
+    warm = enumeration._tier_counts(Tier.NATFN).fill(deep, 200)[200]
+    enumeration._counts.cache_clear()
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        program = program_at(Tier.NATFN, index)
+        enumeration._counts.cache_clear()
+        cold = enumeration._tier_counts(Tier.NATFN).fill(deep, 200)[200]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert rank_seq(program.term) == rank_seq(chain)
+    assert cold == warm
 
 
 def test_stream_holds_no_layer():

@@ -71,6 +71,14 @@ def test_pretty_is_canonical():
     assert pretty(parse("  ( succ   ( succ n ) ) ")) == "(succ (succ n))"
 
 
+def test_pretty_prints_any_depth():
+    depth = 10**4
+    term = Term("n")
+    for _ in range(depth):
+        term = Term("succ", (term,))
+    assert pretty(term) == "(succ " * depth + "n" + ")" * depth
+
+
 def test_size_counts_every_node():
     assert size(parse("n")) == 1
     assert size(parse("(succ n)")) == 2
