@@ -17,7 +17,7 @@ from diagforge.synthesis import (
     PIVOT_PRED_PROBES,
     SCHEMA_BOTTOM_UP,
     SCHEMA_PIVOT_DC,
-    bottom_up_pool,
+    Pool,
     make_goal,
     synthesize,
 )
@@ -30,8 +30,10 @@ def main():
     print(f"successor goal {{1->2, 5->6}}: {pretty(program.term)} "
           f"({time.perf_counter() - start:.3f}s)")
 
-    pred_pool = bottom_up_pool(LIST_BASE, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, 5)
-    combine_pool = bottom_up_pool(LIST_BASE, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 5)
+    pred_pool = Pool(LIST_BASE, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, 5)
+    combine_pool = Pool(LIST_BASE, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 5)
+    pred_pool.grow(5)
+    combine_pool.grow(5)
     print(f"pivot holes: {len(pred_pool)} predicate behaviors, "
           f"{len(combine_pool)} combiner behaviors after pruning")
 

@@ -23,7 +23,7 @@ from .errors import (
     UnboundVariableError,
     UnknownConstructorError,
 )
-from .interp import EvalBudget, evaluate, evaluate_env
+from .interp import EvalBudget, evaluate
 from .kernel import (
     Sort,
     Term,
@@ -53,19 +53,14 @@ from .refuter import (
     AcceptNone,
     MaxSize,
     ProgramDecider,
-    RefutationReport,
     accepted_prefix,
-    refute,
 )
 from .spaces import AnalyticalSpace, absorb, expand_domain, new_space, unify
 from .synthesis import (
     LIST_BASE,
     NAT_BASE,
-    Candidate,
     GoalSpec,
     Pool,
-    bottom_up_pool,
-    fill_schema_holes,
     make_goal,
     synthesize,
 )

@@ -47,7 +47,7 @@ import operator
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .errors import ResourceExhaustedError
-from .kernel import OPS, Record, Sort, Term, TypedProgram, VAR_SORTS, Value, is_nat, size
+from .kernel import Record, Sort, Term, TypedProgram, VAR_SORTS, Value, is_nat, size
 
 DEFAULT_MAX_STEPS = 1_000_000
 DEFAULT_MAX_VALUE_BITS = 1 << 16
@@ -416,8 +416,8 @@ def run_probes(code: Code, vectors: Iterable[list], budget: EvalBudget | None = 
 
     One slot vector and one fuel object serve every probe; the fuel is
     reset to the full budget before each, so every probe is accounted as
-    a separate evaluate_env call would be, and the first failing probe
-    raises what that call would raise.
+    a separate evaluate call would be, and the first failing probe raises
+    what that call would raise.
     """
     fuel = _Fuel(budget or DEFAULT_BUDGET)
     full = fuel.max_steps
@@ -525,51 +525,21 @@ def probe_outputs(t: Term, vectors: Sequence[list], budget: EvalBudget | None, m
     return tuple(run_probes(compile_term(t), vectors, budget))
 
 
-def _unbound_var(t: Term, bound: Iterable[str]) -> str | None:
-    """A variable occurring free in t outside `bound`, if any."""
-    stack = [(t, frozenset(bound))]
-    while stack:
-        node, scope = stack.pop()
-        if not node.args:
-            if node.head in VAR_SORTS and node.head not in scope:
-                return node.head
-            continue
-        for param, arg in zip(OPS[node.head].params, node.args):
-            stack.append((arg, scope | set(param.binders) if param.binders else scope))
-    return None
+def evaluate(program: TypedProgram, value: Value, budget: EvalBudget | None = None) -> Value:
+    """Evaluate a single-input program on one input value.
 
-
-def _run_once(t: Term, env: dict[str, Value], budget: EvalBudget | None) -> Value:
-    """Run t once under env, after checking that env binds each kernel
-    variable to a kernel value of its sort (ValueError otherwise)."""
-    for var, value in env.items():
+    The program's free variables must all be the same input variable
+    (n for naturals, l for lists); the input is bound to it, and must be a
+    kernel value of that variable's sort (ValueError otherwise). Evaluation
+    is pure and deterministic: identical inputs yield identical outputs.
+    """
+    env = dict.fromkeys(program.free_vars, value)
+    if len(env) > 1:
+        raise ValueError(f"program is not single-input: free variables {sorted(env)}")
+    for var in env:
         sort = VAR_SORTS.get(var)
         if sort is Sort.NAT and not is_nat(value):
             raise ValueError(f"input for {var!r} must be a non-negative int, got {value!r}")
         if sort is Sort.LIST_NAT and not (isinstance(value, tuple) and all(is_nat(v) for v in value)):
             raise ValueError(f"input for {var!r} must be a tuple of non-negative ints, got {value!r}")
-    return compile_term(t)(slot_vector(env), _Fuel(budget or DEFAULT_BUDGET))
-
-
-def evaluate_env(t: Term, env: dict[str, Value], budget: EvalBudget | None = None) -> Value:
-    """Evaluate a term under an explicit variable environment; compiles the
-    term on each call. Raises KeyError naming a free variable of the term
-    that env does not bind, and ValueError for a value of the wrong sort."""
-    missing = _unbound_var(t, env)
-    if missing is not None:
-        raise KeyError(missing)
-    return _run_once(t, env, budget)
-
-
-def evaluate(program: TypedProgram, value: Value, budget: EvalBudget | None = None) -> Value:
-    """Evaluate a single-input program on one input value.
-
-    The program's free variables must all be the same input variable
-    (n for naturals, l for lists); the input is bound to it. Evaluation is
-    pure and deterministic: identical inputs yield identical outputs.
-    """
-    env = dict.fromkeys(program.free_vars, value)
-    if len(env) > 1:
-        raise ValueError(f"program is not single-input: free variables {sorted(env)}")
-    # A TypedProgram's free variables are all bound here: no scope walk.
-    return _run_once(program.term, env, budget)
+    return compile_term(program.term)(slot_vector(env), _Fuel(budget or DEFAULT_BUDGET))

@@ -4,8 +4,8 @@ A classifier judges enumeration indices (the enumeration is the numbering).
 Whatever subsequence it accepts, the diagonal over that subsequence is a
 total function disagreeing with every accepted function on the prefix, so
 no classifier can have accepted a family containing it. The accepted
-prefix is itself a finite machine (machines.Subsequence), so a refutation
-is the same diagonal and witness rows as against a whole tier.
+prefix is itself a finite machine (machines.Subsequence): a refutation is
+witness_rows and diagonal on it, over accepted positions, not tier indices.
 Program-backed deciders live inside the kernel language itself: decider d
 accepts index i iff d(i) != 0.
 """
@@ -18,7 +18,7 @@ from .errors import EmptyClassifierError
 from .enumeration import Tier, enumerate_stream
 from .interp import EvalBudget, evaluate
 from .kernel import Record, TypedProgram, pretty, size
-from .machines import OracleFn, Subsequence, Witness, diagonal, witness_rows
+from .machines import Subsequence
 
 DEFAULT_HORIZON = 100_000
 
@@ -72,24 +72,6 @@ def _accepts(c: Classifier, index: int, program: TypedProgram, budget: EvalBudge
     return evaluate(c.decider, index, budget) != 0
 
 
-class RefutationReport(Record):
-    __slots__ = _fields = ("classifier", "tier", "accepted_prefix", "witnesses", "diag")
-
-    def __init__(
-        self,
-        classifier: str,
-        tier: Tier,
-        accepted_prefix: tuple[tuple[int, TypedProgram], ...],
-        witnesses: tuple[Witness, ...],
-        diag: OracleFn,
-    ):
-        self.classifier = classifier
-        self.tier = tier
-        self.accepted_prefix = accepted_prefix
-        self.witnesses = witnesses
-        self.diag = diag
-
-
 def accepted_prefix(
     c: Classifier,
     tier: Tier,
@@ -118,26 +100,3 @@ def accepted_prefix(
     if len(accepted) < count:
         raise EmptyClassifierError(len(accepted), count, horizon)
     return Subsequence(tuple(accepted), f"accepted({describe_classifier(c)}, {tier.value})", budget)
-
-
-def refute(
-    c: Classifier,
-    tier: Tier,
-    count: int,
-    horizon: int = DEFAULT_HORIZON,
-    budget: EvalBudget | None = None,
-) -> RefutationReport:
-    """Diagonalize over the classifier's accepted subsequence.
-
-    The diagonal runs over accepted positions k (not tier indices): with
-    a_1, a_2, ... the accepted programs, diag(k) = a_k(k) + 1. Raises
-    EmptyClassifierError as accepted_prefix does.
-    """
-    machine = accepted_prefix(c, tier, count, horizon, budget)
-    return RefutationReport(
-        classifier=describe_classifier(c),
-        tier=tier,
-        accepted_prefix=machine.programs,
-        witnesses=tuple(witness_rows(machine, count)),
-        diag=diagonal(machine),
-    )

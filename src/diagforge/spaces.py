@@ -166,16 +166,8 @@ def expand_domain(
 ) -> AnalyticalSpace:
     """Append probes; re-fingerprint members, splitting classes that disagree."""
     new_probes = tuple(new_probes)
-    existing = set(space.probes)
-    for p in new_probes:
-        if p in existing:
-            raise DuplicateProbeError(f"probe {format_value(p)} already in the domain")
-        if sort_of_value(p) is not space.input_sort:
-            raise ValueError("expansion probes must match the space's input sort")
-        existing.add(p)
-    if len(set(new_probes)) != len(new_probes):
-        raise DuplicateProbeError(f"duplicate probe in {new_probes!r}")
     probes = space.probes + new_probes
+    _check_probes(probes)
     members = [m for c in space.classes for m in c.members]
     history = space.history + (
         ("expanded", _probes_event(new_probes), len(space.classes)),

@@ -247,20 +247,6 @@ class Pool(list):
             self.built = size_
 
 
-def bottom_up_pool(
-    ops: frozenset[str],
-    free_vars: tuple[str, ...],
-    target_sort: Sort,
-    probes: Sequence,
-    max_size: int,
-    budget: EvalBudget | None = None,
-) -> Pool:
-    """The `Pool` grown through `max_size`."""
-    pool = Pool(ops, free_vars, target_sort, probes, max_size, budget)
-    pool.grow(max_size)
-    return pool
-
-
 # ---------------------------------------------------------------------------
 # Schemas
 

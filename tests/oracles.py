@@ -270,6 +270,12 @@ def _pivot(items, pred_left, pred_right, combine, env, fuel):
 
 
 
+def grown(pool):
+    """A package Pool, handed in, grown through its max_size."""
+    pool.grow(pool.max_size)
+    return pool
+
+
 def eager_synthesize(synthesis, ops, goal, schema, budget, eval_budget=None):
     """The search `synthesis.synthesize` makes, run eagerly: every pool is
     built through `budget` before any candidate is tried, then the full
@@ -282,19 +288,19 @@ def eager_synthesize(synthesis, ops, goal, schema, budget, eval_budget=None):
     outputs = [out for _, out in goal.examples]
     if schema == synthesis.SCHEMA_BOTTOM_UP:
         var = synthesis.INPUT_VARS[goal.input_sort]
-        pool = synthesis.bottom_up_pool(ops, (var,), goal.output_sort, goal.probes, budget, eval_budget)
+        pool = grown(synthesis.Pool(ops, (var,), goal.output_sort, goal.probes, budget, eval_budget))
         at = [goal.probes.index(inp) for inp, _ in goal.examples]
         for candidate in pool:
             if [candidate.fingerprint[i] for i in at] == outputs:
                 return candidate.term
         dropped = pool.dropped
     else:
-        pred_pool = synthesis.bottom_up_pool(
+        pred_pool = grown(synthesis.Pool(
             ops, ("x", "pivot"), synthesis.Sort.BOOL, synthesis.PIVOT_PRED_PROBES, budget, eval_budget
-        )
-        combine_pool = synthesis.bottom_up_pool(
+        ))
+        combine_pool = grown(synthesis.Pool(
             ops, ("l", "pivot", "r"), synthesis.Sort.LIST_NAT, synthesis.PIVOT_COMBINE_PROBES, budget, eval_budget
-        )
+        ))
         dropped = pred_pool.dropped or combine_pool.dropped
         inputs = synthesis.probe_vectors(("l",), [inp for inp, _ in goal.examples])
         for filling in synthesis.fill_schema_holes((pred_pool, pred_pool, combine_pool)):

@@ -21,22 +21,22 @@ from diagforge.enumeration import (
     walk_layer,
 )
 from diagforge.errors import EmptyClassifierError, ResourceExhaustedError
-from diagforge.interp import EvalBudget, evaluate, evaluate_env
+from diagforge.interp import DEFAULT_MAX_STEPS, DEFAULT_MAX_VALUE_BITS, EvalBudget, evaluate
 from diagforge.kernel import parse, pretty, size
 from diagforge.machines import Base, iterate, witness_rows
-from diagforge.refuter import AcceptNone, MaxSize, ProgramDecider, refute
+from diagforge.refuter import AcceptNone, MaxSize, ProgramDecider, accepted_prefix
 from diagforge.spaces import absorb, expand_domain, new_space, unify
 from diagforge.synthesis import (
     SCHEMA_BOTTOM_UP,
     SCHEMA_PIVOT_DC,
     LIST_BASE,
     NAT_BASE,
-    bottom_up_pool,
+    Pool,
     make_goal,
     synthesize,
 )
 from diagforge.kernel import Sort, check_well_formed
-from oracles import all_nat_terms, eval_nat, insertion_sort
+from oracles import all_nat_terms, eval_budgeted, eval_nat, grown, insertion_sort
 from strategies import random_term
 
 NATFN = Tier.NATFN
@@ -90,18 +90,18 @@ def test_criterion_4_refuter():
     accepted_count = sum(1 for s in range(1, 4) for _ in walk_layer(TIER_OPS[NATFN], ROOT_SCOPE, ROOT_SORT, s))
     ok = accepted_count == 14
     for count in range(1, accepted_count + 1):
-        report = refute(MaxSize(3), NATFN, count)
-        ok = ok and len(report.witnesses) == count
-        ok = ok and all(w.g_at_n == w.fn_at_n + 1 for w in report.witnesses)
+        rows = list(witness_rows(accepted_prefix(MaxSize(3), NATFN, count), count))
+        ok = ok and len(rows) == count
+        ok = ok and all(w.g_at_n == w.fn_at_n + 1 for w in rows)
     try:
-        refute(AcceptNone(), NATFN, 1)
+        accepted_prefix(AcceptNone(), NATFN, 1)
         ok = False
     except EmptyClassifierError:
         pass
     decider = ProgramDecider(check_well_formed(parse("(succ zero)"), Sort.NAT, {"n"}))
-    report = refute(decider, NATFN, 500)
+    rows = list(witness_rows(accepted_prefix(decider, NATFN, 500), 500))
     plain = list(witness_rows(Base(NATFN), 500))
-    ok = ok and list(report.witnesses) == plain
+    ok = ok and rows == plain
     _report(4, "maxsize:3 yields +1 witnesses for every N <= 14, none is empty, "
                "constant-nonzero decider reproduces the plain diagonal", ok)
 
@@ -135,7 +135,7 @@ def test_criterion_6_quicksort_synthesis():
 
 def test_criterion_7_pool_pruning():
     probes = tuple(range(7))
-    pool = bottom_up_pool(NAT_BASE, ("n",), Sort.NAT, probes, 4)
+    pool = grown(Pool(NAT_BASE, ("n",), Sort.NAT, probes, 4))
     by_fingerprint = {c.fingerprint: c for c in pool}
     oracle_best = {}
     for text in all_nat_terms(4):
@@ -174,13 +174,16 @@ def test_criterion_8_spaces():
                 current = expand_domain(current, (rng.choice(fresh),))
         saved.append(current)
 
+    def outputs(term):
+        # The reference evaluator, not the one spaces fingerprint with.
+        return tuple(eval_budgeted(term, {"n": p}, DEFAULT_MAX_STEPS, DEFAULT_MAX_VALUE_BITS) for p in current.probes)
+
     seen = set()
     for cls in current.classes:
-        recomputed_rep = tuple(evaluate_env(cls.representative, {"n": p}) for p in current.probes)
-        ok = ok and cls.fingerprint[1] == recomputed_rep
+        ok = ok and cls.fingerprint[1] == outputs(cls.representative)
         ok = ok and size(cls.representative) == min(size(m) for m in cls.members)
         for member in cls.members:
-            recomputed = tuple(evaluate_env(member, {"n": p}) for p in current.probes)
+            recomputed = outputs(member)
             ok = ok and recomputed == cls.fingerprint[1]
             ok = ok and member not in seen
             seen.add(member)
@@ -194,9 +197,9 @@ def test_criterion_9_totality_safety():
     budget = EvalBudget(max_steps=100_000)
     outcomes = {"ok": 0, "exhausted": 0}
     for _ in range(10_000):
-        term = random_term(rng, max_size=10, tier=Tier.FULL)
+        program = check_well_formed(random_term(rng, max_size=10, tier=Tier.FULL), Sort.NAT, {"n"})
         try:
-            evaluate_env(term, {"n": rng.randint(0, 20)}, budget)
+            evaluate(program, rng.randint(0, 20), budget)
             outcomes["ok"] += 1
         except ResourceExhaustedError:
             outcomes["exhausted"] += 1

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -112,20 +113,43 @@ def test_synth_stdout_is_pinned(name, schema, budget, goal, tmp_path, capsys):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED_SYNTH[name]
 
 
-# sha256 of the stdout of `scripts/diagonal_escape.py --witness 8 --depth 3`.
-PINNED_ESCAPE_STDOUT = "5eb17404d84b5d125414792b46e47f18561220de40221c66bb416648f9277de6"
-
-
-def test_diagonal_escape_script_stdout_is_pinned():
+def run_script(*args):
+    """Run a script under scripts/ with the package on its path; it must
+    succeed with nothing on stderr. Returns its stdout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "scripts/diagonal_escape.py", "--witness", "8", "--depth", "3"],
-        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
     )
     assert result.returncode == 0
     assert result.stderr == ""
-    assert hashlib.sha256(result.stdout.encode()).hexdigest() == PINNED_ESCAPE_STDOUT
+    return result.stdout
+
+
+# sha256 of the stdout of `scripts/diagonal_escape.py --witness 8 --depth 3`.
+PINNED_ESCAPE_STDOUT = "5eb17404d84b5d125414792b46e47f18561220de40221c66bb416648f9277de6"
+# sha256 of the stdout of `scripts/synthesis_demo.py`, with each timing
+# such as `(0.030s)` read as `(0.000s)`.
+PINNED_SYNTHESIS_DEMO_STDOUT = "01bd3f8b10d0ae0373bc6e9c1bb22f359549e169d18e9ad0b5992ed243149468"
+# sha256 of the stdout of `scripts/space_evolution.py --count 60`.
+PINNED_SPACE_EVOLUTION_STDOUT = "b4d953ab0c5de648667e2b56944798c41d8785389ed232ade3e5ca65b58c9852"
+
+
+def test_diagonal_escape_script_stdout_is_pinned():
+    stdout = run_script("scripts/diagonal_escape.py", "--witness", "8", "--depth", "3")
+    assert hashlib.sha256(stdout.encode()).hexdigest() == PINNED_ESCAPE_STDOUT
+
+
+def test_synthesis_demo_script_stdout_is_pinned():
+    stdout = run_script("scripts/synthesis_demo.py")
+    assert "5 predicate behaviors, 113 combiner behaviors" in stdout
+    masked = re.sub(r"\(\d+\.\d{3}s\)", "(0.000s)", stdout)
+    assert hashlib.sha256(masked.encode()).hexdigest() == PINNED_SYNTHESIS_DEMO_STDOUT
+
+
+def test_space_evolution_script_stdout_is_pinned():
+    stdout = run_script("scripts/space_evolution.py", "--count", "60")
+    assert hashlib.sha256(stdout.encode()).hexdigest() == PINNED_SPACE_EVOLUTION_STDOUT
 
 
 def test_each_command_unranks_each_program_at_most_once(monkeypatch):
@@ -495,6 +519,15 @@ def test_space_workflow(tmp_path):
     assert expanded.returncode == 0
     duplicate = run("space", "expand", "--space", str(a), "--probes", "(2)", "--out", str(a))
     assert duplicate.returncode == 1
+
+
+@pytest.mark.parametrize("probes, code", [("(1)", 1), ("(())", 2)], ids=["in-the-domain", "another-sort"])
+def test_space_expand_rejects_a_bad_probe(tmp_path, probes, code):
+    space = tmp_path / "s.json"
+    assert run("space", "new", "--probes", "(0 1)", "--out", str(space)).returncode == 0
+    result = run("space", "expand", "--space", str(space), "--probes", probes, "--out", str(space))
+    assert result.returncode == code and result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
 def test_repeated_invocations_are_byte_identical():

@@ -17,7 +17,6 @@ from diagforge.interp import (
     EvalBudget,
     compile_term,
     evaluate,
-    evaluate_env,
     probe_outputs,
     run_probes,
     slot_vector,
@@ -31,12 +30,18 @@ def nat_program(text):
     return check_well_formed(parse(text), Sort.NAT, {"n"})
 
 
+def over_n(term):
+    """A natural-valued term over n as a program."""
+    return check_well_formed(term, Sort.NAT, {"n"})
+
+
 def list_program(text):
     term = parse(text)
     return check_well_formed(term, infer_sort(term, frozenset({"l"})), {"l"})
 
 
 QUICKSORT = "(pivotrec l (lt x pivot) (lt pivot x) (append l (cons pivot r)))"
+CONS_SQUARE = check_well_formed(parse("(cons (mul n n) (cons zero nil))"), Sort.LIST_NAT, {"n"})
 
 
 def test_successor_program():
@@ -88,7 +93,7 @@ def test_quicksort_matches_reference_sort():
 @given(terms(max_size=6, tier=Tier.NATFN), st.integers(0, 30))
 def test_matches_reference_evaluator_on_nat_fragment(t, n):
     try:
-        ours = evaluate_env(t, {"n": n})
+        ours = evaluate(over_n(t), n)
     except ResourceExhaustedError:
         return
     assert ours == eval_nat(t, {"n": n})
@@ -97,11 +102,12 @@ def test_matches_reference_evaluator_on_nat_fragment(t, n):
 @given(terms(max_size=8), st.integers(0, 10))
 def test_evaluation_is_deterministic(t, n):
     budget = EvalBudget(max_steps=50_000)
+    program = over_n(t)
     try:
-        first = evaluate_env(t, {"n": n}, budget)
+        first = evaluate(program, n, budget)
     except ResourceExhaustedError:
         return
-    assert evaluate_env(t, {"n": n}, budget) == first
+    assert evaluate(program, n, budget) == first
 
 
 def test_step_budget_exhaustion():
@@ -121,7 +127,7 @@ def test_value_size_cap_stops_iterated_squaring():
     # cons evaluates its head first: the head runs out of value bits after
     # 4 steps, where the tail first would have used 7
     with pytest.raises(ResourceExhaustedError) as excinfo:
-        evaluate_env(parse("(cons (mul n n) (cons zero nil))"), {"n": 2**10}, EvalBudget(max_value_bits=12))
+        evaluate(CONS_SQUARE, 2**10, EvalBudget(max_value_bits=12))
     assert (excinfo.value.reason, excinfo.value.steps_used) == ("value-bits", 4)
 
 
@@ -140,12 +146,6 @@ def test_input_validation():
     for bad in ((-1, 2), (1, True), (1, (2,))):
         with pytest.raises(ValueError):
             evaluate(list_program("(succ (first l))"), bad)
-    # an environment must bind every free variable, even one a list
-    # default would otherwise hide
-    with pytest.raises(KeyError):
-        evaluate_env(parse("(first l)"), {"n": 1})
-    with pytest.raises(KeyError):
-        evaluate_env(parse("(filter l (lt x acc))"), {"l": (1,)})
 
 
 @pytest.mark.parametrize(
@@ -153,8 +153,10 @@ def test_input_validation():
     [("(succ n)", {"n": -1}), ("(precnat zero idx n)", {"n": -5}), ("(first l)", {"l": (-3,)}), ("(succ n)", {"n": True})],
 )
 def test_environment_values_must_be_kernel_values(text, env):
+    term = parse(text)
+    program = check_well_formed(term, infer_sort(term, frozenset(env)), env)
     with pytest.raises(ValueError):
-        evaluate_env(parse(text), env)
+        evaluate(program, *env.values())
 
 
 def test_totality_at_documented_scale():
@@ -163,9 +165,9 @@ def test_totality_at_documented_scale():
     rng = random.Random(404)
     budget = EvalBudget(max_steps=10_000_000)
     for _ in range(2000):
-        t = random_term(rng, max_size=10)
+        program = over_n(random_term(rng, max_size=10))
         try:
-            evaluate_env(t, {"n": rng.randint(0, 20)}, budget)
+            evaluate(program, rng.randint(0, 20), budget)
         except ResourceExhaustedError:
             pass
 
@@ -189,31 +191,33 @@ def _reference(term, env, budget):
 
 
 def _accounting_cases():
-    """(term, input variable, inputs, large inputs): the first programs of
-    each tier on naturals, and random list programs, which reach filter and
-    pivotrec on non-empty lists, nested in each other and in precnat steps.
-    Large inputs run only under the small budgets, where they exhaust."""
+    """(program, inputs, large inputs): the first programs of each tier on
+    naturals, and random list programs, which reach filter and pivotrec on
+    non-empty lists, nested in each other and in precnat steps. Large
+    inputs run only under the small budgets, where they exhaust."""
     for tier, count in ((Tier.NATFN, 2000), (Tier.FULL, 2000)):
         for program in islice(enumerate_stream(tier), count):
-            yield program.term, "n", (0, 2, 5, 9), (40, 300)
+            yield program, (0, 2, 5, 9), (40, 300)
     # The head of a cons runs out of value bits under the small budget
     # before its tail is evaluated.
-    yield parse("(cons (mul n n) (cons zero nil))"), "n", (0, 3), (2**10,)
+    yield CONS_SQUARE, (0, 3), (2**10,)
     rng = random.Random(7)
     lists = ((), (2, 0, 1), (3, 1, 4, 1, 5, 0), (1, 1, 0, 2, 2))
     large = ((5, 3, 8, 1, 9, 2, 7, 0, 4, 6), (300, 1000, 5))
     for _ in range(1200):
-        yield random_term(rng, Sort.LIST_NAT, frozenset({"l"}), max_size=14), "l", lists, large
+        term = random_term(rng, Sort.LIST_NAT, frozenset({"l"}), max_size=14)
+        yield check_well_formed(term, Sort.LIST_NAT, {"l"}), lists, large
 
 
 def test_compiled_evaluator_matches_reference_accounting():
     checked = exhausted = 0
-    for term, var, inputs, large in _accounting_cases():
+    for program, inputs, large in _accounting_cases():
+        (var,) = program.free_vars
         for budget in ACCOUNTING_BUDGETS:
             for value in inputs if budget.max_steps > 500 else inputs + large:
                 env = {var: value}
-                ours = _outcome(lambda: evaluate_env(term, env, budget))
-                assert ours == _reference(term, env, budget), (term, env, budget)
+                ours = _outcome(lambda: evaluate(program, value, budget))
+                assert ours == _reference(program.term, env, budget), (program, env, budget)
                 checked += 1
                 exhausted += ours[0] == "exhausted"
     # both outcomes are well represented
@@ -240,7 +244,7 @@ def test_nested_binders_accounting_at_every_step_budget():
             env = {var: value}
             for max_steps in range(1, 400, 3):
                 budget = EvalBudget(max_steps=max_steps)
-                assert _outcome(lambda: evaluate_env(program.term, env, budget)) == _reference(program.term, env, budget)
+                assert _outcome(lambda: evaluate(program, value, budget)) == _reference(program.term, env, budget)
     # precnat loops whose step is a single leaf, which run in one go: each
     # leaf a step can be, at counts 0, 1, 2 and 300 (x and pivot through
     # the list elements), a loop nested in a non-leaf step that reads the
@@ -265,7 +269,7 @@ def test_nested_binders_accounting_at_every_step_budget():
             env = {var: value}
             for max_steps in range(1, 420):
                 budget = EvalBudget(max_steps, bits)
-                outcome = _outcome(lambda: evaluate_env(program.term, env, budget))
+                outcome = _outcome(lambda: evaluate(program, value, budget))
                 assert outcome == _reference(program.term, env, budget), (program, env, budget)
             assert outcome[:2] != ("exhausted", "steps"), (program, env)
 
@@ -278,7 +282,7 @@ def test_batched_probes_equal_per_probe_evaluation():
         for budget in ACCOUNTING_BUDGETS[1:]:
             expected = []
             for p in probes:
-                expected.append(_outcome(lambda: evaluate_env(program.term, {"n": p}, budget)))
+                expected.append(_outcome(lambda: evaluate(program, p, budget)))
                 if expected[-1][0] == "exhausted":
                     break
             got = []
@@ -319,7 +323,7 @@ def test_deep_succ_chain_evaluates():
     term = Term("n")
     for _ in range(900):
         term = Term("succ", (term,))
-    assert evaluate_env(term, {"n": 0}) == 900
+    assert next(run_probes(compile_term(term), [slot_vector({"n": 0})])) == 900
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -9,19 +9,24 @@ from diagforge.enumeration import Tier
 from diagforge.errors import EmptyClassifierError
 from diagforge.interp import evaluate
 from diagforge.kernel import Sort, check_well_formed, parse, pretty
-from diagforge.machines import Base, witness_rows
+from diagforge.machines import Base, diagonal, witness_rows
 from diagforge.refuter import (
     AcceptAll,
     AcceptNone,
     MaxSize,
     ProgramDecider,
     accepted_prefix,
-    refute,
 )
 
 
 def decider(text):
     return ProgramDecider(check_well_formed(parse(text), Sort.NAT, {"n"}))
+
+
+def witnesses(c, count):
+    """The refutation's rows: witness_rows on the accepted prefix, as the
+    refute command prints them."""
+    return list(witness_rows(accepted_prefix(c, Tier.NATFN, count), count))
 
 
 def test_maxsize_accepts_exactly_the_small_programs():
@@ -30,7 +35,7 @@ def test_maxsize_accepts_exactly_the_small_programs():
     assert machine.label == "accepted(maxsize:1, natfn)"
     # nothing of size 1 remains: the third accepted program does not exist
     with pytest.raises(EmptyClassifierError):
-        refute(MaxSize(1), Tier.NATFN, 3, horizon=200)
+        accepted_prefix(MaxSize(1), Tier.NATFN, 3, horizon=200)
 
 
 def test_accept_all_is_the_plain_enumeration():
@@ -44,51 +49,48 @@ def test_accept_none_is_empty():
     # nothing is ever accepted, so emptiness is observed through the
     # bounded scan of the underlying enumeration
     with pytest.raises(EmptyClassifierError) as excinfo:
-        refute(AcceptNone(), Tier.NATFN, 1, horizon=300)
+        accepted_prefix(AcceptNone(), Tier.NATFN, 1, horizon=300)
     assert excinfo.value.horizon == 300
     assert excinfo.value.found == 0
 
 
 def test_refute_maxsize_1():
-    report = refute(MaxSize(1), Tier.NATFN, 2)
-    assert [(w.index, w.fn_at_n, w.g_at_n) for w in report.witnesses] == [(1, 1, 2), (2, 0, 1)]
-    assert [pretty(p.term) for _, p in report.accepted_prefix] == ["n", "zero"]
+    machine = accepted_prefix(MaxSize(1), Tier.NATFN, 2)
+    assert [(w.index, w.fn_at_n, w.g_at_n) for w in witness_rows(machine, 2)] == [(1, 1, 2), (2, 0, 1)]
+    assert [pretty(p.term) for _, p in machine.programs] == ["n", "zero"]
 
 
 def test_refute_diag_runs_over_accepted_positions():
     # maxsize:2 accepts n, zero, (succ n), (succ zero); position 3 is (succ n)
-    report = refute(MaxSize(2), Tier.NATFN, 4)
-    assert [w.fn_at_n for w in report.witnesses] == [1, 0, 4, 1]
-    assert all(w.g_at_n == w.fn_at_n + 1 for w in report.witnesses)
-    assert report.diag(3) == 5
+    machine = accepted_prefix(MaxSize(2), Tier.NATFN, 4)
+    rows = list(witness_rows(machine, 4))
+    assert [w.fn_at_n for w in rows] == [1, 0, 4, 1]
+    assert all(w.g_at_n == w.fn_at_n + 1 for w in rows)
+    assert diagonal(machine)(3) == 5
 
 
 def test_constant_reject_decider_is_empty():
     with pytest.raises(EmptyClassifierError):
-        refute(decider("zero"), Tier.NATFN, 1, horizon=500)
+        accepted_prefix(decider("zero"), Tier.NATFN, 1, horizon=500)
 
 
 def test_constant_accept_decider_reproduces_plain_diagonal():
-    report = refute(decider("(succ zero)"), Tier.NATFN, 40)
-    assert list(report.witnesses) == list(witness_rows(Base(Tier.NATFN), 40))
+    assert witnesses(decider("(succ zero)"), 40) == list(witness_rows(Base(Tier.NATFN), 40))
 
 
 def test_program_backed_deciders_filter_by_output():
     # accept even indices only: n mod 2 via precnat flip-flop is overkill;
     # use (mul n n) != 0 <=> n != 0, so this accepts every index >= 1
-    report = refute(decider("(mul n n)"), Tier.NATFN, 3)
-    assert [w.index for w in report.witnesses] == [1, 2, 3]
+    assert [w.index for w in witnesses(decider("(mul n n)"), 3)] == [1, 2, 3]
 
 
 def test_monotone_consistency():
-    small = refute(MaxSize(3), Tier.NATFN, 4)
-    large = refute(MaxSize(3), Tier.NATFN, 14)
-    assert list(large.witnesses)[:4] == list(small.witnesses)
+    assert witnesses(MaxSize(3), 14)[:4] == witnesses(MaxSize(3), 4)
 
 
 def test_refute_rejects_bad_count():
     with pytest.raises(ValueError):
-        refute(AcceptAll(), Tier.NATFN, 0)
+        accepted_prefix(AcceptAll(), Tier.NATFN, 0)
 
 
 def test_refute_evaluates_each_accepted_program_once(monkeypatch):
@@ -104,15 +106,15 @@ def test_refute_evaluates_each_accepted_program_once(monkeypatch):
     monkeypatch.setattr(machines, "evaluate", counting)
     monkeypatch.setattr(refuter, "evaluate", counting)
     monkeypatch.setattr(machines, "program_at", unranking)
-    report = refute(AcceptAll(), Tier.FULL, 400)
-    assert len(report.witnesses) == 400
+    machine = accepted_prefix(AcceptAll(), Tier.FULL, 400)
+    assert len(list(witness_rows(machine, 400))) == 400
     assert calls == list(range(1, 401))
-    assert report.accepted_prefix == tuple(enumerate(islice(enumeration.enumerate_stream(Tier.FULL), 400), start=1))
+    assert machine.programs == tuple(enumerate(islice(enumeration.enumerate_stream(Tier.FULL), 400), start=1))
 
 
 def test_refute_diag_is_the_accepted_prefix_diagonal():
-    report = refute(MaxSize(2), Tier.NATFN, 4)
-    assert report.diag.name == "diag(accepted(maxsize:2, natfn))"
-    assert report.diag(0) == report.diag(1)
+    diag = diagonal(accepted_prefix(MaxSize(2), Tier.NATFN, 4))
+    assert diag.name == "diag(accepted(maxsize:2, natfn))"
+    assert diag(0) == diag(1)
     with pytest.raises(ValueError):
-        report.diag(5)
+        diag(5)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from diagforge.errors import DuplicateProbeError, EmptyProbesError, ParseError
-from diagforge.interp import evaluate_env
+from diagforge.interp import DEFAULT_MAX_STEPS, DEFAULT_MAX_VALUE_BITS
 from diagforge.kernel import canonical_key, parse, pretty, size
 from diagforge.spaces import (
     absorb,
@@ -17,6 +17,7 @@ from diagforge.spaces import (
     snapshot,
     unify,
 )
+from oracles import eval_budgeted
 from strategies import random_term
 
 
@@ -174,7 +175,10 @@ def test_random_operations_keep_invariants():
     for cls in space.classes:
         out_sort, _ = cls.fingerprint
         for member in cls.members:
-            recomputed = tuple(evaluate_env(member, {"n": p}) for p in space.probes)
+            # The reference evaluator, not the one spaces fingerprint with.
+            recomputed = tuple(
+                eval_budgeted(member, {"n": p}, DEFAULT_MAX_STEPS, DEFAULT_MAX_VALUE_BITS) for p in space.probes
+            )
             assert (out_sort, recomputed) == (cls.fingerprint[0], cls.fingerprint[1])
             assert size(cls.representative) <= size(member)
             assert member not in seen

@@ -19,7 +19,6 @@ from diagforge.synthesis import (
     PIVOT_PRED_PROBES,
     SCHEMA_BOTTOM_UP,
     SCHEMA_PIVOT_DC,
-    bottom_up_pool,
     default_probes,
     fill_schema_holes,
     load_goal,
@@ -27,11 +26,20 @@ from diagforge.synthesis import (
     parse_goal_text,
     synthesize,
 )
-from oracles import Exhausted, all_nat_terms, canonical_terms, eager_synthesize, eval_budgeted, eval_nat, insertion_sort
+from oracles import (
+    Exhausted,
+    all_nat_terms,
+    canonical_terms,
+    eager_synthesize,
+    eval_budgeted,
+    eval_nat,
+    grown,
+    insertion_sort,
+)
 
 
 def test_pool_of_the_nat_base_at_size_2():
-    pool = bottom_up_pool(NAT_BASE, ("n",), Sort.NAT, (0, 1, 2), 2)
+    pool = grown(Pool(NAT_BASE, ("n",), Sort.NAT, (0, 1, 2), 2))
     assert [(pretty(c.term), c.cost, c.fingerprint) for c in pool] == [
         ("n", 1, (0, 1, 2)),
         ("zero", 1, (0, 0, 0)),
@@ -41,12 +49,12 @@ def test_pool_of_the_nat_base_at_size_2():
 
 
 def test_pool_at_size_1():
-    pool = bottom_up_pool(NAT_BASE, ("n",), Sort.NAT, (0, 1, 2), 1)
+    pool = grown(Pool(NAT_BASE, ("n",), Sort.NAT, (0, 1, 2), 1))
     assert [pretty(c.term) for c in pool] == ["n", "zero"]
 
 
 def test_uneconomical_duplicates_are_destroyed():
-    pool = bottom_up_pool(NAT_BASE, ("n",), Sort.NAT, (0, 1, 2), 3)
+    pool = grown(Pool(NAT_BASE, ("n",), Sort.NAT, (0, 1, 2), 3))
     names = [pretty(c.term) for c in pool]
     assert "(add n zero)" not in names  # same behavior as n, higher cost
     assert "n" in names
@@ -54,7 +62,7 @@ def test_uneconomical_duplicates_are_destroyed():
 
 def test_pool_pruning_is_sound_and_complete_up_to_size_4():
     probes = tuple(range(7))
-    pool = bottom_up_pool(NAT_BASE, ("n",), Sort.NAT, probes, 4)
+    pool = grown(Pool(NAT_BASE, ("n",), Sort.NAT, probes, 4))
     by_fingerprint = {c.fingerprint: c for c in pool}
 
     oracle_best: dict[tuple, int] = {}
@@ -71,7 +79,7 @@ def test_pool_pruning_is_sound_and_complete_up_to_size_4():
 
 def test_pool_representative_agrees_with_discarded_terms():
     probes = tuple(range(7))
-    pool = bottom_up_pool(NAT_BASE, ("n",), Sort.NAT, probes, 3)
+    pool = grown(Pool(NAT_BASE, ("n",), Sort.NAT, probes, 3))
     by_fingerprint = {c.fingerprint: c for c in pool}
     for text in all_nat_terms(3):
         term = parse(text)
@@ -122,7 +130,7 @@ def _unpruned_pool(ops, free_vars, sort, probes, max_size, budget):
     ],
 )
 def test_pruned_pools_match_the_unpruned_oracle(ops, free_vars, sort, probes, max_size, budget, drops):
-    pool = bottom_up_pool(ops, free_vars, sort, probes, max_size, budget)
+    pool = grown(Pool(ops, free_vars, sort, probes, max_size, budget))
     rows, dropped = _unpruned_pool(ops, free_vars, sort, probes, max_size, budget)
     assert [(pretty(c.term), c.cost, c.fingerprint) for c in pool] == rows
     assert (dropped > 0) is drops
@@ -153,9 +161,9 @@ def test_pools_run_only_terms_whose_pooled_arguments_are_representatives(monkeyp
     # Unpruned, the nat pool runs 6,038 terms through size 7 and the
     # combiner pool 1,404 through size 6.
     runs = _count_runs(monkeypatch)
-    bottom_up_pool(NAT_BASE, ("n",), Sort.NAT, default_probes(Sort.NAT), 7)
+    grown(Pool(NAT_BASE, ("n",), Sort.NAT, default_probes(Sort.NAT), 7))
     nat_runs = len(runs)
-    bottom_up_pool(LIST_BASE, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 6)
+    grown(Pool(LIST_BASE, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 6))
     assert nat_runs <= 2000
     assert len(runs) - nat_runs <= 750
 
@@ -171,8 +179,8 @@ def test_a_search_that_dropped_candidates_and_found_nothing_is_inconclusive():
     # At 8 steps every hole candidate runs, so only fillings are dropped.
     sort_goal = make_goal([((), ()), ((2, 1), (1, 2)), ((3, 1, 2), (1, 2, 3))])
     budget = EvalBudget(max_steps=8)
-    assert bottom_up_pool(LIST_BASE, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, 3, budget).dropped is None
-    assert bottom_up_pool(LIST_BASE, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 3, budget).dropped is None
+    assert grown(Pool(LIST_BASE, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, 3, budget)).dropped is None
+    assert grown(Pool(LIST_BASE, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 3, budget)).dropped is None
     with pytest.raises(ResourceExhaustedError):
         synthesize(LIST_BASE, sort_goal, SCHEMA_PIVOT_DC, 3, budget)
     assert synthesize(LIST_BASE, sort_goal, SCHEMA_PIVOT_DC, 3, EvalBudget(max_steps=30)) is None
@@ -243,8 +251,8 @@ def test_pivot_example_checks_equal_direct_runs(goal):
     # on an example's pairs spend different steps, some fillings exhaust,
     # and each filling is run whole. Either way every filling reads as one
     # direct run over the examples.
-    pred_pool = bottom_up_pool(LIST_BASE, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, 6)
-    combine_pool = bottom_up_pool(LIST_BASE, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 3)
+    pred_pool = grown(Pool(LIST_BASE, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, 6))
+    combine_pool = grown(Pool(LIST_BASE, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 3))
     inputs = probe_vectors(("l",), [inp for inp, _ in goal.examples])
     outputs = [out for _, out in goal.examples]
     raised = 0
@@ -268,7 +276,7 @@ def test_bottom_up_search_stops_at_the_answers_layer(monkeypatch):
     runs = _count_runs(monkeypatch)
     assert pretty(synthesize(NAT_BASE, goal, SCHEMA_BOTTOM_UP, 7).term) == "(succ n)"
     searched = len(runs)
-    bottom_up_pool(NAT_BASE, ("n",), Sort.NAT, goal.probes, 2)
+    grown(Pool(NAT_BASE, ("n",), Sort.NAT, goal.probes, 2))
     # Only the terms of size <= 2 ran, not the 1,913 of the full pool.
     assert searched == len(runs) - searched
 
@@ -358,8 +366,8 @@ def test_fill_schema_holes_ordering():
     fillings = list(fill_schema_holes(pools()))
     # The full cartesian product of the full pools, by total cost and then
     # by per-hole positions.
-    full = [list(enumerate(pool)) for pool in (bottom_up_pool(NAT_BASE, ("n",), Sort.NAT, (0, 1, 2), 2),) * 2] + [
-        list(enumerate(bottom_up_pool(LIST_BASE, ("l",), Sort.LIST_NAT, default_probes(Sort.LIST_NAT), 1)))
+    full = [list(enumerate(pool)) for pool in (grown(Pool(NAT_BASE, ("n",), Sort.NAT, (0, 1, 2), 2)),) * 2] + [
+        list(enumerate(grown(Pool(LIST_BASE, ("l",), Sort.LIST_NAT, default_probes(Sort.LIST_NAT), 1))))
     ]
     expected = sorted(product(*full), key=lambda f: (sum(c.cost for _, c in f), [i for i, _ in f]))
     assert len(fillings) == 4 * 4 * 2
@@ -378,7 +386,7 @@ def test_fill_schema_holes_grows_past_sizes_with_no_new_member():
 def test_fill_schema_holes_with_empty_pool():
     # No bool term over l has fewer than 3 nodes.
     empty = Pool(LIST_BASE, ("l",), Sort.BOOL, default_probes(Sort.LIST_NAT), 2)
-    assert list(fill_schema_holes((empty, bottom_up_pool(NAT_BASE, ("n",), Sort.NAT, (1,), 1)))) == []
+    assert list(fill_schema_holes((empty, grown(Pool(NAT_BASE, ("n",), Sort.NAT, (1,), 1))))) == []
     assert empty.built == 2
 
 
@@ -393,10 +401,8 @@ def test_quicksort_schema_synthesis():
 
 
 def test_quicksort_filling_appears_in_the_frontier():
-    pred_pool = bottom_up_pool(LIST_BASE, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, 5)
-    combine_pool = bottom_up_pool(
-        LIST_BASE, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 5
-    )
+    pred_pool = grown(Pool(LIST_BASE, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, 5))
+    combine_pool = grown(Pool(LIST_BASE, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 5))
     targets = {"(lt x pivot)", "(lt pivot x)"}
     assert targets <= {pretty(c.term) for c in pred_pool}
     assert "(append l (cons pivot r))" in {pretty(c.term) for c in combine_pool}
@@ -421,6 +427,6 @@ def test_synthesize_verifies_every_example():
 
 def test_multi_variable_probe_validation():
     with pytest.raises(ValueError):
-        bottom_up_pool(LIST_BASE, ("x", "pivot"), Sort.BOOL, (1, 2, 3), 3)
+        Pool(LIST_BASE, ("x", "pivot"), Sort.BOOL, (1, 2, 3), 3)
     with pytest.raises(ValueError):
-        bottom_up_pool(NAT_BASE | {"sux"}, ("n",), Sort.NAT, (0, 1), 2)
+        Pool(NAT_BASE | {"sux"}, ("n",), Sort.NAT, (0, 1), 2)
