@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 domain outcome (nothing synthesized, empty
 classifier, duplicate probe), 2 usage or malformed input, 3 evaluation
-budget exhausted, or a term too deep or too large for the interpreter
+budget exhausted, or a term too deep or too large to evaluate
 (RecursionError, MemoryError). Records go to stdout, diagnostics to stderr;
 identical invocations produce byte-identical output. Witness rows are
 printed as each is proved, so a run that exhausts its budget keeps the
@@ -235,8 +235,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (RecursionError, MemoryError) as exc:
-        # The parser and the evaluator recurse once per nesting level, so a
-        # deep enough term overflows the stack before any budget is reached.
+        # Compiled evaluation recurses once per nesting level, so a deep
+        # enough term overflows the stack before any budget is reached.
         print(f"error: interpreter resources exhausted ({type(exc).__name__})", file=sys.stderr)
         return 3
     except (EmptyClassifierError, DuplicateProbeError, EmptyProbesError) as exc:

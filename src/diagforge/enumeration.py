@@ -26,17 +26,8 @@ from enum import Enum
 from functools import lru_cache
 from operator import itemgetter, mul
 
-from .errors import NotInTierError, TypeCheckError
-from .kernel import (
-    OPS,
-    OP_TABLE,
-    Sort,
-    Term,
-    TypedProgram,
-    infer_sort,
-    size,
-    subterms,
-)
+from .errors import NotInTierError
+from .kernel import OP_TABLE, Sort, Term, TypedProgram, size, subterms
 
 
 class Tier(Enum):
@@ -307,30 +298,25 @@ def program_at(tier: Tier, i: int) -> TypedProgram:
 def index_of(tier: Tier, p: TypedProgram | Term) -> int:
     """The unique index with program_at(tier, index) == p.
 
-    Raises NotInTierError when p uses operators outside the tier, uses
-    the wrong free variables, or is ill-typed at the tier's sort.
+    Raises NotInTierError at the first node, in pre-order, whose head and
+    arity no program of the term's size has there after the same nodes. A
+    slot admits only the tier's operators and the variables in its scope.
     """
     term = p.term if isinstance(p, TypedProgram) else p
-    allowed = TIER_OPS[tier]
-    for node in subterms(term):
-        spec = OPS.get(node.head)
-        if spec is None or (not spec.is_variable and node.head not in allowed):
-            raise NotInTierError(f"operator {node.head!r} is outside tier {tier.value}")
-    try:
-        found = infer_sort(term, ROOT_SCOPE)
-    except TypeCheckError as exc:
-        raise NotInTierError(f"not well-formed in tier {tier.value}: {exc}") from exc
-    if found is not ROOT_SORT:
-        raise NotInTierError(f"programs of tier {tier.value} have sort {ROOT_SORT.value}")
     counts = _tier_counts(tier)
     steps = counts.steps
-    remaining = size(term)
+    total = remaining = size(term)
     index = counts.before(remaining) + 1
     pending: tuple[int, ...] = (0,)
-    for node in subterms(term):
+    for position, node in enumerate(subterms(term)):
         bounds, choices = steps.get((pending, remaining)) or counts.step(pending, remaining)
-        # The term is well-formed in the tier, so its head is among the choices.
-        k = next(k for k, choice in enumerate(choices) if choice[0] == node.head)
+        arity = len(node.args)
+        k = next((k for k, choice in enumerate(choices) if choice[0] == node.head and choice[1] == arity), None)
+        if k is None:
+            raise NotInTierError(
+                f"not a program of tier {tier.value}: node {position} in pre-order"
+                f" ({node.head!r}, {arity} arguments) fits no program of size {total}"
+            )
         if k:
             index += bounds[k - 1]
         pending = pending[:-1] + choices[k][2]

@@ -231,51 +231,62 @@ def subterms(t: Term) -> Iterator[Term]:
 # S-expression syntax
 
 
-def _tokenize(text: str) -> list[str]:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
-
-
-def _read_form(tokens: list[str], pos: int):
-    if pos >= len(tokens):
-        raise ParseError("unexpected end of input")
-    tok = tokens[pos]
-    if tok == "(":
-        items = []
-        pos += 1
-        while True:
-            if pos >= len(tokens):
-                raise ParseError("unbalanced form: missing ')'")
-            if tokens[pos] == ")":
-                return items, pos + 1
-            item, pos = _read_form(tokens, pos)
-            items.append(item)
-    if tok == ")":
-        raise ParseError("unexpected ')'")
-    return tok, pos + 1
+def _read_form(text: str, what: str):
+    """The first form of text, an atom or a list of forms, and the tokens
+    after it; `what` names the text in errors. Open lists wait on an
+    explicit stack."""
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    if not tokens:
+        raise ParseError(f"empty {what}")
+    stack: list[list] = []
+    for pos, form in enumerate(tokens):
+        if form == "(":
+            stack.append([])
+            continue
+        if form == ")":
+            if not stack:
+                raise ParseError("unexpected ')'")
+            form = stack.pop()
+        if not stack:
+            return form, tokens[pos + 1 :]
+        stack[-1].append(form)
+    raise ParseError("unbalanced form: missing ')'")
 
 
 def _form_to_term(form) -> Term:
-    if isinstance(form, str):
-        spec = OPS.get(form)
+    """The term a form spells. Each form is checked before its arguments,
+    and terms are built bottom-up, on explicit stacks."""
+    done: list[Term] = []
+    stack = [form]
+    while stack:
+        form = stack.pop()
+        if form.__class__ is tuple:  # (head, arity), once its arguments are built
+            head, k = form
+            done[-k:] = [Term(head, tuple(done[-k:]))]
+            continue
+        if form.__class__ is str:
+            head, args = form, None
+        elif not form:
+            raise ParseError("empty form '()'")
+        elif not isinstance(form[0], str):
+            raise ParseError("form head must be a constructor name")
+        else:
+            head, args = form[0], form[1:]
+        spec = OPS.get(head)
         if spec is None:
-            raise UnknownConstructorError(form)
-        if spec.arity != 0:
-            raise ParseError(f"{form!r} takes {spec.arity} arguments, got none")
-        return Term(form)
-    if not form:
-        raise ParseError("empty form '()'")
-    head = form[0]
-    if not isinstance(head, str):
-        raise ParseError("form head must be a constructor name")
-    spec = OPS.get(head)
-    if spec is None:
-        raise UnknownConstructorError(head)
-    args = form[1:]
-    if spec.arity == 0:
-        raise ParseError(f"{head!r} takes no arguments; write it bare")
-    if len(args) != spec.arity:
-        raise ParseError(f"{head!r} takes {spec.arity} arguments, got {len(args)}")
-    return Term(head, tuple(_form_to_term(a) for a in args))
+            raise UnknownConstructorError(head)
+        if args is None:
+            if spec.arity != 0:
+                raise ParseError(f"{head!r} takes {spec.arity} arguments, got none")
+            done.append(Term(head))
+        elif spec.arity == 0:
+            raise ParseError(f"{head!r} takes no arguments; write it bare")
+        elif len(args) != spec.arity:
+            raise ParseError(f"{head!r} takes {spec.arity} arguments, got {len(args)}")
+        else:
+            stack.append((head, len(args)))
+            stack += args[::-1]
+    return done[0]
 
 
 def parse(text: str) -> Term:
@@ -284,12 +295,9 @@ def parse(text: str) -> Term:
     Arity is enforced structurally; scoping and sorts are the job of
     check_well_formed.
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty input")
-    form, pos = _read_form(tokens, 0)
-    if pos != len(tokens):
-        raise ParseError(f"trailing tokens after form: {' '.join(tokens[pos:])!r}")
+    form, rest = _read_form(text, "input")
+    if rest:
+        raise ParseError(f"trailing tokens after form: {' '.join(rest)!r}")
     return _form_to_term(form)
 
 
@@ -352,22 +360,16 @@ def _form_to_value(form) -> Value:
 
 def parse_value(text: str) -> Value:
     """Read one value: a natural, true/false, or a list like (3 1 2)."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty value")
-    form, pos = _read_form(tokens, 0)
-    if pos != len(tokens):
-        raise ParseError(f"trailing tokens after value: {' '.join(tokens[pos:])!r}")
+    form, rest = _read_form(text, "value")
+    if rest:
+        raise ParseError(f"trailing tokens after value: {' '.join(rest)!r}")
     return _form_to_value(form)
 
 
 def parse_value_list(text: str) -> tuple[Value, ...]:
     """Read a parenthesized list of values, e.g. "(0 1 2)" or "((0 1) ())"."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty value list")
-    form, pos = _read_form(tokens, 0)
-    if pos != len(tokens) or isinstance(form, str):
+    form, rest = _read_form(text, "value list")
+    if rest or isinstance(form, str):
         raise ParseError("expected a parenthesized list of values")
     return tuple(_form_to_value(item) for item in form)
 
@@ -398,36 +400,48 @@ class TypedProgram(Record):
         return f"TypedProgram<{pretty(self.term)} : {self.sort.value}>"
 
 
-def infer_sort(t: Term, scope: frozenset[str] | set[str], path: tuple[int, ...] = ()) -> Sort:
-    """Infer the unique sort of a term, checking scoping along the way.
+def infer_sort(t: Term, scope: frozenset[str] | set[str]) -> Sort:
+    """Infer the unique sort of a term, checking arity and scoping along the way.
 
     Binders extend the ambient scope lexically (inner binders shadow), so
-    e.g. a precnat step may still mention n.
+    e.g. a precnat step may still mention n. Each argument is checked as
+    soon as its sort is known, left to right, on an explicit stack.
     """
-    spec = OPS.get(t.head)
-    if spec is None:
-        raise UnknownConstructorError(t.head)
-    if spec.is_variable:
-        if t.head not in scope:
-            raise UnboundVariableError(t.head, path)
-        return spec.var_sort
-    if len(t.args) != spec.arity:
-        raise ParseError(f"{t.head!r} takes {spec.arity} arguments, got {len(t.args)}")
-    if t.head == "if":
-        cond = infer_sort(t.args[0], scope, path + (0,))
-        if cond is not Sort.BOOL:
-            raise SortMismatchError(path + (0,), Sort.BOOL, cond)
-        then = infer_sort(t.args[1], scope, path + (1,))
-        other = infer_sort(t.args[2], scope, path + (2,))
-        if then is not other:
-            raise SortMismatchError(path + (2,), then, other)
-        return then
-    for i, param in enumerate(spec.params):
-        inner_scope = scope if not param.binders else frozenset(scope) | set(param.binders)
-        found = infer_sort(t.args[i], inner_scope, path + (i,))
-        if found is not param.sort:
-            raise SortMismatchError(path + (i,), param.sort, found)
-    return spec.result
+    # One frame per open node: [node, spec, scope, index of the argument
+    # being checked, the node's sort], which for `if` is its first branch's.
+    # An error's path is the frames' argument indices.
+    frames: list[list] = []
+    node = t
+    while True:
+        spec = OPS.get(node.head)
+        if spec is None:
+            raise UnknownConstructorError(node.head)
+        if len(node.args) != spec.arity:
+            raise ParseError(f"{node.head!r} takes {spec.arity} arguments, got {len(node.args)}")
+        if spec.is_variable and node.head not in scope:
+            raise UnboundVariableError(node.head, tuple([frame[3] for frame in frames]))
+        if node.args:
+            frames.append([node, spec, scope, 0, spec.result])
+            scope = scope.union(spec.params[0].binders)
+            node = node.args[0]
+            continue
+        found = spec.result
+        while frames:
+            parent, spec, scope, i, result = frame = frames[-1]
+            want = spec.params[i].sort or result
+            if want is None:
+                frame[4] = found
+            elif found is not want:
+                raise SortMismatchError(tuple([frame[3] for frame in frames]), want, found)
+            if i + 1 < spec.arity:
+                frame[3] = i = i + 1
+                scope = scope.union(spec.params[i].binders)
+                node = parent.args[i]
+                break
+            found = frame[4]
+            frames.pop()
+        else:
+            return found
 
 
 def check_well_formed(t: Term, expected: Sort, free_vars: Iterable[str]) -> TypedProgram:

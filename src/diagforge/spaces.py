@@ -12,7 +12,7 @@ probes. Spaces are values: every operation returns a new space.
 from __future__ import annotations
 
 from .errors import DiagforgeError, DuplicateProbeError, EmptyProbesError, ParseError
-from .interp import EvalBudget, compile_term, probe_vectors, run_probes
+from .interp import EvalBudget, probe_outputs, probe_vectors
 from .kernel import (
     INPUT_VARS,
     Record,
@@ -20,7 +20,6 @@ from .kernel import (
     Term,
     Value,
     canonical_key,
-    check_well_formed,
     format_value,
     infer_sort,
     parse,
@@ -76,11 +75,12 @@ def _check_probes(probes: tuple[Value, ...]) -> None:
         raise DuplicateProbeError(f"duplicate probe in {probes!r}")
 
 
-def _fingerprint(term: Term, vectors: list[list], var: str, budget: EvalBudget | None) -> tuple:
+def _fingerprint(term: Term, vectors: list[list], var: str, budget: EvalBudget | None, memo: dict) -> tuple:
     # The output sort tags the key: True and 1 are equal (and hash alike)
-    # in Python, so raw vectors of mixed-sort outputs could collide.
+    # in Python, so raw vectors of mixed-sort outputs could collide. `memo`
+    # keeps subterm columns for these vectors and this budget.
     out_sort = infer_sort(term, frozenset({var}))
-    return (out_sort.value, tuple(run_probes(compile_term(term), vectors, budget)))
+    return (out_sort.value, probe_outputs(term, vectors, budget, memo))
 
 
 def _class(fingerprint: tuple, members) -> SpaceClass:
@@ -98,8 +98,9 @@ def _rebuild(
     var = INPUT_VARS[sort_of_value(probes[0])]
     vectors = probe_vectors((var,), probes)
     grouped: dict[tuple, list[Term]] = {}
+    memo: dict = {}
     for term in members:
-        grouped.setdefault(_fingerprint(term, vectors, var, budget), []).append(term)
+        grouped.setdefault(_fingerprint(term, vectors, var, budget, memo), []).append(term)
     classes = [_class(fingerprint, group) for fingerprint, group in grouped.items()]
     classes.sort(key=lambda c: canonical_key(c.representative))
     return AnalyticalSpace(probes, tuple(classes), history)
@@ -122,8 +123,8 @@ def absorb(space: AnalyticalSpace, term: Term, budget: EvalBudget | None = None)
     touched class is recomputed.
     """
     var = space.input_var
-    check_well_formed(term, infer_sort(term, frozenset({var})), {var})
-    fingerprint = _fingerprint(term, probe_vectors((var,), space.probes), var, budget)
+    # A fresh memo: a space keeps no columns, so its memory stays its members'.
+    fingerprint = _fingerprint(term, probe_vectors((var,), space.probes), var, budget, {})
     existing = space.class_map().get(fingerprint)
     if existing is None:
         outcome = "new"

@@ -338,18 +338,37 @@ def test_exhaustion_keeps_the_rows_already_proved():
 
 
 def test_too_deep_terms_exit_3_without_traceback(tmp_path):
-    deep = "(succ " * 600 + "zero" + ")" * 600
-    decider = tmp_path / "deep.txt"
-    decider.write_text(deep + "\n")
+    # Parsing and typing hold at any depth, so a 600-deep decider and term
+    # run. Closure evaluation recurses once per level: a chain deeper than
+    # the stack over a binder, which no column reaches, exits 3.
     space = tmp_path / "s.json"
     assert run("space", "new", "--probes", "(0 1)", "--out", str(space)).returncode == 0
-    for result in (
-        run("refute", "--classifier", f"program:{decider}", "--count", "1"),
-        run("space", "absorb", "--space", str(space), "--term", deep, "--out", str(space)),
+    for deep, code in (
+        ("(succ " * 600 + "zero" + ")" * 600, 0),
+        ("(succ " * 2500 + "(precnat zero acc n)" + ")" * 2500, 3),
     ):
-        assert result.returncode == 3
-        assert "Traceback" not in result.stderr
-        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        decider = tmp_path / "deep.txt"
+        decider.write_text(deep + "\n")
+        for result in (
+            run("refute", "--classifier", f"program:{decider}", "--count", "1"),
+            run("space", "absorb", "--space", str(space), "--term", deep, "--out", str(tmp_path / "out.json")),
+        ):
+            assert result.returncode == code
+            assert "Traceback" not in result.stderr
+            if code:
+                assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
+def test_space_of_a_very_deep_binder_free_term(tmp_path):
+    depth = 10**4
+    space = tmp_path / "s.json"
+    assert run("space", "new", "--probes", "(0 1)", "--out", str(space)).returncode == 0
+    deep = "(succ " * depth + "n" + ")" * depth
+    result = run("space", "absorb", "--space", str(space), "--term", deep, "--out", str(space))
+    assert (result.returncode, result.stderr) == (0, "")
+    result = run("space", "export", "--space", str(space))
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout)["classes"][0]["fingerprint"]["outputs"] == [depth, depth + 1]
 
 
 def test_env_var_overrides_budget():
@@ -472,23 +491,30 @@ def test_malformed_snapshot_is_a_usage_error(tmp_path, verb, name):
 
 def test_deeply_nested_snapshot_is_a_usage_error(tmp_path):
     # json.load itself overflows the stack on this nesting: still a malformed
-    # snapshot (exit 2). A valid snapshot holding a too deep term exits 3.
+    # snapshot (exit 2). A valid snapshot holding a deep binder-free member
+    # is fingerprinted by columns; one whose evaluation is too deep exits 3.
     nested = tmp_path / "nested.json"
     nested.write_text("[" * 100_000 + "]" * 100_000 + "\n")
-    deep_term = tmp_path / "deep-term.json"
-    deep_term.write_text(json.dumps({
-        "probes": [0],
-        "classes": [{"fingerprint": {"sort": "nat", "outputs": [0]}, "members": ["(succ " * 2000 + "n" + ")" * 2000]}],
-        "history": [],
-    }) + "\n")
     for snapshot, code, error in (
         (nested, 2, "error: malformed space snapshot: "),
-        (deep_term, 3, "error: interpreter resources exhausted"),
+        ("(succ " * 2000 + "n" + ")" * 2000, 0, None),
+        ("(succ " * 2500 + "(precnat zero acc n)" + ")" * 2500, 3, "error: interpreter resources exhausted"),
     ):
+        if isinstance(snapshot, str):
+            member, snapshot = snapshot, tmp_path / "deep-term.json"
+            snapshot.write_text(json.dumps({
+                "probes": [0],
+                "classes": [{"fingerprint": {"sort": "nat", "outputs": [0]}, "members": [member]}],
+                "history": [],
+            }) + "\n")
         result = run("space", "export", "--space", str(snapshot))
         assert result.returncode == code
-        assert result.stdout == "" and "Traceback" not in result.stderr
-        assert result.stderr.startswith(error) and result.stderr.count("\n") == 1
+        if code:
+            assert result.stdout == "" and "Traceback" not in result.stderr
+            assert result.stderr.startswith(error) and result.stderr.count("\n") == 1
+        else:
+            assert result.stderr == ""
+            assert json.loads(result.stdout)["classes"][0]["fingerprint"]["outputs"] == [2000]
 
 
 def test_import_loads_no_dataclasses_inspect_or_typing():

@@ -20,7 +20,7 @@ from diagforge.enumeration import (
     walk_layer,
 )
 from diagforge.errors import NotInTierError
-from diagforge.kernel import Sort, Term, parse, pretty, rank_seq, size
+from diagforge.kernel import Sort, Term, infer_sort, parse, pretty, rank_seq, size
 from diagforge.synthesis import LIST_BASE, NAT_BASE
 from oracles import all_nat_terms, canonical_terms, nat_terms_of_size
 
@@ -63,7 +63,7 @@ def test_index_of_examples():
     assert index_of(Tier.NATFN, program_at(Tier.NATFN, 137)) == 137
     with pytest.raises(NotInTierError):
         index_of(Tier.NATFN, parse("(first nil)"))
-    with pytest.raises(NotInTierError):
+    with pytest.raises(NotInTierError, match=r"natfn: node 1 in pre-order \('x', 0 arguments\) fits no program of size 2"):
         index_of(Tier.NATFN, parse("(succ x)"))  # wrong free variable
     # but (first nil) is a Nat program of the full tier
     assert index_of(Tier.FULL, parse("(first nil)")) >= 1
@@ -148,13 +148,29 @@ def test_rank_and_unrank_far_past_materializable_layers(monkeypatch):
         program = program_at(tier, index)
         assert size(program.term) > 20
         assert index_of(tier, program) == index
-    # A 300-node chain, built and compared without parse, pretty or Term
-    # equality, which all recurse once per level.
-    chain = Term("n")
-    for _ in range(299):
-        chain = Term("succ", (chain,))
-    index = index_of(Tier.NATFN, chain)
-    assert rank_seq(program_at(Tier.NATFN, index).term) == rank_seq(chain)
+
+
+def _recursion_limit_above_caller(frames):
+    """A recursion limit this many frames above the caller's depth."""
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth + frames
+
+
+def test_parse_type_and_rank_do_not_recurse_per_level():
+    # A 300-node chain, far past the materializable layers.
+    text = "(succ " * 299 + "n" + ")" * 299
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_recursion_limit_above_caller(60))
+    try:
+        chain = parse(text)
+        found = infer_sort(chain, ROOT_SCOPE)
+        index = index_of(Tier.NATFN, chain)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found is ROOT_SORT
+    assert program_at(Tier.NATFN, index).term == chain
     assert index_of(Tier.NATFN, program_at(Tier.NATFN, index + 1)) == index + 1
 
 
@@ -191,11 +207,8 @@ def test_unranking_does_not_recurse_per_pending_slot():
     deep = (0,) * 100
     warm = enumeration._tier_counts(Tier.NATFN).fill(deep, 200)[200]
     enumeration._counts.cache_clear()
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 60)
+    sys.setrecursionlimit(_recursion_limit_above_caller(60))
     try:
         program = program_at(Tier.NATFN, index)
         enumeration._counts.cache_clear()

@@ -21,7 +21,7 @@ from diagforge.interp import (
     run_probes,
     slot_vector,
 )
-from diagforge.kernel import Sort, Term, check_well_formed, infer_sort, parse
+from diagforge.kernel import Sort, check_well_formed, infer_sort, parse
 from oracles import Exhausted, eval_budgeted, eval_nat, insertion_sort
 from strategies import random_term, terms
 
@@ -320,10 +320,7 @@ def test_column_outputs_equal_probe_by_probe_runs():
 
 
 def test_deep_succ_chain_evaluates():
-    term = Term("n")
-    for _ in range(900):
-        term = Term("succ", (term,))
-    assert next(run_probes(compile_term(term), [slot_vector({"n": 0})])) == 900
+    assert evaluate(nat_program("(succ " * 900 + "n" + ")" * 900), 0) == 900
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given
 
-from diagforge.enumeration import Tier
+from diagforge.enumeration import Tier, index_of
 from diagforge.errors import (
+    DiagforgeError,
+    NotInTierError,
     ParseError,
     SortMismatchError,
     UnboundVariableError,
@@ -16,6 +18,7 @@ from diagforge.kernel import (
     Term,
     check_well_formed,
     format_value,
+    infer_sort,
     parse,
     parse_value,
     parse_value_list,
@@ -27,6 +30,7 @@ from diagforge.kernel import (
 from diagforge.interp import EvalBudget
 from diagforge.machines import Base, Subsequence, Witness
 from diagforge.refuter import AcceptAll, AcceptNone, MaxSize
+from diagforge.spaces import absorb, new_space
 from diagforge.synthesis import Candidate, GoalSpec
 from strategies import terms
 
@@ -128,6 +132,90 @@ def test_sort_mismatches_are_rejected():
     check_well_formed(parse("(if (lt n zero) nil (cons n nil))"), Sort.LIST_NAT, {"n"})
 
 
+# Ill-formed terms: (term, expected sort, free variables, exception class,
+# its path or None, its message). Each is the first error in pre-order,
+# with each argument checked as soon as its sort is known.
+ILL_FORMED = [
+    (Term("frob", (Term("n"),)), Sort.NAT, {"n"}, UnknownConstructorError, None, "unknown constructor: 'frob'"),
+    ("x", Sort.NAT, {"n"}, UnboundVariableError, (), "unbound variable 'x' at []"),
+    ("(precnat zero (add acc x) n)", Sort.NAT, {"n"}, UnboundVariableError, (1, 1), "unbound variable 'x' at [1, 1]"),
+    ("(filter l (lt x pivot))", Sort.LIST_NAT, {"l"}, UnboundVariableError, (1, 1),
+     "unbound variable 'pivot' at [1, 1]"),
+    ("(pivotrec l (lt x pivot) (lt pivot x) (cons idx r))", Sort.LIST_NAT, {"l"}, UnboundVariableError, (3, 0),
+     "unbound variable 'idx' at [3, 0]"),
+    # pivotrec's pivot does not reach its first argument, where a filter
+    # binds x alone.
+    ("(pivotrec (filter l (lt x pivot)) (lt x pivot) (lt pivot x) l)", Sort.LIST_NAT, {"l"}, UnboundVariableError,
+     (0, 1, 1), "unbound variable 'pivot' at [0, 1, 1]"),
+    ("(succ (add n (first (cons n n))))", Sort.NAT, {"n"}, SortMismatchError, (0, 1, 0, 1),
+     "sort mismatch at [0, 1, 0, 1]: expected listnat, found nat"),
+    ("(if n zero n)", Sort.NAT, {"n"}, SortMismatchError, (0,), "sort mismatch at [0]: expected bool, found nat"),
+    ("(if (lt n n) zero nil)", Sort.NAT, {"n"}, SortMismatchError, (2,),
+     "sort mismatch at [2]: expected nat, found listnat"),
+    (Term("add", (Term("n"),)), Sort.NAT, {"n"}, ParseError, None, "'add' takes 2 arguments, got 1"),
+    ("(add (succ n) nil)", Sort.NAT, {"n"}, SortMismatchError, (1,), "sort mismatch at [1]: expected nat, found listnat"),
+    (Term("add", (Term("nil"), Term("frob"))), Sort.NAT, {"n"}, SortMismatchError, (0,),
+     "sort mismatch at [0]: expected nat, found listnat"),
+    (Term("add", (Term("frob"), Term("nil"))), Sort.NAT, {"n"}, UnknownConstructorError, None,
+     "unknown constructor: 'frob'"),
+    ("(cons n nil)", Sort.NAT, {"n"}, SortMismatchError, (), "sort mismatch at []: expected nat, found listnat"),
+]
+
+
+@pytest.mark.parametrize("row", ILL_FORMED, ids=lambda row: pretty(row[0]) if isinstance(row[0], Term) else row[0])
+def test_ill_formed_terms_raise_their_first_error(row):
+    term, expected, free_vars, error, path, message = row
+    term = parse(term) if isinstance(term, str) else term
+    checks = [lambda: check_well_formed(term, expected, free_vars)]
+    if not (error is SortMismatchError and path == ()):  # check_well_formed's own
+        checks.append(lambda: infer_sort(term, frozenset(free_vars)))
+    for check in checks:
+        with pytest.raises(DiagforgeError) as excinfo:
+            check()
+        assert type(excinfo.value) is error
+        assert getattr(excinfo.value, "path", None) == path
+        assert str(excinfo.value) == message
+
+
+# Malformed texts: (reader, text, message). Every one raises ParseError
+# itself, except where the row names UnknownConstructorError.
+MALFORMED_TEXTS = [
+    (parse, "(succ", "unbalanced form: missing ')'"),
+    (parse, ")", "unexpected ')'"),
+    (parse, "(succ n))", "trailing tokens after form: ')'"),
+    (parse, "", "empty input"),
+    (parse, "(succ n) zero", "trailing tokens after form: 'zero'"),
+    (parse, "()", "empty form '()'"),
+    (parse, "((succ) n)", "form head must be a constructor name"),
+    (parse, "(zero n)", "'zero' takes no arguments; write it bare"),
+    (parse, "(succ n zero)", "'succ' takes 1 arguments, got 2"),
+    (parse, "succ", "'succ' takes 1 arguments, got none"),
+    # The whole form is read before any node is converted.
+    (parse, "(frob n) zero", "trailing tokens after form: 'zero'"),
+    (parse, "(add (frob n) (zero n))", "unknown constructor: 'frob'"),
+    (parse, "(add (succ n zero) (frob n))", "'succ' takes 1 arguments, got 2"),
+    (parse_value, "", "empty value"),
+    (parse_value, "(1 (2))", "list values hold plain naturals"),
+    (parse_value, "1 2", "trailing tokens after value: '2'"),
+    (parse_value, "-3", "not a value atom: '-3'"),
+    (parse_value, "((1)", "unbalanced form: missing ')'"),
+    (parse_value_list, "", "empty value list"),
+    (parse_value_list, "3", "expected a parenthesized list of values"),
+    (parse_value_list, "(1) 2", "expected a parenthesized list of values"),
+    (parse_value_list, ")", "unexpected ')'"),
+    (parse_value_list, "((1 (2)))", "list values hold plain naturals"),
+]
+
+
+@pytest.mark.parametrize("reader, text, message", MALFORMED_TEXTS, ids=lambda x: getattr(x, "__name__", None))
+def test_malformed_texts_raise_their_first_error(reader, text, message):
+    with pytest.raises(ParseError) as excinfo:
+        reader(text)
+    unknown = message.startswith("unknown constructor")
+    assert type(excinfo.value) is (UnknownConstructorError if unknown else ParseError)
+    assert str(excinfo.value) == message
+
+
 @given(terms(max_size=12))
 def test_round_trip_nat_programs(t):
     assert parse(pretty(t)) == t
@@ -164,6 +252,25 @@ def _succ_chain(depth, leaf):
     for _ in range(depth):
         term = Term("succ", (term,))
     return term
+
+
+def test_deep_terms_parse_and_type():
+    term = _succ_chain(10**4, "n")
+    assert parse(pretty(term)) == term
+    assert infer_sort(term, {"n"}) is Sort.NAT
+    assert check_well_formed(term, Sort.NAT, {"n"}).term is term
+
+
+def test_variable_with_arguments_is_rejected():
+    # Only a term built without parse can give a variable arguments.
+    term = Term("succ", (Term("n", (Term("zero"),)),))
+    message = "'n' takes 0 arguments, got 1"
+    with pytest.raises(ParseError, match=message):
+        check_well_formed(term, Sort.NAT, {"n"})
+    with pytest.raises(NotInTierError):
+        index_of(Tier.NATFN, term)
+    with pytest.raises(ParseError, match=message):
+        absorb(new_space((0, 1)), term)
 
 
 def test_deep_terms_compare_and_hash():

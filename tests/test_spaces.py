@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from diagforge import spaces
 from diagforge.errors import DuplicateProbeError, EmptyProbesError, ParseError
 from diagforge.interp import DEFAULT_MAX_STEPS, DEFAULT_MAX_VALUE_BITS
 from diagforge.kernel import canonical_key, parse, pretty, size
@@ -37,6 +38,15 @@ def test_absorb_first_term_founds_a_class():
     space = absorb(new_space((0, 1, 2)), parse("(succ n)"))
     assert len(space.classes) == 1
     assert pretty(space.classes[0].representative) == "(succ n)"
+
+
+def test_absorb_types_the_term_once(monkeypatch):
+    typed = []
+    infer_sort = spaces.infer_sort
+    monkeypatch.setattr(spaces, "infer_sort", lambda t, scope: typed.append(t) or infer_sort(t, scope))
+    term = parse("(add n (succ n))")
+    assert absorb(new_space((0, 1)), term).classes[0].fingerprint == ("nat", (1, 3))
+    assert typed == [term]
 
 
 def test_absorb_keeps_the_cheaper_representative():
