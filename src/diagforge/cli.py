@@ -6,8 +6,10 @@ budget exhausted, or a term too deep or too large to evaluate
 (RecursionError, MemoryError). Records go to stdout, diagnostics to stderr;
 identical invocations produce byte-identical output. Witness rows are
 printed as each is proved, so a run that exhausts its budget keeps the
-rows before the failing index. DIAGFORGE_BUDGET overrides the default step
-budget.
+rows before the failing index. Every value the value cap admits prints in
+full, past CPython's default limit of 4,300 digits for int and str
+conversion; numerals given as arguments keep that limit. DIAGFORGE_BUDGET
+overrides the default step budget.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 import sys
 
 from . import machines, refuter, spaces, synthesis
-from .enumeration import Tier, enumerate_stream, program_at
+from .enumeration import Tier, program_at, sized_stream
 from .errors import (
     DiagforgeError,
     DuplicateProbeError,
@@ -28,10 +30,12 @@ from .errors import (
     ResourceExhaustedError,
     TypeCheckError,
 )
-from .interp import DEFAULT_MAX_STEPS, EvalBudget
+from .interp import DEFAULT_MAX_STEPS, DEFAULT_MAX_VALUE_BITS, EvalBudget
 from .kernel import check_well_formed, parse, parse_value_list, pretty, size, Sort
 
 ENV_BUDGET = "DIAGFORGE_BUDGET"
+# A natural of b bits has fewer than b / 3 digits, as log10(2) < 1/3.
+_VALUE_DIGITS = DEFAULT_MAX_VALUE_BITS // 3
 
 
 def _int(text: str | int, source: str) -> int:
@@ -40,6 +44,19 @@ def _int(text: str | int, source: str) -> int:
         return int(text)
     except ValueError:
         raise ParseError(f"{source}: invalid int value {text!r}") from None
+
+
+def _with_value_digits(convert, *args):
+    """convert(*args), converting between int and str up to _VALUE_DIGITS
+    digits where CPython's limit is lower (the limit is restored after)."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit or limit >= _VALUE_DIGITS:
+        return convert(*args)
+    sys.set_int_max_str_digits(_VALUE_DIGITS)
+    try:
+        return convert(*args)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _budget(steps: int | None) -> EvalBudget:
@@ -66,10 +83,8 @@ def _parse_classifier(text: str) -> refuter.Classifier:
 def _cmd_enum(tier: str, count: int) -> None:
     if count < 1:
         raise ValueError(f"enumeration count must be >= 1, got {count}")
-    stream = enumerate_stream(Tier(tier))
-    for index in range(1, count + 1):
-        program = next(stream)
-        print(f"{index}\t{size(program.term)}\t{pretty(program.term)}")
+    for index, (size_, program) in zip(range(1, count + 1), sized_stream(Tier(tier))):
+        print(f"{index}\t{size_}\t{pretty(program.term)}")
 
 
 def _cmd_show(tier: str, index: int) -> None:
@@ -77,10 +92,21 @@ def _cmd_show(tier: str, index: int) -> None:
     print(f"{index}\t{size(program.term)}\t{pretty(program.term)}")
 
 
-def _print_rows(machine: machines.Machine, count: int, **fields) -> None:
-    """One JSON line per witness row, printed as soon as the row is proved."""
+def _print_rows(machine: machines.Machine, count: int, **fields: int) -> None:
+    """One JSON line per witness row, printed as soon as the row is proved.
+    Every field is an int, so the line is formatted directly."""
+    head = "{" + "".join(f'"{name}": {value}, ' for name, value in fields.items())
+
+    def line(w: machines.Witness) -> str:
+        return f'{head}"index": {w.index}, "fn_at_n": {w.fn_at_n}, "g_at_n": {w.g_at_n}}}\n'
+
+    write = sys.stdout.write
     for w in machines.witness_rows(machine, count):
-        print(json.dumps({**fields, "index": w.index, "fn_at_n": w.fn_at_n, "g_at_n": w.g_at_n}))
+        try:
+            text = line(w)
+        except ValueError:  # a value past CPython's default digit limit
+            text = _with_value_digits(line, w)
+        write(text)
 
 
 def _cmd_diag(tier: str, witness: int, budget: int | None) -> None:
@@ -116,16 +142,17 @@ def _cmd_synth(schema: str, goal: str, budget: int, budget_steps: int | None) ->
 def _load_space(path: str) -> spaces.AnalyticalSpace:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
+            data = _with_value_digits(json.load, handle)
         except RecursionError:
             raise ParseError("malformed space snapshot: JSON nested too deeply") from None
     return spaces.load_snapshot(data)
 
 
 def _save_space(space: spaces.AnalyticalSpace, path: str) -> None:
+    # Encoded whole before the file is opened, so a failure leaves it intact.
+    text = _with_value_digits(json.dumps, spaces.snapshot(space))
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(spaces.snapshot(space), handle)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def _space_new(probes: str, out: str) -> None:
@@ -145,7 +172,7 @@ def _space_expand(space: str, probes: str, out: str) -> None:
 
 
 def _space_export(space: str) -> None:
-    print(json.dumps(spaces.export_summary(_load_space(space))))
+    print(_with_value_digits(json.dumps, spaces.export_summary(_load_space(space))))
 
 
 # An option is (type, default or REQUIRED, allowed values or None).

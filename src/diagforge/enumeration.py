@@ -264,14 +264,20 @@ def walk_layer(ops: frozenset[str], scope: frozenset[str], sort: Sort, size_: in
     return _walk(_counts(ops, scope, sort), size_)
 
 
-def enumerate_stream(tier: Tier) -> Iterator[TypedProgram]:
-    """Every well-formed program of the tier, exactly once, in canonical order."""
+def sized_stream(tier: Tier) -> Iterator[tuple[int, TypedProgram]]:
+    """Every well-formed program of the tier with its size, exactly once,
+    in canonical order."""
     counts = _tier_counts(tier)
     size_ = 1
     while True:
         for t in _walk(counts, size_):
-            yield _typed(t)
+            yield size_, _typed(t)
         size_ += 1
+
+
+def enumerate_stream(tier: Tier) -> Iterator[TypedProgram]:
+    """Every well-formed program of the tier, exactly once, in canonical order."""
+    return (program for _, program in sized_stream(tier))
 
 
 def program_at(tier: Tier, i: int) -> TypedProgram:

@@ -12,16 +12,20 @@ naturals.
 
 A tier or subsequence machine owns its functions: it hands out one
 OracleFn per index, built on first use and evaluated under the budget the
-machine was built with, so each f_n(n) is evaluated once per machine.
+machine was built with, so each f_n(n) is evaluated once per machine. A
+tier machine reads its programs from the tier's stream while indices are
+asked for in order, as witness rows ask for them, and unranks only an
+index that skips ahead of the stream.
 """
 
 from __future__ import annotations
 
+import _thread
 from collections.abc import Callable, Iterator
 from functools import cached_property
 
 from .errors import ResourceExhaustedError
-from .enumeration import Tier, program_at
+from .enumeration import Tier, enumerate_stream, program_at
 from .interp import EvalBudget, evaluate
 from .kernel import Record, TypedProgram, pretty
 
@@ -60,12 +64,27 @@ class Base(Record):
     """The tier's whole enumeration, evaluated under `budget`."""
 
     _fields = ("tier", "budget")
-    __slots__ = _fields + ("_fns",)
+    __slots__ = _fields + ("_fns", "_stream", "_streamed", "_lock")
 
     def __init__(self, tier: Tier, budget: EvalBudget | None = None):
         self.tier = tier
         self.budget = budget
         self._fns: dict[int, OracleFn] = {}
+        self._stream: Iterator[TypedProgram] | None = None
+        self._streamed = 0  # programs read from the stream so far
+        # One generator cannot be advanced by two threads at once.
+        self._lock = _thread.allocate_lock()
+
+    def _program(self, i: int) -> TypedProgram:
+        """The i-th program: the stream's next one when i follows the last
+        index read from it, else unranked."""
+        with self._lock:
+            if i == self._streamed + 1:
+                if self._stream is None:
+                    self._stream = enumerate_stream(self.tier)
+                self._streamed = i
+                return next(self._stream)
+        return program_at(self.tier, i)
 
 
 class Subsequence(Record):
@@ -117,8 +136,9 @@ def function_at(m: Machine, i: int) -> OracleFn:
                 raise ValueError(f"stream index {i} is past the end of {m.label}")
             program = m.programs[i - 1][1]
         else:
-            program = program_at(m.tier, i)
-        fn = m._fns[i] = OracleFn(lambda n: evaluate(program, n, m.budget), name=lambda: pretty(program.term))
+            program = m._program(i)
+        # setdefault keeps one function per index when threads race here.
+        fn = m._fns.setdefault(i, OracleFn(lambda n: evaluate(program, n, m.budget), name=lambda: pretty(program.term)))
     return fn
 
 
@@ -136,7 +156,7 @@ def diagonal(m: Machine) -> OracleFn:
         k = n if n >= 1 else 1
         return _apply_indexed(function_at(m, k), k) + 1
 
-    return OracleFn(fn, name=f"diag({describe(m)})")
+    return OracleFn(fn, name=lambda: f"diag({describe(m)})")
 
 
 def extend(m: Machine, f: OracleFn) -> Machine:

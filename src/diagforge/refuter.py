@@ -7,17 +7,19 @@ no classifier can have accepted a family containing it. The accepted
 prefix is itself a finite machine (machines.Subsequence): a refutation is
 witness_rows and diagonal on it, over accepted positions, not tier indices.
 Program-backed deciders live inside the kernel language itself: decider d
-accepts index i iff d(i) != 0.
+accepts index i iff d(i) != 0. A scan compiles the decider once and runs
+it on each index under the full budget.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import islice
 
 from .errors import EmptyClassifierError
-from .enumeration import Tier, enumerate_stream
-from .interp import EvalBudget, evaluate
-from .kernel import Record, TypedProgram, pretty, size
+from .enumeration import Tier, sized_stream
+from .interp import EvalBudget, compile_term, run_probes, slot_vector
+from .kernel import Record, TypedProgram, pretty
 from .machines import Subsequence
 
 DEFAULT_HORIZON = 100_000
@@ -62,14 +64,19 @@ def describe_classifier(c: Classifier) -> str:
     return f"program:{pretty(c.decider.term)}"
 
 
-def _accepts(c: Classifier, index: int, program: TypedProgram, budget: EvalBudget | None) -> bool:
+def _acceptor(c: Classifier, budget: EvalBudget | None) -> Callable[[int, int], bool]:
+    """The classifier's verdict on a program, given its index and size; a
+    decider is compiled here, once."""
     if isinstance(c, MaxSize):
-        return size(program.term) <= c.bound
+        return lambda index, size_: size_ <= c.bound
     if isinstance(c, AcceptAll):
-        return True
+        return lambda index, size_: True
     if isinstance(c, AcceptNone):
-        return False
-    return evaluate(c.decider, index, budget) != 0
+        return lambda index, size_: False
+    if not c.decider.free_vars <= {"n"}:
+        raise ValueError(f"a decider's only input is n, got free variables {sorted(c.decider.free_vars)}")
+    code = compile_term(c.decider.term)
+    return lambda index, size_: next(run_probes(code, (slot_vector({"n": index}),), budget)) != 0
 
 
 def accepted_prefix(
@@ -91,9 +98,10 @@ def accepted_prefix(
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     # The horizon bounds the scan of the underlying enumeration, not the
     # accepted subsequence (which may be empty).
+    accepts = _acceptor(c, budget)
     accepted: list[tuple[int, TypedProgram]] = []
-    for index, program in islice(enumerate(enumerate_stream(tier), start=1), horizon):
-        if _accepts(c, index, program, budget):
+    for index, (size_, program) in islice(enumerate(sized_stream(tier), start=1), horizon):
+        if accepts(index, size_):
             accepted.append((index, program))
             if len(accepted) == count:
                 break

@@ -36,6 +36,8 @@ PINNED_STDOUT = [
     ),
     ("refute --tier full --classifier all --count 400", "205ad91e68e05692e45c07ae92d3f27e814038d4826aea8706733992bfa78de8"),
     ("iterate --depth 4 --witness 300", "fbabf8d648fbf0a3ff80932bbee1fca04b2e8690ef2ffaca9009d09e27c9ed10"),
+    # every row the default budget allows (row 917 exhausts it)
+    ("diag --tier natfn --witness 916", "9e3b26326631c367b4614080d34dd395f0432fa1ba1aa9a8616258826ffeb6a5"),
 ]
 
 
@@ -169,17 +171,16 @@ def test_each_command_unranks_each_program_at_most_once(monkeypatch):
     monkeypatch.setattr(machines, "program_at", counting_program_at)
     monkeypatch.setattr(machines, "evaluate", counting_evaluate)
 
+    # diag and iterate read their programs from the tier's stream
     assert cli.main(["diag", "--witness", "40"]) == 0
-    assert unranked == list(range(1, 41))
+    assert unranked == []
     assert len(evaluated) == 40  # each f_n(n) once; g(n) reads it back
 
-    unranked.clear()
     evaluated.clear()
     assert cli.main(["iterate", "--depth", "3", "--witness", "10"]) == 0
-    assert sorted(unranked) == list(range(1, 11))
+    assert unranked == []
     assert len(set(evaluated)) == len(evaluated)
 
-    unranked.clear()
     evaluated.clear()
     assert cli.main(["refute", "--tier", "full", "--classifier", "maxsize:3", "--count", "14"]) == 0
     assert unranked == []
@@ -190,6 +191,17 @@ def test_enum_prints_tab_separated_records():
     result = run("enum", "--tier", "natfn", "--count", "4")
     assert result.returncode == 0
     assert result.stdout == "1\t1\tn\n2\t1\tzero\n3\t2\t(succ n)\n4\t2\t(succ zero)\n"
+
+
+def test_enum_sizes_are_the_programs_sizes(capsys):
+    from diagforge import cli
+    from diagforge.kernel import size
+
+    for tier in ("natfn", "full"):
+        assert cli.main(["enum", "--tier", tier, "--count", "3000"]) == 0
+        records = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        assert [int(index) for index, _, _ in records] == list(range(1, 3001))
+        assert all(int(n) == size(parse(text)) for _, n, text in records)
 
 
 def test_enum_full_tier():
@@ -308,6 +320,78 @@ def test_synth_drops_exhausting_candidates(tmp_path):
     result = run(*argv, "40", cwd=ROOT)
     assert result.returncode == 3
     assert "budget exhausted" in result.stderr
+
+
+def _numeral_term(k):
+    return "(succ " * k + "zero" + ")" * k
+
+
+# Row 14 of this refutation is (precnat (succ (succ zero)) (mul acc acc) n)
+# at 14, which is 2**16384: 4,933 digits, past CPython's default limit of
+# 4,300 for int to str conversion, and far under the 65,536-bit value cap.
+BIG_ROW_DECIDER = f"(if (lt (add (mul {_numeral_term(173)} {_numeral_term(173)}) {_numeral_term(42)}) n) (succ zero) zero)"
+BIG_ROW_TERM = "(precnat (succ (succ zero)) (mul acc acc) n)"
+
+
+def _ints(text):
+    """json.loads with no digit limit on ints."""
+    return json.loads(text, parse_int=lambda digits: _unlimited(int, digits))
+
+
+def _digit_limit():
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
+def _unlimited(convert, *args):
+    limit = _digit_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return convert(*args)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_rows_past_the_default_digit_limit_print(tmp_path):
+    decider = tmp_path / "decider.txt"
+    decider.write_text(BIG_ROW_DECIDER + "\n")
+    result = run("refute", "--tier", "natfn", "--classifier", f"program:{decider}", "--count", "14")
+    assert (result.returncode, result.stderr) == (0, "")
+    header, *rows = [_ints(line) for line in result.stdout.splitlines()]
+    assert [r["index"] for r in rows] == list(range(1, 15))
+    assert (rows[-1]["fn_at_n"], rows[-1]["g_at_n"]) == (2**16384, 2**16384 + 1)
+    assert all(r["g_at_n"] == r["fn_at_n"] + 1 for r in rows)
+
+
+def test_space_values_past_the_default_digit_limit(tmp_path):
+    space = tmp_path / "s.json"
+    assert run("space", "new", "--probes", "(14 1)", "--out", str(space)).returncode == 0
+    for term in (BIG_ROW_TERM, "(succ n)"):
+        result = run("space", "absorb", "--space", str(space), "--term", term, "--out", str(space))
+        assert (result.returncode, result.stderr) == (0, "")
+    result = run("space", "export", "--space", str(space))
+    assert (result.returncode, result.stderr) == (0, "")
+    outputs = [c["fingerprint"]["outputs"] for c in _ints(result.stdout)["classes"]]
+    assert sorted(outputs) == [[15, 2], [2**16384, 4]]
+    members = [m for c in _ints(space.read_text())["classes"] for m in c["members"]]
+    assert sorted(members) == sorted([BIG_ROW_TERM, "(succ n)"])
+
+
+def test_row_lines_equal_json_dumps(capsys):
+    from diagforge import cli, machines
+    from diagforge.enumeration import Tier
+
+    limit = _digit_limit()
+    values = [0, 7, 10**4300, 2**16384 + 5, 0, 3**20000]
+    prepended = tuple(machines.OracleFn(lambda n, v=v: v, name=f"f{k}") for k, v in enumerate(values))
+    machine = machines.Extend(machines.Base(Tier.NATFN), prepended)
+    for fields in ({}, {"level": 0}, {"level": 12}):
+        cli._print_rows(machine, len(values), **fields)
+        lines = capsys.readouterr().out.splitlines()
+        expected = [{**fields, "index": i, "fn_at_n": v, "g_at_n": v + 1} for i, v in enumerate(values, start=1)]
+        assert lines == [_unlimited(json.dumps, row) for row in expected]
+    assert _digit_limit() == limit  # restored after the rows past it
 
 
 def test_budget_exhaustion_exits_3():

@@ -1,10 +1,14 @@
 """Diagonal construction, machine extension, and witness rows."""
 
+import sys
+
 import pytest
 
-from diagforge.enumeration import Tier
+from diagforge import machines
+from diagforge.enumeration import Tier, program_at
 from diagforge.errors import ResourceExhaustedError
-from diagforge.interp import EvalBudget
+from diagforge.interp import EvalBudget, evaluate
+from diagforge.kernel import pretty
 from diagforge.machines import (
     Base,
     Extend,
@@ -103,6 +107,48 @@ def test_concurrent_queries_agree():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(g, [n % 40 for n in range(400)]))
     assert results == [g(n % 40) for n in range(400)]
+
+
+def _names(tier, indices):
+    return [pretty(program_at(tier, i).term) for i in indices]
+
+
+@pytest.mark.parametrize("tier", list(Tier))
+def test_streamed_base_equals_unranking(tier, monkeypatch):
+    unranked = []
+
+    def counting_program_at(tier, i):
+        unranked.append(i)
+        return program_at(tier, i)
+
+    monkeypatch.setattr(machines, "program_at", counting_program_at)
+    m = Base(tier)
+    assert [function_at(m, i).name for i in range(1, 301)] == _names(tier, range(1, 301))
+    assert unranked == []  # in order, every program comes from the stream
+    # a skip ahead unranks, and the stream goes on where it stopped
+    order = [400, 301, 302, 350, 303, 304]
+    assert [function_at(m, i).name for i in order] == _names(tier, order)
+    assert unranked == [400, 350]
+    assert [function_at(m, i)(i) for i in order] == [evaluate(program_at(tier, i), i) for i in order]
+
+
+def test_concurrent_queries_on_a_fresh_base_agree():
+    from concurrent.futures import ThreadPoolExecutor
+
+    indices = [i for i in range(1, 601) for _ in range(3)]
+    expected = _names(Tier.FULL, range(1, 601))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            m = Base(Tier.FULL)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                fns = list(pool.map(lambda i: function_at(m, i), indices, timeout=60))
+            assert [f.name for f in fns[::3]] == expected
+            # one function per index, whichever thread made it
+            assert all(fns[k] is fns[k + 1] is fns[k + 2] is function_at(m, indices[k]) for k in range(0, len(fns), 3))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_budget_exhaustion_reports_index():

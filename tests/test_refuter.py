@@ -6,8 +6,8 @@ import pytest
 
 from diagforge import enumeration, machines, refuter
 from diagforge.enumeration import Tier
-from diagforge.errors import EmptyClassifierError
-from diagforge.interp import evaluate
+from diagforge.errors import EmptyClassifierError, ResourceExhaustedError
+from diagforge.interp import EvalBudget, compile_term, evaluate
 from diagforge.kernel import Sort, check_well_formed, parse, pretty
 from diagforge.machines import Base, diagonal, witness_rows
 from diagforge.refuter import (
@@ -104,12 +104,38 @@ def test_refute_evaluates_each_accepted_program_once(monkeypatch):
         raise AssertionError(f"refute unranked index {i}")
 
     monkeypatch.setattr(machines, "evaluate", counting)
-    monkeypatch.setattr(refuter, "evaluate", counting)
     monkeypatch.setattr(machines, "program_at", unranking)
     machine = accepted_prefix(AcceptAll(), Tier.FULL, 400)
     assert len(list(witness_rows(machine, 400))) == 400
     assert calls == list(range(1, 401))
     assert machine.programs == tuple(enumerate(islice(enumeration.enumerate_stream(Tier.FULL), 400), start=1))
+
+
+def test_a_scan_compiles_its_decider_once(monkeypatch):
+    compiled = []
+
+    def counting(term):
+        compiled.append(term)
+        return compile_term(term)
+
+    monkeypatch.setattr(refuter, "compile_term", counting)
+    c = decider("(precnat zero (if (lt acc (succ zero)) (succ zero) zero) n)")  # accepts odd indices
+    machine = accepted_prefix(c, Tier.FULL, 50)
+    assert compiled == [c.decider.term]
+    assert [i for i, _ in machine.programs] == list(range(1, 100, 2))
+    assert [i for i in range(1, 100) if evaluate(c.decider, i)] == list(range(1, 100, 2))
+
+
+def test_decider_budget_is_spent_per_index():
+    # each index runs the decider under the full budget, as evaluate would
+    steps = EvalBudget(max_steps=40)
+    c = decider("(precnat zero (succ acc) n)")  # 2n + 3 steps, index i accepted iff i > 0
+    evaluate(c.decider, 18, steps)
+    with pytest.raises(ResourceExhaustedError):
+        evaluate(c.decider, 19, steps)
+    assert [i for i, _ in accepted_prefix(c, Tier.NATFN, 18, budget=steps).programs] == list(range(1, 19))
+    with pytest.raises(ResourceExhaustedError):
+        accepted_prefix(c, Tier.NATFN, 19, budget=steps)
 
 
 def test_refute_diag_is_the_accepted_prefix_diagonal():
