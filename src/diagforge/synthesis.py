@@ -13,7 +13,7 @@ probes cover its example inputs, so a bottom-up candidate is matched on
 its fingerprint as soon as its layer is built. Fingerprints of
 binder-free terms are computed over whole probe columns from their
 subterms' (`interp.probe_outputs`). Schema holes are
-fingerprinted on their own probes and each filling is run on the
+fingerprinted on their own probes and each filling is checked on the
 examples, so a collapse there can at worst force a larger budget, never
 a wrong answer. A candidate or filling that exhausts the evaluation
 budget is dropped, so a search that then finds nothing is inconclusive:
@@ -22,9 +22,10 @@ budget is dropped, so a search that then finds nothing is inconclusive:
 Recursion enters only through schemas. The divide-and-conquer schema
 fills the three pivotrec holes (two predicates over x and pivot, one
 combiner over l, pivot, r) from their own pools, cheapest total cost
-first; the quicksort core falls out of it. Where no filling can exhaust
-the budget, each distinct case of a filling on an example runs once
-(see `_PivotExamples`).
+first; the quicksort core falls out of it. Fillings come in runs that
+share both predicates, and where no filling can exhaust the budget a run
+is decided from partition trees built once per pair of predicate
+classes, with no predicate run again (see `_PivotExamples`).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .interp import (
     probe_outputs,
     probe_vectors,
     run_probes,
+    slot_vector,
 )
 from .kernel import (
     INPUT_VARS,
@@ -239,9 +241,10 @@ class Pool(list):
                 except ResourceExhaustedError as exc:
                     self.dropped = self.dropped or exc
                     continue
-                if fingerprint in self._seen:
-                    continue
+                seen = len(self._seen)
                 self._seen.add(fingerprint)
+                if len(self._seen) == seen:
+                    continue
                 self._reps.add(term)
                 self.append(Candidate(term, size_, fingerprint, compile_term(term)))
             self.built = size_
@@ -264,12 +267,15 @@ PIVOT_PRED_PROBES: tuple[tuple[int, int], ...] = tuple(product(_HOLE_NATS, _HOLE
 PIVOT_COMBINE_PROBES: tuple[tuple, ...] = tuple(product(_HOLE_LISTS, _HOLE_NATS, _HOLE_LISTS))
 
 
-def fill_schema_holes(pools: Sequence[Pool]) -> Iterator[tuple[Candidate, ...]]:
-    """All hole fillings, non-decreasing total cost, deterministic order.
+def fill_schema_holes(pools: Sequence[Pool]) -> Iterator[tuple[tuple[Candidate, ...], int, int]]:
+    """All hole fillings in runs, non-decreasing total cost, deterministic order.
 
-    Within one total cost, fillings come out lexicographically by their
-    per-hole pool positions; pools are in canonical order, so the first
-    filling is the minimal one.
+    A run (head, lo, hi) stands for the fillings head + (last[i],) for i in
+    range(lo, hi), where last is the last pool: the fillings that share
+    every hole but the last, whose members there all have one cost. Within
+    one total cost, fillings come out lexicographically by their per-hole
+    pool positions; pools are in canonical order, so the first filling is
+    the minimal one.
 
     Each pool is grown only as far as the current total T needs: hole h
     takes members of cost at most T minus the other holes' least costs,
@@ -286,23 +292,23 @@ def fill_schema_holes(pools: Sequence[Pool]) -> Iterator[tuple[Candidate, ...]]:
             return
     min_costs = [pool[0].cost for pool in pools]
 
-    def fill(hole: int, remaining: int) -> Iterator[tuple[Candidate, ...]]:
-        pool = pools[hole]
+    def fill(hole: int, remaining: int) -> Iterator[tuple[tuple[Candidate, ...], int, int]]:
         if hole == len(pools) - 1:
             lo = bisect_left(costs[hole], remaining)
             hi = bisect_right(costs[hole], remaining)
-            for i in range(lo, hi):
-                yield (pool[i],)
+            if lo < hi:
+                yield (), lo, hi
             return
+        pool = pools[hole]
         rest_min = sum(min_costs[hole + 1 :])
         rest_max = sum(max_costs[hole + 1 :])
-        hi = bisect_right(costs[hole], remaining - rest_min)
-        for i in range(hi):
+        top = bisect_right(costs[hole], remaining - rest_min)
+        for i in range(top):
             candidate = pool[i]
             if candidate.cost + rest_min > remaining or candidate.cost + rest_max < remaining:
                 continue
-            for rest in fill(hole + 1, remaining - candidate.cost):
-                yield (candidate,) + rest
+            for rest, lo, hi in fill(hole + 1, remaining - candidate.cost):
+                yield (candidate,) + rest, lo, hi
 
     total = sum(min_costs)
     while True:
@@ -322,64 +328,133 @@ _UNBOUNDED_OPS = frozenset(name for name, spec in OPS.items() if any(p.binders f
 
 
 class _PivotExamples:
-    """Whether a pivotrec filling meets every goal example: the examples
-    are run in order and the first mismatch stops, as one run_probes pass
-    over them would, raising what it would raise.
+    """Which fillings of a pivotrec run meet every goal example: `first(run)`
+    is the position of the run's first combiner whose filling meets them,
+    or None, as direct runs of its fillings in order decide. A filling that
+    exhausts the budget is skipped, and the first such error kept as
+    `dropped`.
 
-    When no filling can exhaust the evaluation budget, a filling's output
-    on an example depends only on its combiner and on its predicates'
-    values at the example's (later element, earlier element) pairs, the
-    only pairs partitioning compares. Each such case is then run once and
-    its outcome kept, so fillings that share a combiner and agree on the
-    example's pairs cost one lookup. No filling can exhaust when the
-    operators have no binder and no value-bits check, so a hole of at most
-    `budget` nodes spends at most `budget` steps, and the steps of the
-    most partition calls a list allows stay within max_steps.
+    When no filling can exhaust the evaluation budget (bounded), a
+    filling's output on an example depends only on its combiner and on its
+    predicates' values at the example's (later element, earlier element)
+    pairs, the only pairs partitioning compares: their classes on it. A
+    left and a right class fix the example's partition tree, built once
+    over element positions, so repeated elements split as in a run, and a
+    combiner's output is its code folded over the tree, one run per node
+    with the fuel reset, as run_probes does; predicates never run again.
+    Fillings whose predicates have the same classes on every example share
+    a row of flags over combiner positions, extended as far as a run needs
+    but not past its first hit, so a run is decided by one scan. No filling
+    can exhaust when the operators have no binder and no value-bits check,
+    so a hole of at most `budget` nodes spends at most `budget` steps, and
+    the steps of the most partition calls a list allows stay within
+    max_steps. Otherwise each filling runs whole.
     """
 
-    def __init__(self, ops: frozenset[str], goal: GoalSpec, budget: int, eval_budget: EvalBudget | None):
-        lists = [inp for inp, _ in goal.examples]
-        self.inputs = probe_vectors(("l",), lists)
+    def __init__(
+        self, ops: frozenset[str], goal: GoalSpec, budget: int, eval_budget: EvalBudget | None, combiners: Pool
+    ):
+        self.lists = [inp for inp, _ in goal.examples]
+        self.inputs = probe_vectors(("l",), self.lists)
         self.outputs = [out for _, out in goal.examples]
         self.eval_budget = eval_budget
         self.input_code = compile_node("l")
-        longest = max(len(xs) for xs in lists)
+        self.combiners = combiners
+        self.dropped: ResourceExhaustedError | None = None
+        longest = max(len(xs) for xs in self.lists)
         # Each call splits its tail into two sublists, each possibly the whole tail.
         calls = 2 ** (longest + 1) - 1
         steps = 2 + calls * (1 + (2 * longest + 1) * budget)
         bounded = not ops & _UNBOUNDED_OPS and steps <= (eval_budget or DEFAULT_BUDGET).max_steps
-        self.outcomes: dict[tuple, bool] | None = {} if bounded else None
+        # A row per (left, right) class vectors, beside the cases it reads.
+        self.rows: dict[tuple, tuple[list, list[bool]]] | None = {} if bounded else None
+        if not bounded:
+            return
+        # Per example: its (later, earlier) position pairs, slot vectors of
+        # their values, and the signatures on them, interned: a class id is
+        # a signature's position in insertion order.
+        self.at = [[(j, i) for i in range(len(xs)) for j in range(i + 1, len(xs))] for xs in self.lists]
         self.pairs = [
-            probe_vectors(("x", "pivot"), [(xs[j], xs[i]) for i in range(len(xs)) for j in range(i + 1, len(xs))])
-            for xs in lists
+            probe_vectors(("x", "pivot"), [(xs[j], xs[i]) for j, i in at]) for xs, at in zip(self.lists, self.at)
         ]
-        self.signatures: dict[tuple[int, int], tuple] = {}
+        self.classes: list[dict[tuple, int]] = [{} for _ in self.lists]
+        # Pool members stay alive through the search, so ids name them.
+        self.pred_classes: dict[int, tuple[int, ...]] = {}
+        self.cases: dict[tuple[int, int, int], tuple] = {}
 
-    def __call__(self, filling: tuple[Candidate, ...]) -> bool:
-        if self.outcomes is None:
-            code = self._code(filling)
-            return all(got == out for got, out in zip(run_probes(code, self.inputs, self.eval_budget), self.outputs))
-        pred_left, pred_right, combine = filling
-        code = None
-        for k, out in enumerate(self.outputs):
-            # Pool members stay alive through the search, so ids name them.
-            key = (k, self._signature(pred_left, k), self._signature(pred_right, k), id(combine))
-            met = self.outcomes.get(key)
-            if met is None:
-                code = code or self._code(filling)
-                met = self.outcomes[key] = next(run_probes(code, self.inputs[k : k + 1], self.eval_budget)) == out
-            if not met:
+    def first(self, run: tuple[tuple[Candidate, ...], int, int]) -> int | None:
+        head, lo, hi = run
+        if self.rows is None:
+            for i in range(lo, hi):
+                code = compile_node("pivotrec", [self.input_code] + [c.code for c in head + (self.combiners[i],)])
+                runs = zip(run_probes(code, self.inputs, self.eval_budget), self.outputs)
+                try:
+                    if all(got == out for got, out in runs):
+                        return i
+                except ResourceExhaustedError as exc:
+                    self.dropped = self.dropped or exc
+            return None
+        key = (self._classes(head[0]), self._classes(head[1]))
+        if key not in self.rows:
+            self.rows[key] = ([self._case(k, *pair) for k, pair in enumerate(zip(*key))], [])
+        cases, row = self.rows[key]
+        while len(row) < hi:
+            row.append(self._meets_all(cases, len(row)))
+            if row[-1] and len(row) > lo:
+                break
+        try:
+            return row.index(True, lo, hi)
+        except ValueError:
+            return None
+
+    def _classes(self, pred: Candidate) -> tuple[int, ...]:
+        classes = self.pred_classes.get(id(pred))
+        if classes is None:
+            classes = self.pred_classes[id(pred)] = tuple(
+                ids.setdefault(tuple(run_probes(pred.code, pairs, self.eval_budget)), len(ids))
+                for ids, pairs in zip(self.classes, self.pairs)
+            )
+        return classes
+
+    def _case(self, k: int, left: int, right: int) -> tuple[list[tuple[Value, int, int]], Value, dict[int, bool]]:
+        """Example k under predicates of these classes: its partition tree,
+        its output, and whether each combiner position tried meets it. The
+        tree's nodes are in post-order, each (pivot, left child, right
+        child), a child being 1 + its node's position, or 0 for ()."""
+        if (k, left, right) not in self.cases:
+            xs = self.lists[k]
+            signatures = list(self.classes[k])
+            goes_left = dict(zip(self.at[k], signatures[left]))
+            goes_right = dict(zip(self.at[k], signatures[right]))
+            nodes: list[tuple[Value, int, int]] = []
+
+            def build(positions: list[int]) -> int:
+                if not positions:
+                    return 0
+                i, tail = positions[0], positions[1:]
+                below_left = build([j for j in tail if goes_left[j, i]])
+                below_right = build([j for j in tail if goes_right[j, i]])
+                nodes.append((xs[i], below_left, below_right))
+                return len(nodes)
+
+            build(list(range(len(xs))))
+            self.cases[k, left, right] = (nodes, self.outputs[k], {})
+        return self.cases[k, left, right]
+
+    def _meets_all(self, cases: list, i: int) -> bool:
+        code = self.combiners[i].code
+        for nodes, out, met in cases:
+            if i not in met:
+                # run_probes takes a node's vector only after yielding the
+                # node before, so its children's values are in by then.
+                values: list[Value] = [()]
+                vectors = (slot_vector({"l": values[a], "pivot": pivot, "r": values[b]}) for pivot, a, b in nodes)
+                for value in run_probes(code, vectors, self.eval_budget):
+                    values.append(value)
+                met[i] = values[-1] == out
+            if not met[i]:
                 return False
         return True
-
-    def _code(self, filling: tuple[Candidate, ...]) -> Code:
-        return compile_node("pivotrec", [self.input_code] + [c.code for c in filling])
-
-    def _signature(self, pred: Candidate, k: int) -> tuple:
-        key = (id(pred), k)
-        if key not in self.signatures:
-            self.signatures[key] = tuple(run_probes(pred.code, self.pairs[k], self.eval_budget))
-        return self.signatures[key]
 
 
 def _assemble_pivot(filling: tuple[Candidate, ...]) -> Term:
@@ -421,18 +496,15 @@ def synthesize(
             raise ValueError("the divide-and-conquer schema sorts lists into lists")
         pred_pool = Pool(ops, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, budget, eval_budget)
         combine_pool = Pool(ops, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, budget, eval_budget)
-        filling_dropped = None
-        meets = _PivotExamples(ops, goal, budget, eval_budget)
-        for filling in fill_schema_holes((pred_pool, pred_pool, combine_pool)):
-            try:
-                if meets(filling):
-                    return check_well_formed(_assemble_pivot(filling), Sort.LIST_NAT, {"l"})
-            except ResourceExhaustedError as exc:
-                filling_dropped = filling_dropped or exc
+        meets = _PivotExamples(ops, goal, budget, eval_budget, combine_pool)
+        for run in fill_schema_holes((pred_pool, pred_pool, combine_pool)):
+            i = meets.first(run)
+            if i is not None:
+                return check_well_formed(_assemble_pivot(run[0] + (combine_pool[i],)), Sort.LIST_NAT, {"l"})
         # Nothing found: the pools' first error is the one of the full pools.
         pred_pool.grow(budget)
         combine_pool.grow(budget)
-        dropped = pred_pool.dropped or combine_pool.dropped or filling_dropped
+        dropped = pred_pool.dropped or combine_pool.dropped or meets.dropped
     else:
         raise ValueError(f"unknown schema: {schema!r}")
     if dropped:

@@ -282,9 +282,11 @@ def eager_synthesize(synthesis, ops, goal, schema, budget, eval_budget=None):
     pools are scanned (bottomup) or filled (pivotdc). Returns the program's
     term or None, and raises what a search that found nothing after a drop
     raises: the pools' first error, then the first filling's. It runs the
-    package's own pools, fillings and evaluator, which the caller hands in
-    as the package's `synthesis` module, as this module imports nothing
-    from the package."""
+    package's own pools and evaluator, which the caller hands in as the
+    package's `synthesis` module, as this module imports nothing from the
+    package. It orders the fillings itself: the whole product of the full
+    pools, by total cost and then by per-hole positions, each filling run
+    whole on the examples."""
     outputs = [out for _, out in goal.examples]
     if schema == synthesis.SCHEMA_BOTTOM_UP:
         var = synthesis.INPUT_VARS[goal.input_sort]
@@ -303,7 +305,11 @@ def eager_synthesize(synthesis, ops, goal, schema, budget, eval_budget=None):
         ))
         dropped = pred_pool.dropped or combine_pool.dropped
         inputs = synthesis.probe_vectors(("l",), [inp for inp, _ in goal.examples])
-        for filling in synthesis.fill_schema_holes((pred_pool, pred_pool, combine_pool)):
+        fillings = sorted(
+            product(*(list(enumerate(pool)) for pool in (pred_pool, pred_pool, combine_pool))),
+            key=lambda f: (sum(c.cost for _, c in f), [i for i, _ in f]),
+        )
+        for filling in (tuple(c for _, c in f) for f in fillings):
             code = synthesis.compile_node("pivotrec", [synthesis.compile_node("l")] + [c.code for c in filling])
             try:
                 if all(got == out for got, out in zip(synthesis.run_probes(code, inputs, eval_budget), outputs)):

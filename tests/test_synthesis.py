@@ -210,10 +210,33 @@ def _seeded_nat_goals(count, seed=11):
     return goals
 
 
+def _seeded_sort_goals(repeats, count=2, seed=19):
+    """Sort goals on one list of 0-1, one of 2-3 and one of 3-4 elements
+    drawn from 0..5, some list repeating an element or none."""
+    rng = random.Random(seed)
+    goals = []
+    while len(goals) < count:
+        lists = [tuple(rng.randint(0, 5) for _ in range(rng.randint(lo, hi))) for lo, hi in ((0, 1), (2, 3), (3, 4))]
+        if any(len(set(xs)) != len(xs) for xs in lists) == repeats:
+            goals.append(make_goal([(xs, tuple(sorted(xs))) for xs in lists]))
+    return goals
+
+
+def _bounded_steps(goal, budget):
+    """The fewest max_steps from which no pivotrec filling of holes of at
+    most `budget` nodes can exhaust on the goal: each of the at most
+    2^(n+1) - 1 partition calls on a list of n elements spends one step,
+    runs two predicates on each of at most n - 1 tail elements and the
+    combiner once, plus the pivotrec node and its list."""
+    n = max(len(xs) for xs, _ in goal.examples)
+    return 2 + (2 ** (n + 1) - 1) * (1 + (2 * n + 1) * budget)
+
+
 SORT_GOALS = [
     make_goal([((), ()), ((2, 1), (1, 2)), ((3, 1, 2), (1, 2, 3))]),
     make_goal([((0,), (0,)), ((2, 2, 1), (1, 2, 2)), ((3, 0, 1, 3), (0, 1, 3, 3))]),
 ]
+SEEDED_SORT_GOALS = _seeded_sort_goals(repeats=False) + _seeded_sort_goals(repeats=True)
 EAGER_CASES = [
     pytest.param(NAT_BASE, goal, SCHEMA_BOTTOM_UP, budget, EvalBudget(), id=f"bottomup-{g}-{budget}")
     for g, goal in enumerate(_seeded_nat_goals(5))
@@ -227,6 +250,14 @@ EAGER_CASES = [
     for g, goal in enumerate(SORT_GOALS)
     for budget in range(2, 7)
     for steps in ({"max_steps": 1}, {"max_steps": 8}, {"max_steps": 60}, {})
+] + [
+    # Around the bound from which fillings are decided by runs.
+    pytest.param(
+        LIST_BASE, goal, SCHEMA_PIVOT_DC, budget, EvalBudget(max_steps), id=f"pivotdc-seeded-{g}-{budget}-{max_steps}"
+    )
+    for g, goal in enumerate(SEEDED_SORT_GOALS)
+    for budget in range(2, 6)
+    for max_steps in (1, _bounded_steps(goal, budget) - 1, _bounded_steps(goal, budget), 10**6)
 ]
 
 
@@ -243,29 +274,59 @@ def _check_outcome(check):
         return exc.reason, exc.steps_used
 
 
-@pytest.mark.parametrize("goal", SORT_GOALS, ids=["distinct", "repeats"])
+def _fillings(pools):
+    """The fillings of fill_schema_holes' runs, one by one."""
+    for head, lo, hi in fill_schema_holes(pools):
+        for i in range(lo, hi):
+            yield head + (pools[-1][i],)
+
+
+# The repeats goal's inputs, with the outputs of a filling whose combiner
+# has 3 nodes, so that runs of combiners of at most 4 nodes have hits.
+_SPINE_GOAL = make_goal([
+    (xs, eval_budgeted(parse("(pivotrec l (lt x pivot) (lt pivot x) (cons pivot l))"), {"l": xs}, 10**6, 64))
+    for xs, _ in SORT_GOALS[1].examples
+])
+
+
+@pytest.mark.parametrize("goal", SORT_GOALS + [_SPINE_GOAL], ids=["distinct", "repeats", "repeats-met"])
 def test_pivot_example_checks_equal_direct_runs(goal):
-    # With holes of at most 6 nodes on lists of at most 4 elements no
-    # filling can spend more than 1,707 steps, so outcomes are kept per
-    # case from there up. Below it predicates of sizes 3 and 6 that agree
-    # on an example's pairs spend different steps, some fillings exhaust,
-    # and each filling is run whole. Either way every filling reads as one
-    # direct run over the examples.
+    # With holes of at most 6 nodes on lists of at most 4 elements (3 in
+    # the distinct goal) no filling can spend more than 1,707 steps (647),
+    # so runs are decided from partition trees from there up. Below it
+    # predicates of sizes 3 and 6 that agree on an example's pairs spend
+    # different steps, some fillings exhaust, and each filling is run
+    # whole. Either way a run's first combiner that meets every example is
+    # its first filling whose direct run meets them, and the error kept is
+    # the first such run's before it.
+    assert _bounded_steps(goal, 6) == (647 if goal is SORT_GOALS[0] else 1707)
     pred_pool = grown(Pool(LIST_BASE, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, 6))
-    combine_pool = grown(Pool(LIST_BASE, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 3))
+    combine_pool = grown(Pool(LIST_BASE, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 4))
     inputs = probe_vectors(("l",), [inp for inp, _ in goal.examples])
     outputs = [out for _, out in goal.examples]
-    raised = 0
-    for max_steps in (20, 40, 60, 1707, 10**6):
+    raised = found = 0
+    for max_steps in (20, 40, 60, 1706, 1707, 10**6):
         budget = EvalBudget(max_steps=max_steps)
-        meets = synthesis._PivotExamples(LIST_BASE, goal, 6, budget)
-        for filling in fill_schema_holes((pred_pool, pred_pool, combine_pool)):
-            code = compile_node("pivotrec", [compile_node("l")] + [c.code for c in filling])
-            runs = zip(run_probes(code, inputs, budget), outputs)
-            want = _check_outcome(lambda: all(got == out for got, out in runs))
-            assert _check_outcome(lambda: meets(filling)) == want, (max_steps, filling)
-            raised += isinstance(want, tuple)
+        meets = synthesis._PivotExamples(LIST_BASE, goal, 6, budget, combine_pool)
+        assert (meets.rows is None) == (max_steps < _bounded_steps(goal, 6))
+        for head, lo, hi in fill_schema_holes((pred_pool, pred_pool, combine_pool)):
+            want = None, None
+            for i in range(lo, hi):
+                code = compile_node("pivotrec", [compile_node("l")] + [c.code for c in head + (combine_pool[i],)])
+                runs = zip(run_probes(code, inputs, budget), outputs)
+                outcome = _check_outcome(lambda: all(got == out for got, out in runs))
+                if outcome is True:
+                    want = i, want[1]
+                    break
+                if outcome is not False:
+                    want = None, want[1] or outcome
+                    raised += 1
+            meets.dropped = None
+            got = meets.first((head, lo, hi))
+            assert (got, meets.dropped and (meets.dropped.reason, meets.dropped.steps_used)) == want, (max_steps, head)
+            found += got is not None
     assert raised > 100
+    assert found > 50 if goal is _SPINE_GOAL else found == 0
 
 
 GOALS = Path(__file__).resolve().parent.parent / "goals"
@@ -363,7 +424,7 @@ def test_fill_schema_holes_ordering():
         nat = Pool(NAT_BASE, ("n",), Sort.NAT, (0, 1, 2), 2)
         return (nat, nat, Pool(LIST_BASE, ("l",), Sort.LIST_NAT, default_probes(Sort.LIST_NAT), 1))
 
-    fillings = list(fill_schema_holes(pools()))
+    fillings = list(_fillings(pools()))
     # The full cartesian product of the full pools, by total cost and then
     # by per-hole positions.
     full = [list(enumerate(pool)) for pool in (grown(Pool(NAT_BASE, ("n",), Sort.NAT, (0, 1, 2), 2)),) * 2] + [
@@ -374,13 +435,13 @@ def test_fill_schema_holes_ordering():
     assert fillings == [tuple(c for _, c in f) for f in expected]
     assert [pretty(c.term) for c in fillings[0]] == ["n", "n", "nil"]  # the minimal filling
     # deterministic: same input, same order
-    assert list(fill_schema_holes(pools())) == fillings
+    assert list(_fillings(pools())) == fillings
 
 
 def test_fill_schema_holes_grows_past_sizes_with_no_new_member():
     # On the one probe (), every list term of size 2 behaves as nil.
     pool = Pool(LIST_BASE, ("l",), Sort.LIST_NAT, ((),), 3)
-    assert [pretty(c.term) for (c,) in fill_schema_holes((pool,))] == ["nil", "(cons zero nil)"]
+    assert [pretty(c.term) for (c,) in _fillings((pool,))] == ["nil", "(cons zero nil)"]
 
 
 def test_fill_schema_holes_with_empty_pool():
@@ -412,7 +473,7 @@ def test_quicksort_filling_appears_in_the_frontier():
         parse("(append l (cons pivot r))"),
     )
     seen = False
-    for filling in fill_schema_holes((pred_pool, pred_pool, combine_pool)):
+    for filling in _fillings((pred_pool, pred_pool, combine_pool)):
         if tuple(c.term for c in filling) == wanted:
             seen = True
             break
