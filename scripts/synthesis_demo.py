@@ -9,16 +9,14 @@ Usage: python scripts/synthesis_demo.py
 
 import time
 
-from diagforge.kernel import Sort, pretty
+from diagforge.kernel import pretty
 from diagforge.synthesis import (
     LIST_BASE,
     NAT_BASE,
-    PIVOT_COMBINE_PROBES,
-    PIVOT_PRED_PROBES,
     SCHEMA_BOTTOM_UP,
     SCHEMA_PIVOT_DC,
-    Pool,
     make_goal,
+    pivot_pools,
     synthesize,
 )
 
@@ -30,8 +28,7 @@ def main():
     print(f"successor goal {{1->2, 5->6}}: {pretty(program.term)} "
           f"({time.perf_counter() - start:.3f}s)")
 
-    pred_pool = Pool(LIST_BASE, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, 5)
-    combine_pool = Pool(LIST_BASE, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 5)
+    pred_pool, combine_pool = pivot_pools(LIST_BASE, 5)
     pred_pool.grow(5)
     combine_pool.grow(5)
     print(f"pivot holes: {len(pred_pool)} predicate behaviors, "

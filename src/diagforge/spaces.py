@@ -206,10 +206,14 @@ def snapshot(space: AnalyticalSpace) -> dict:
     }
 
 
-def _deep_tuple(x):
-    if isinstance(x, list):
-        return tuple(_deep_tuple(item) for item in x)
-    return x
+def _event(event) -> tuple:
+    """A history event as `snapshot` writes it: a list of strings, integers
+    and lists of strings, read one level deep."""
+    if type(event) is list:
+        fields = tuple(tuple(f) if type(f) is list else f for f in event)
+        if all(type(f) in (str, int) or type(f) is tuple and all(type(x) is str for x in f) for f in fields):
+            return fields
+    raise ParseError("malformed space snapshot: a history event is not a list of strings, ints and string lists")
 
 
 def _listed(data, key: str, owner: str) -> list:
@@ -229,10 +233,7 @@ def load_snapshot(data: dict, budget: EvalBudget | None = None) -> AnalyticalSpa
     members = [m for c in _listed(data, "classes", "the snapshot") for m in _listed(c, "members", "a class")]
     if not all(isinstance(m, str) for m in members):
         raise ParseError("malformed space snapshot: a member is not an S-expression string")
-    events = _listed(data, "history", "the snapshot")
-    if not all(isinstance(event, list) for event in events):
-        raise ParseError("malformed space snapshot: a history event is not a list")
-    history = tuple(_deep_tuple(event) for event in events)
+    history = tuple(_event(event) for event in _listed(data, "history", "the snapshot"))
     return _rebuild(probes, [parse(m) for m in members], history, budget)
 
 

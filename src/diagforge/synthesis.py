@@ -21,11 +21,11 @@ budget is dropped, so a search that then finds nothing is inconclusive:
 
 Recursion enters only through schemas. The divide-and-conquer schema
 fills the three pivotrec holes (two predicates over x and pivot, one
-combiner over l, pivot, r) from their own pools, cheapest total cost
-first; the quicksort core falls out of it. Fillings come in runs that
-share both predicates, and where no filling can exhaust the budget a run
-is decided from partition trees built once per pair of predicate
-classes, with no predicate run again (see `_PivotExamples`).
+combiner over l, pivot, r) from the pools of its kernel spec, cheapest
+total cost first; the quicksort core falls out of it. Where no filling
+can exhaust the budget, a predicate that behaves on the examples as an
+earlier one is skipped, and runs of fillings are decided from partition
+trees with no predicate run again (see `_PivotExamples`).
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ from .interp import (
 from .kernel import (
     INPUT_VARS,
     OPS,
+    VAR_SORTS,
+    Param,
     Record,
     Sort,
     Term,
@@ -258,67 +260,53 @@ SCHEMA_BOTTOM_UP = "bottomup"
 SCHEMA_PIVOT_DC = "pivotdc"
 
 
-# Hole fingerprints use small fixed domains per bound variable; rich enough
-# to separate the elementary list components at desk-scale budgets.
-_HOLE_NATS = (0, 1, 2, 3)
-_HOLE_LISTS = _lists_over(alphabet=(0, 1), max_len=2)
+def pivot_pools(ops: frozenset[str], budget: int, eval_budget: EvalBudget | None = None) -> tuple[Pool, Pool]:
+    """The pivotrec predicate and combiner pools, over the variables and
+    sorts of its kernel spec, each fingerprinted on every combination of
+    small values of its variables: naturals 0-3 and lists over {0, 1} of at
+    most 2 elements, enough to separate the elementary list components."""
+    small = {Sort.NAT: range(4), Sort.LIST_NAT: _lists_over(alphabet=(0, 1), max_len=2)}
 
-PIVOT_PRED_PROBES: tuple[tuple[int, int], ...] = tuple(product(_HOLE_NATS, _HOLE_NATS))
-PIVOT_COMBINE_PROBES: tuple[tuple, ...] = tuple(product(_HOLE_LISTS, _HOLE_NATS, _HOLE_LISTS))
+    def pool(hole: Param) -> Pool:
+        probes = tuple(product(*(small[VAR_SORTS[var]] for var in hole.binders)))
+        return Pool(ops, hole.binders, hole.sort, probes, budget, eval_budget)
+
+    params = OPS["pivotrec"].params
+    return pool(params[1]), pool(params[3])
 
 
-def fill_schema_holes(pools: Sequence[Pool]) -> Iterator[tuple[tuple[Candidate, ...], int, int]]:
-    """All hole fillings in runs, non-decreasing total cost, deterministic order.
+def pivot_runs(preds: Pool, combiners: Pool) -> Iterator[tuple[int, int, int, int]]:
+    """All pivotrec fillings, as runs (i, j, lo, hi): left predicate i, right
+    predicate j and each combiner in range(lo, hi), which all have one cost.
+    Runs come by total cost, then by (i, j), so fillings come in the order
+    of their per-hole positions, and the first is the minimal one.
 
-    A run (head, lo, hi) stands for the fillings head + (last[i],) for i in
-    range(lo, hi), where last is the last pool: the fillings that share
-    every hole but the last, whose members there all have one cost. Within
-    one total cost, fillings come out lexicographically by their per-hole
-    pool positions; pools are in canonical order, so the first filling is
-    the minimal one.
-
-    Each pool is grown only as far as the current total T needs: hole h
-    takes members of cost at most T minus the other holes' least costs,
-    and a pool filling several holes grows to the largest of their needs.
-    A member not yet built costs more than any filling at T can use, so
-    the fillings, and the pruning on the members built, are those of the
-    full pools. Once every pool is grown through its max_size and T
-    passes the sum of the largest costs, the fillings are exhausted.
+    At each total T, predicates grow through T minus the least predicate
+    and combiner costs, combiners through T minus twice the least predicate
+    cost: a member not yet built costs more than any filling at T can use,
+    so the runs, and the pruning on the members built, are the full pools'.
     """
-    for pool in pools:
+    for pool in (preds, combiners):
         while not pool and pool.built < pool.max_size:
             pool.grow(pool.built + 1)
         if not pool:
             return
-    min_costs = [pool[0].cost for pool in pools]
-
-    def fill(hole: int, remaining: int) -> Iterator[tuple[tuple[Candidate, ...], int, int]]:
-        if hole == len(pools) - 1:
-            lo = bisect_left(costs[hole], remaining)
-            hi = bisect_right(costs[hole], remaining)
-            if lo < hi:
-                yield (), lo, hi
-            return
-        pool = pools[hole]
-        rest_min = sum(min_costs[hole + 1 :])
-        rest_max = sum(max_costs[hole + 1 :])
-        top = bisect_right(costs[hole], remaining - rest_min)
-        for i in range(top):
-            candidate = pool[i]
-            if candidate.cost + rest_min > remaining or candidate.cost + rest_max < remaining:
-                continue
-            for rest, lo, hi in fill(hole + 1, remaining - candidate.cost):
-                yield (candidate,) + rest, lo, hi
-
-    total = sum(min_costs)
+    p_min, c_min = preds[0].cost, combiners[0].cost
+    total = 2 * p_min + c_min
     while True:
-        for pool, least in zip(pools, min_costs):
-            pool.grow(total - sum(min_costs) + least)
-        costs = [[c.cost for c in pool] for pool in pools]
-        max_costs = [c[-1] for c in costs]
-        if total > sum(max_costs) and all(pool.built == pool.max_size for pool in pools):
+        preds.grow(total - p_min - c_min)
+        combiners.grow(total - 2 * p_min)
+        costs, combiner_costs = [c.cost for c in preds], [c.cost for c in combiners]
+        p_max, c_max = costs[-1], combiner_costs[-1]
+        if total > 2 * p_max + c_max and preds.built == preds.max_size and combiners.built == combiners.max_size:
             return
-        yield from fill(0, total)
+        for i in range(bisect_left(costs, total - p_max - c_max), bisect_right(costs, total - p_min - c_min)):
+            rest = total - costs[i]
+            for j in range(bisect_left(costs, rest - c_max), bisect_right(costs, rest - c_min)):
+                lo = bisect_left(combiner_costs, rest - costs[j])
+                hi = bisect_right(combiner_costs, rest - costs[j], lo)
+                if lo < hi:
+                    yield i, j, lo, hi
         total += 1
 
 
@@ -330,102 +318,84 @@ _UNBOUNDED_OPS = frozenset(name for name, spec in OPS.items() if any(p.binders f
 class _PivotExamples:
     """Which fillings of a pivotrec run meet every goal example: `first(run)`
     is the position of the run's first combiner whose filling meets them,
-    or None, as direct runs of its fillings in order decide. A filling that
-    exhausts the budget is skipped, and the first such error kept as
-    `dropped`.
+    or None. A filling that exhausts the budget is skipped, and the first
+    such error kept as `dropped`.
 
-    When no filling can exhaust the evaluation budget (bounded), a
-    filling's output on an example depends only on its combiner and on its
-    predicates' values at the example's (later element, earlier element)
-    pairs, the only pairs partitioning compares: their classes on it. A
-    left and a right class fix the example's partition tree, built once
-    over element positions, so repeated elements split as in a run, and a
-    combiner's output is its code folded over the tree, one run per node
-    with the fuel reset, as run_probes does; predicates never run again.
-    Fillings whose predicates have the same classes on every example share
-    a row of flags over combiner positions, extended as far as a run needs
-    but not past its first hit, so a run is decided by one scan. No filling
-    can exhaust when the operators have no binder and no value-bits check,
-    so a hole of at most `budget` nodes spends at most `budget` steps, and
-    the steps of the most partition calls a list allows stay within
-    max_steps. Otherwise each filling runs whole.
+    No filling can exhaust (bounded) when the operators have no binder and
+    no value-bits check, so a hole spends at most its pool's max_size
+    steps, and the most partition calls a list allows stay within
+    max_steps. Then a filling's outcome on an example depends only on its
+    combiner and on its predicates' values at the example's (later
+    element, earlier element) pairs, the only pairs partitioning compares:
+    their signatures. A filling that meets every example with a predicate
+    whose signatures an earlier one has also meets them with that one,
+    which costs no more and comes earlier in run order, so the first answer
+    never uses it, and a run with it is None at once. Two representatives'
+    signatures fix each example's partition tree, built once over element
+    positions, so repeated elements split as in a run; a combiner's output
+    is its code folded over the tree, one run per node with the fuel reset,
+    as run_probes does. A pair of representatives meets each combiner once,
+    as its runs come at rising totals, so a run is one scan. Otherwise each
+    filling runs whole.
     """
 
-    def __init__(
-        self, ops: frozenset[str], goal: GoalSpec, budget: int, eval_budget: EvalBudget | None, combiners: Pool
-    ):
+    def __init__(self, ops: frozenset[str], goal: GoalSpec, budget: EvalBudget | None, preds: Pool, combiners: Pool):
         self.lists = [inp for inp, _ in goal.examples]
         self.inputs = probe_vectors(("l",), self.lists)
         self.outputs = [out for _, out in goal.examples]
-        self.eval_budget = eval_budget
+        self.eval_budget = budget
         self.input_code = compile_node("l")
+        self.preds = preds
         self.combiners = combiners
         self.dropped: ResourceExhaustedError | None = None
         longest = max(len(xs) for xs in self.lists)
         # Each call splits its tail into two sublists, each possibly the whole tail.
         calls = 2 ** (longest + 1) - 1
-        steps = 2 + calls * (1 + (2 * longest + 1) * budget)
-        bounded = not ops & _UNBOUNDED_OPS and steps <= (eval_budget or DEFAULT_BUDGET).max_steps
-        # A row per (left, right) class vectors, beside the cases it reads.
-        self.rows: dict[tuple, tuple[list, list[bool]]] | None = {} if bounded else None
-        if not bounded:
-            return
-        # Per example: its (later, earlier) position pairs, slot vectors of
-        # their values, and the signatures on them, interned: a class id is
-        # a signature's position in insertion order.
+        steps = 2 + calls * (1 + (2 * longest + 1) * max(preds.max_size, combiners.max_size))
+        self.bounded = not ops & _UNBOUNDED_OPS and steps <= (budget or DEFAULT_BUDGET).max_steps
+        # Per example: its (later, earlier) position pairs and slot vectors
+        # of their values.
         self.at = [[(j, i) for i in range(len(xs)) for j in range(i + 1, len(xs))] for xs in self.lists]
         self.pairs = [
             probe_vectors(("x", "pivot"), [(xs[j], xs[i]) for j, i in at]) for xs, at in zip(self.lists, self.at)
         ]
-        self.classes: list[dict[tuple, int]] = [{} for _ in self.lists]
-        # Pool members stay alive through the search, so ids name them.
-        self.pred_classes: dict[int, tuple[int, ...]] = {}
-        self.cases: dict[tuple[int, int, int], tuple] = {}
+        # Per predicate position, its signatures if it is a representative, else None.
+        self.signatures: list[tuple | None] = []
+        self.cases: dict[tuple, tuple] = {}
 
-    def first(self, run: tuple[tuple[Candidate, ...], int, int]) -> int | None:
-        head, lo, hi = run
-        if self.rows is None:
-            for i in range(lo, hi):
-                code = compile_node("pivotrec", [self.input_code] + [c.code for c in head + (self.combiners[i],)])
+    def first(self, run: tuple[int, int, int, int]) -> int | None:
+        i, j, lo, hi = run
+        if not self.bounded:
+            left, right = self.preds[i].code, self.preds[j].code
+            for k in range(lo, hi):
+                code = compile_node("pivotrec", [self.input_code, left, right, self.combiners[k].code])
                 runs = zip(run_probes(code, self.inputs, self.eval_budget), self.outputs)
                 try:
                     if all(got == out for got, out in runs):
-                        return i
+                        return k
                 except ResourceExhaustedError as exc:
                     self.dropped = self.dropped or exc
             return None
-        key = (self._classes(head[0]), self._classes(head[1]))
-        if key not in self.rows:
-            self.rows[key] = ([self._case(k, *pair) for k, pair in enumerate(zip(*key))], [])
-        cases, row = self.rows[key]
-        while len(row) < hi:
-            row.append(self._meets_all(cases, len(row)))
-            if row[-1] and len(row) > lo:
-                break
-        try:
-            return row.index(True, lo, hi)
-        except ValueError:
+        while len(self.signatures) <= max(i, j):
+            code = self.preds[len(self.signatures)].code
+            signatures = tuple(tuple(run_probes(code, pairs, self.eval_budget)) for pairs in self.pairs)
+            self.signatures.append(None if signatures in self.signatures else signatures)
+        left, right = self.signatures[i], self.signatures[j]
+        if left is None or right is None:
             return None
+        cases = [self._case(k, sides) for k, sides in enumerate(zip(left, right))]
+        return next((k for k in range(lo, hi) if self._meets_all(cases, k)), None)
 
-    def _classes(self, pred: Candidate) -> tuple[int, ...]:
-        classes = self.pred_classes.get(id(pred))
-        if classes is None:
-            classes = self.pred_classes[id(pred)] = tuple(
-                ids.setdefault(tuple(run_probes(pred.code, pairs, self.eval_budget)), len(ids))
-                for ids, pairs in zip(self.classes, self.pairs)
-            )
-        return classes
-
-    def _case(self, k: int, left: int, right: int) -> tuple[list[tuple[Value, int, int]], Value, dict[int, bool]]:
-        """Example k under predicates of these classes: its partition tree,
-        its output, and whether each combiner position tried meets it. The
-        tree's nodes are in post-order, each (pivot, left child, right
-        child), a child being 1 + its node's position, or 0 for ()."""
-        if (k, left, right) not in self.cases:
+    def _case(self, k: int, sides: tuple[tuple, tuple]) -> tuple[list[tuple[Value, int, int]], Value, dict[int, bool]]:
+        """Example k under predicates of these (left, right) signatures on
+        it: its partition tree, its output, and whether each combiner
+        position tried meets it. The tree's nodes are in post-order, each
+        (pivot, left child, right child), a child being 1 + its node's
+        position, or 0 for ()."""
+        if (k, sides) not in self.cases:
             xs = self.lists[k]
-            signatures = list(self.classes[k])
-            goes_left = dict(zip(self.at[k], signatures[left]))
-            goes_right = dict(zip(self.at[k], signatures[right]))
+            goes_left = dict(zip(self.at[k], sides[0]))
+            goes_right = dict(zip(self.at[k], sides[1]))
             nodes: list[tuple[Value, int, int]] = []
 
             def build(positions: list[int]) -> int:
@@ -438,28 +408,23 @@ class _PivotExamples:
                 return len(nodes)
 
             build(list(range(len(xs))))
-            self.cases[k, left, right] = (nodes, self.outputs[k], {})
-        return self.cases[k, left, right]
+            self.cases[k, sides] = (nodes, self.outputs[k], {})
+        return self.cases[k, sides]
 
-    def _meets_all(self, cases: list, i: int) -> bool:
-        code = self.combiners[i].code
+    def _meets_all(self, cases: list, k: int) -> bool:
+        code = self.combiners[k].code
         for nodes, out, met in cases:
-            if i not in met:
+            if k not in met:
                 # run_probes takes a node's vector only after yielding the
                 # node before, so its children's values are in by then.
                 values: list[Value] = [()]
                 vectors = (slot_vector({"l": values[a], "pivot": pivot, "r": values[b]}) for pivot, a, b in nodes)
                 for value in run_probes(code, vectors, self.eval_budget):
                     values.append(value)
-                met[i] = values[-1] == out
-            if not met[i]:
+                met[k] = values[-1] == out
+            if not met[k]:
                 return False
         return True
-
-
-def _assemble_pivot(filling: tuple[Candidate, ...]) -> Term:
-    pred_left, pred_right, combine = filling
-    return Term("pivotrec", (Term("l"), pred_left.term, pred_right.term, combine.term))
 
 
 def synthesize(
@@ -494,17 +459,17 @@ def synthesize(
     elif schema == SCHEMA_PIVOT_DC:
         if goal.input_sort is not Sort.LIST_NAT or goal.output_sort is not Sort.LIST_NAT:
             raise ValueError("the divide-and-conquer schema sorts lists into lists")
-        pred_pool = Pool(ops, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, budget, eval_budget)
-        combine_pool = Pool(ops, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, budget, eval_budget)
-        meets = _PivotExamples(ops, goal, budget, eval_budget, combine_pool)
-        for run in fill_schema_holes((pred_pool, pred_pool, combine_pool)):
-            i = meets.first(run)
-            if i is not None:
-                return check_well_formed(_assemble_pivot(run[0] + (combine_pool[i],)), Sort.LIST_NAT, {"l"})
+        preds, combiners = pivot_pools(ops, budget, eval_budget)
+        meets = _PivotExamples(ops, goal, eval_budget, preds, combiners)
+        for run in pivot_runs(preds, combiners):
+            k = meets.first(run)
+            if k is not None:
+                holes = (preds[run[0]].term, preds[run[1]].term, combiners[k].term)
+                return check_well_formed(Term("pivotrec", (Term("l"),) + holes), Sort.LIST_NAT, {"l"})
         # Nothing found: the pools' first error is the one of the full pools.
-        pred_pool.grow(budget)
-        combine_pool.grow(budget)
-        dropped = pred_pool.dropped or combine_pool.dropped or meets.dropped
+        preds.grow(budget)
+        combiners.grow(budget)
+        dropped = preds.dropped or combiners.dropped or meets.dropped
     else:
         raise ValueError(f"unknown schema: {schema!r}")
     if dropped:

@@ -297,12 +297,7 @@ def eager_synthesize(synthesis, ops, goal, schema, budget, eval_budget=None):
                 return candidate.term
         dropped = pool.dropped
     else:
-        pred_pool = grown(synthesis.Pool(
-            ops, ("x", "pivot"), synthesis.Sort.BOOL, synthesis.PIVOT_PRED_PROBES, budget, eval_budget
-        ))
-        combine_pool = grown(synthesis.Pool(
-            ops, ("l", "pivot", "r"), synthesis.Sort.LIST_NAT, synthesis.PIVOT_COMBINE_PROBES, budget, eval_budget
-        ))
+        pred_pool, combine_pool = map(grown, synthesis.pivot_pools(ops, budget, eval_budget))
         dropped = pred_pool.dropped or combine_pool.dropped
         inputs = synthesis.probe_vectors(("l",), [inp for inp, _ in goal.examples])
         fillings = sorted(

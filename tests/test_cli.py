@@ -558,6 +558,11 @@ MALFORMED_SNAPSHOTS = {
     "non-natural-list-probe": {"probes": [[1, "b"]], "classes": [], "history": []},
     "string-event": {"probes": [0], "classes": [], "history": ["abc"]},
     "object-event": {"probes": [0], "classes": [], "history": [{"a": 1}]},
+    # An event holds strings, integers and lists of strings, and no more.
+    "list-in-list-event": {"probes": [0], "classes": [], "history": [["created", [["0"]]]]},
+    "number-list-event": {"probes": [0], "classes": [], "history": [["created", [0]]]},
+    "boolean-event": {"probes": [0], "classes": [], "history": [["expanded", ["1"], True]]},
+    "null-event": {"probes": [0], "classes": [], "history": [["absorbed", None, "new"]]},
 }
 
 
@@ -599,6 +604,17 @@ def test_deeply_nested_snapshot_is_a_usage_error(tmp_path):
         else:
             assert result.stderr == ""
             assert json.loads(result.stdout)["classes"][0]["fingerprint"]["outputs"] == [2000]
+
+
+@pytest.mark.parametrize("depth", [500, 985])
+def test_deeply_nested_history_event_is_a_usage_error(tmp_path, depth):
+    # Within what json.load reads: the event is still malformed, read one
+    # level deep, and no stack runs out.
+    snapshot = tmp_path / "s.json"
+    snapshot.write_text('{"probes": [0], "classes": [], "history": [' + "[" * depth + "]" * depth + "]}\n")
+    result = run("space", "export", "--space", str(snapshot))
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("error: malformed space snapshot: ") and result.stderr.count("\n") == 1
 
 
 def test_import_loads_no_dataclasses_inspect_or_typing():

@@ -136,6 +136,15 @@ def test_history_is_append_only():
     assert len(space.history) == 3
 
 
+def test_every_history_event_kind_round_trips():
+    a = expand_domain(absorb(new_space((0, 1)), parse("(succ n)")), (4,))
+    space = unify(a, absorb(new_space((2,)), parse("zero")))
+    history = a.history + space.history
+    assert sorted({event[0] for event in history}) == ["absorbed", "created", "expanded", "unified"]
+    for kept in (a, space):
+        assert load_snapshot(json.loads(json.dumps(snapshot(kept)))).history == kept.history
+
+
 def test_snapshot_round_trip_and_export():
     space = absorb(absorb(new_space((0, 1, 2)), parse("(succ n)")), parse("(add n (succ zero))"))
     data = json.loads(json.dumps(snapshot(space)))

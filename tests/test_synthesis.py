@@ -15,15 +15,14 @@ from diagforge.synthesis import (
     NAT_BASE,
     GoalSpec,
     Pool,
-    PIVOT_COMBINE_PROBES,
-    PIVOT_PRED_PROBES,
     SCHEMA_BOTTOM_UP,
     SCHEMA_PIVOT_DC,
     default_probes,
-    fill_schema_holes,
     load_goal,
     make_goal,
     parse_goal_text,
+    pivot_pools,
+    pivot_runs,
     synthesize,
 )
 from oracles import (
@@ -89,6 +88,27 @@ def test_pool_representative_agrees_with_discarded_terms():
             assert eval_nat(rep.term, {"n": p}) == eval_nat(term, {"n": p})
 
 
+# The probes of the pivotrec holes' pools: every combination of small values
+# of the hole's variables, naturals 0-3 and lists over {0, 1} of at most 2
+# elements.
+HOLE_NATS = (0, 1, 2, 3)
+HOLE_LISTS = ((), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1))
+PRED_PROBES = tuple(product(HOLE_NATS, HOLE_NATS))
+COMBINE_PROBES = tuple(product(HOLE_LISTS, HOLE_NATS, HOLE_LISTS))
+
+
+def test_pivot_pools_are_the_pivotrec_holes():
+    budget = EvalBudget(max_steps=50)
+    preds, combiners = pivot_pools(LIST_BASE, 4, budget)
+    for pool, free_vars, sort, probes in (
+        (preds, ("x", "pivot"), Sort.BOOL, PRED_PROBES),
+        (combiners, ("l", "pivot", "r"), Sort.LIST_NAT, COMBINE_PROBES),
+    ):
+        assert pool._vectors == probe_vectors(free_vars, probes)
+        assert (pool.max_size, pool._budget) == (4, budget)
+        assert grown(pool) == grown(Pool(LIST_BASE, free_vars, sort, probes, 4, budget))
+
+
 def _unpruned_pool(ops, free_vars, sort, probes, max_size, budget):
     """The pool by its plain definition, from the oracle grammar and
     evaluator: every term in canonical order is run, terms that exhaust the
@@ -114,9 +134,9 @@ def _unpruned_pool(ops, free_vars, sort, probes, max_size, budget):
     "ops, free_vars, sort, probes, max_size, budget, drops",
     [
         pytest.param(NAT_BASE, ("n",), Sort.NAT, default_probes(Sort.NAT), 7, EvalBudget(), False, id="nat"),
-        pytest.param(LIST_BASE, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, 6, EvalBudget(), False, id="predicate"),
+        pytest.param(LIST_BASE, ("x", "pivot"), Sort.BOOL, PRED_PROBES, 6, EvalBudget(), False, id="predicate"),
         pytest.param(
-            LIST_BASE, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 6, EvalBudget(), False, id="combiner"
+            LIST_BASE, ("l", "pivot", "r"), Sort.LIST_NAT, COMBINE_PROBES, 6, EvalBudget(), False, id="combiner"
         ),
         pytest.param(LIST_BASE, ("l",), Sort.NAT, default_probes(Sort.LIST_NAT), 6, EvalBudget(), False, id="list-nat"),
         pytest.param(
@@ -163,7 +183,7 @@ def test_pools_run_only_terms_whose_pooled_arguments_are_representatives(monkeyp
     runs = _count_runs(monkeypatch)
     grown(Pool(NAT_BASE, ("n",), Sort.NAT, default_probes(Sort.NAT), 7))
     nat_runs = len(runs)
-    grown(Pool(LIST_BASE, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 6))
+    grown(pivot_pools(LIST_BASE, 6)[1])
     assert nat_runs <= 2000
     assert len(runs) - nat_runs <= 750
 
@@ -179,8 +199,7 @@ def test_a_search_that_dropped_candidates_and_found_nothing_is_inconclusive():
     # At 8 steps every hole candidate runs, so only fillings are dropped.
     sort_goal = make_goal([((), ()), ((2, 1), (1, 2)), ((3, 1, 2), (1, 2, 3))])
     budget = EvalBudget(max_steps=8)
-    assert grown(Pool(LIST_BASE, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, 3, budget)).dropped is None
-    assert grown(Pool(LIST_BASE, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 3, budget)).dropped is None
+    assert all(grown(pool).dropped is None for pool in pivot_pools(LIST_BASE, 3, budget))
     with pytest.raises(ResourceExhaustedError):
         synthesize(LIST_BASE, sort_goal, SCHEMA_PIVOT_DC, 3, budget)
     assert synthesize(LIST_BASE, sort_goal, SCHEMA_PIVOT_DC, 3, EvalBudget(max_steps=30)) is None
@@ -274,59 +293,96 @@ def _check_outcome(check):
         return exc.reason, exc.steps_used
 
 
-def _fillings(pools):
-    """The fillings of fill_schema_holes' runs, one by one."""
-    for head, lo, hi in fill_schema_holes(pools):
-        for i in range(lo, hi):
-            yield head + (pools[-1][i],)
+def _fillings(preds, combiners):
+    """The fillings of pivot_runs' runs, one by one."""
+    for i, j, lo, hi in pivot_runs(preds, combiners):
+        for k in range(lo, hi):
+            yield preds[i], preds[j], combiners[k]
 
 
-# The repeats goal's inputs, with the outputs of a filling whose combiner
-# has 3 nodes, so that runs of combiners of at most 4 nodes have hits.
-_SPINE_GOAL = make_goal([
-    (xs, eval_budgeted(parse("(pivotrec l (lt x pivot) (lt pivot x) (cons pivot l))"), {"l": xs}, 10**6, 64))
-    for xs, _ in SORT_GOALS[1].examples
-])
+def _spine_goal(goal):
+    """The goal's inputs, with the outputs of a filling whose combiner has 3
+    nodes, so that runs of combiners of at most 4 nodes have hits."""
+    spine = parse("(pivotrec l (lt x pivot) (lt pivot x) (cons pivot l))")
+    return make_goal([(xs, eval_budgeted(spine, {"l": xs}, 10**6, 64)) for xs, _ in goal.examples])
 
 
-@pytest.mark.parametrize("goal", SORT_GOALS + [_SPINE_GOAL], ids=["distinct", "repeats", "repeats-met"])
+SPINE_GOALS = [_spine_goal(goal) for goal in SORT_GOALS]
+
+
+def _representatives(preds, goal):
+    """The positions of the predicates that come first in the pool with
+    their values, by the oracle evaluator, at every example's (later,
+    earlier) element pairs."""
+    first = {}
+    for position, pred in enumerate(preds):
+        signatures = tuple(
+            tuple(
+                eval_budgeted(pred.term, {"x": xs[j], "pivot": xs[i]}, 10**6, 64)
+                for i in range(len(xs))
+                for j in range(i + 1, len(xs))
+            )
+            for xs, _ in goal.examples
+        )
+        first.setdefault(signatures, position)
+    return set(first.values())
+
+
+@pytest.mark.parametrize(
+    "goal", SORT_GOALS + SPINE_GOALS, ids=["distinct", "repeats", "distinct-met", "repeats-met"]
+)
 def test_pivot_example_checks_equal_direct_runs(goal):
     # With holes of at most 6 nodes on lists of at most 4 elements (3 in
     # the distinct goal) no filling can spend more than 1,707 steps (647),
-    # so runs are decided from partition trees from there up. Below it
-    # predicates of sizes 3 and 6 that agree on an example's pairs spend
-    # different steps, some fillings exhaust, and each filling is run
-    # whole. Either way a run's first combiner that meets every example is
-    # its first filling whose direct run meets them, and the error kept is
-    # the first such run's before it.
-    assert _bounded_steps(goal, 6) == (647 if goal is SORT_GOALS[0] else 1707)
-    pred_pool = grown(Pool(LIST_BASE, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, 6))
-    combine_pool = grown(Pool(LIST_BASE, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 4))
+    # so runs are decided from partition trees from there up, and a run
+    # with a predicate that behaves on the examples' element pairs as an
+    # earlier one is decided None unrun. Below it predicates of sizes 3
+    # and 6 that agree on an example's pairs spend different steps, some
+    # fillings exhaust, and each filling is run whole, as a run's first
+    # filling whose direct run meets every example, keeping the first
+    # error a direct run raised before it. Either way the first hit is the
+    # first direct hit.
+    distinct = all(len(set(xs)) == len(xs) for xs, _ in goal.examples)
+    assert _bounded_steps(goal, 6) == (647 if distinct else 1707)
+    preds, combiners = grown(pivot_pools(LIST_BASE, 6)[0]), grown(pivot_pools(LIST_BASE, 4)[1])
+    representatives = _representatives(preds, goal)
     inputs = probe_vectors(("l",), [inp for inp, _ in goal.examples])
     outputs = [out for _, out in goal.examples]
-    raised = found = 0
+    raised = found = skipped = 0
     for max_steps in (20, 40, 60, 1706, 1707, 10**6):
         budget = EvalBudget(max_steps=max_steps)
-        meets = synthesis._PivotExamples(LIST_BASE, goal, 6, budget, combine_pool)
-        assert (meets.rows is None) == (max_steps < _bounded_steps(goal, 6))
-        for head, lo, hi in fill_schema_holes((pred_pool, pred_pool, combine_pool)):
+        meets = synthesis._PivotExamples(LIST_BASE, goal, budget, preds, combiners)
+        assert meets.bounded == (max_steps >= _bounded_steps(goal, 6))
+        first_hit = first_direct_hit = None
+        for i, j, lo, hi in pivot_runs(preds, combiners):
             want = None, None
-            for i in range(lo, hi):
-                code = compile_node("pivotrec", [compile_node("l")] + [c.code for c in head + (combine_pool[i],)])
+            for k in range(lo, hi):
+                code = compile_node("pivotrec", [compile_node("l"), preds[i].code, preds[j].code, combiners[k].code])
                 runs = zip(run_probes(code, inputs, budget), outputs)
                 outcome = _check_outcome(lambda: all(got == out for got, out in runs))
                 if outcome is True:
-                    want = i, want[1]
+                    want = k, want[1]
                     break
                 if outcome is not False:
                     want = None, want[1] or outcome
                     raised += 1
             meets.dropped = None
-            got = meets.first((head, lo, hi))
-            assert (got, meets.dropped and (meets.dropped.reason, meets.dropped.steps_used)) == want, (max_steps, head)
-            found += got is not None
-    assert raised > 100
-    assert found > 50 if goal is _SPINE_GOAL else found == 0
+            got = meets.first((i, j, lo, hi)), meets.dropped and (meets.dropped.reason, meets.dropped.steps_used)
+            if not meets.bounded or {i, j} <= representatives:
+                assert got == want, (max_steps, i, j)
+            else:
+                assert got == (None, None), (max_steps, i, j)
+                skipped += 1
+            found += got[0] is not None
+            if first_hit is None and got[0] is not None:
+                first_hit = i, j, got[0]
+            if first_direct_hit is None and want[0] is not None:
+                first_direct_hit = i, j, want[0]
+        assert first_hit == first_direct_hit
+    # On the distinct goal's pairs 5 of the 10 predicates behave as earlier
+    # ones; on the repeats goal's, none does.
+    assert raised > 100 and (skipped > 100 if distinct else skipped == 0)
+    assert found > 50 if goal in SPINE_GOALS else found == 0
 
 
 GOALS = Path(__file__).resolve().parent.parent / "goals"
@@ -419,36 +475,41 @@ def test_bottom_up_returns_minimal_matching_candidate():
     assert size(program.term) == 3
 
 
-def test_fill_schema_holes_ordering():
-    def pools():
-        nat = Pool(NAT_BASE, ("n",), Sort.NAT, (0, 1, 2), 2)
-        return (nat, nat, Pool(LIST_BASE, ("l",), Sort.LIST_NAT, default_probes(Sort.LIST_NAT), 1))
-
-    fillings = list(_fillings(pools()))
-    # The full cartesian product of the full pools, by total cost and then
-    # by per-hole positions.
-    full = [list(enumerate(pool)) for pool in (grown(Pool(NAT_BASE, ("n",), Sort.NAT, (0, 1, 2), 2)),) * 2] + [
-        list(enumerate(grown(Pool(LIST_BASE, ("l",), Sort.LIST_NAT, default_probes(Sort.LIST_NAT), 1))))
-    ]
-    expected = sorted(product(*full), key=lambda f: (sum(c.cost for _, c in f), [i for i, _ in f]))
-    assert len(fillings) == 4 * 4 * 2
-    assert fillings == [tuple(c for _, c in f) for f in expected]
-    assert [pretty(c.term) for c in fillings[0]] == ["n", "n", "nil"]  # the minimal filling
-    # deterministic: same input, same order
-    assert list(_fillings(pools())) == fillings
+def _product_order(preds, combiners):
+    """Every filling of the fully grown pools, by total cost and then by
+    per-hole positions."""
+    full = [list(enumerate(grown(pool))) for pool in (preds, preds, combiners)]
+    fillings = sorted(product(*full), key=lambda f: (sum(c.cost for _, c in f), [i for i, _ in f]))
+    return [tuple(c for _, c in f) for f in fillings]
 
 
-def test_fill_schema_holes_grows_past_sizes_with_no_new_member():
-    # On the one probe (), every list term of size 2 behaves as nil.
-    pool = Pool(LIST_BASE, ("l",), Sort.LIST_NAT, ((),), 3)
-    assert [pretty(c.term) for (c,) in _fillings((pool,))] == ["nil", "(cons zero nil)"]
-
-
-def test_fill_schema_holes_with_empty_pool():
-    # No bool term over l has fewer than 3 nodes.
-    empty = Pool(LIST_BASE, ("l",), Sort.BOOL, default_probes(Sort.LIST_NAT), 2)
-    assert list(fill_schema_holes((empty, grown(Pool(NAT_BASE, ("n",), Sort.NAT, (1,), 1))))) == []
-    assert empty.built == 2
+@pytest.mark.parametrize(
+    "pools",
+    [pytest.param(lambda b=b: pivot_pools(LIST_BASE, b), id=f"budget-{b}") for b in range(1, 5)]
+    + [
+        pytest.param(lambda: (pivot_pools(LIST_BASE, 5)[0], pivot_pools(LIST_BASE, 3)[1]), id="sizes-5-3"),
+        # No bool term over x and pivot without lt.
+        pytest.param(lambda: pivot_pools(LIST_BASE - {"lt"}, 4), id="no-predicate"),
+    ],
+)
+def test_runs_expand_to_the_product_order(pools):
+    preds, combiners = pools()
+    fillings = []
+    for i, j, lo, hi in pivot_runs(preds, combiners):
+        # Neither pool is grown past what this run's total needs, and a
+        # run is one whole cost block of the combiners.
+        cost = combiners[lo].cost
+        total = preds[i].cost + preds[j].cost + cost
+        assert preds.built == min(preds.max_size, total - preds[0].cost - combiners[0].cost)
+        assert combiners.built == min(combiners.max_size, total - 2 * preds[0].cost)
+        assert (lo == 0 or combiners[lo - 1].cost < cost) and (hi == len(combiners) or combiners[hi].cost > cost)
+        assert all(c.cost == cost for c in combiners[lo:hi])
+        fillings.extend((preds[i], preds[j], combiners[k]) for k in range(lo, hi))
+    assert fillings == _product_order(*pools())
+    if fillings:
+        assert [pretty(c.term) for c in fillings[0]] == ["(lt zero zero)", "(lt zero zero)", "nil"]
+    else:
+        assert preds.built == preds.max_size and combiners.built == 0
 
 
 def test_quicksort_schema_synthesis():
@@ -462,8 +523,7 @@ def test_quicksort_schema_synthesis():
 
 
 def test_quicksort_filling_appears_in_the_frontier():
-    pred_pool = grown(Pool(LIST_BASE, ("x", "pivot"), Sort.BOOL, PIVOT_PRED_PROBES, 5))
-    combine_pool = grown(Pool(LIST_BASE, ("l", "pivot", "r"), Sort.LIST_NAT, PIVOT_COMBINE_PROBES, 5))
+    pred_pool, combine_pool = map(grown, pivot_pools(LIST_BASE, 5))
     targets = {"(lt x pivot)", "(lt pivot x)"}
     assert targets <= {pretty(c.term) for c in pred_pool}
     assert "(append l (cons pivot r))" in {pretty(c.term) for c in combine_pool}
@@ -473,7 +533,7 @@ def test_quicksort_filling_appears_in_the_frontier():
         parse("(append l (cons pivot r))"),
     )
     seen = False
-    for filling in _fillings((pred_pool, pred_pool, combine_pool)):
+    for filling in _fillings(pred_pool, combine_pool):
         if tuple(c.term for c in filling) == wanted:
             seen = True
             break
