@@ -30,6 +30,17 @@ iteration and checks no value bits, so the loop spends count steps at
 once, fails with the steps error the loop would raise, and returns the
 last iteration's value as a closed form of the count.
 
+A precnat whose step is one succ, add or mul node over leaves runs in
+closed form where it can: when the fuel covers the whole loop, acc before
+the last iteration comes from a formula of the count picked at compile
+time (acc + count(count - 1)/2 for (add acc idx), acc * c^count for
+(mul acc c), ...), used only where it stays within the cap, and only the
+last iteration runs. The step's operands never shrink from one iteration
+to the next (a mul by zero or idx drops acc to 0 once, which the
+formula's bound covers), so its check passes throughout if it passes
+there. Otherwise the loop runs from the start, so value, reason and steps
+used are always the loop's.
+
 A term with no binder can also be run over whole probe columns at once
 (probe_outputs): each node's rule is applied to its arguments' columns,
 and subterms shared between terms are computed once. It gives what
@@ -163,22 +174,31 @@ def _precnat(base: Code, step: Code, target: Code) -> Code:
     last = _LEAF_LOOPS.get(step)
     if last is not None:
         return _precnat_leaf(base, last, target)
+    head = _NODE_HEADS.get(step.__qualname__)
+    if head is not None:
+        cells = step.__closure__  # a, or a and b
+        a, b = cells[0].cell_contents, cells[-1].cell_contents
+        if a in _LEAF_LOOPS and b in _LEAF_LOOPS:
+            return _precnat_node(base, step, target, head, len(cells), a, b)
 
     def run(s, f):
         f.left -= 1
         if f.left < 0:
             raise _out_of_steps(f)
         count = target(s, f)
-        acc = base(s, f)
-        saved_acc, saved_idx = s[_ACC], s[_IDX]
-        for i in range(count):
-            s[_ACC] = acc
-            s[_IDX] = i
-            acc = step(s, f)
-        s[_ACC], s[_IDX] = saved_acc, saved_idx
-        return acc
+        return _loop(step, s, f, base(s, f), 0, count)
 
     return run
+
+
+def _loop(step: Code, s: list, f: _Fuel, acc: Value, start: int, stop: int) -> Value:
+    saved_acc, saved_idx = s[_ACC], s[_IDX]
+    for i in range(start, stop):
+        s[_ACC] = acc
+        s[_IDX] = i
+        acc = step(s, f)
+    s[_ACC], s[_IDX] = saved_acc, saved_idx
+    return acc
 
 
 def _precnat_leaf(base: Code, last: Callable[[list, int, Value], Value], target: Code) -> Code:
@@ -198,6 +218,39 @@ def _precnat_leaf(base: Code, last: Callable[[list, int, Value], Value], target:
         if f.left < 0:
             raise _out_of_steps(f)
         return last(s, count, acc)
+
+    return run
+
+
+def _precnat_node(base: Code, step: Code, target: Code, head: str, arity: int, a: Code, b: Code) -> Code:
+    # A step that is one succ, add or mul node over leaves spends 1 + arity
+    # steps per iteration and passes its value-bits check throughout if it
+    # passes at the last iteration (see the module docstring). When the fuel
+    # covers the whole loop, acc before the last iteration comes in closed
+    # form and only that iteration runs; if it fails, the loop runs from the
+    # start and fails where it must.
+    cost = 1 + arity
+    if b is _LEAVES["acc"]:
+        a, b = b, a
+    after = _ACC_AFTER.get((head, _LEAF_KINDS.get(a, "c"), _LEAF_KINDS.get(b, "c")), _acc_unread)
+    other = _LEAF_LOOPS[b]
+
+    def run(s, f):
+        f.left -= 1
+        if f.left < 0:
+            raise _out_of_steps(f)
+        count = target(s, f)
+        acc = base(s, f)
+        left = f.left
+        if count > 1 and count * cost <= left:
+            before_last = after(acc, count - 1, other(s, 1, acc), f.max_bits)
+            if before_last is not None:
+                f.left = left - (count - 1) * cost
+                try:
+                    return _loop(step, s, f, before_last, count - 1, count)
+                except ResourceExhaustedError:
+                    f.left = left
+        return _loop(step, s, f, acc, 0, count)
 
     return run
 
@@ -346,6 +399,36 @@ _LEAF_LOOPS.update({
     _LEAVES["acc"]: lambda s, count, base: base,
     _LEAVES["idx"]: lambda s, count, base: count - 1,
 })
+
+# A one-node precnat step is read from its closure: the rule from the
+# closure's name, the operands from its cells.
+_NODE_HEADS = {f"_{head}.<locals>.run": head for head in ("succ", "add", "mul")}
+_LEAF_KINDS = {_LEAVES["acc"]: "acc", _LEAVES["idx"]: "idx"}  # any other leaf is a constant, "c"
+
+
+def _acc_unread(a, k, c, bits):
+    return a  # a step that does not read acc leaves it as it entered
+
+
+# For a one-node step that reads acc, keyed by its operator and its
+# operands' kinds, acc first (succ's operand twice): acc after k iterations
+# from a, given the other operand's value c at the first iteration, or None
+# where that value could pass the value-bits cap (the loop then runs, and
+# fails where it must). Every intermediate value stays within the cap too.
+_ACC_AFTER: dict[tuple[str, str, str], Callable[[int, int, int, int], int | None]] = {
+    ("succ", "acc", "acc"): lambda a, k, c, bits: a + k if max(a.bit_length(), k.bit_length()) < bits else None,
+    ("add", "acc", "acc"): lambda a, k, c, bits: a << k if a.bit_length() + k <= bits else None,
+    ("add", "acc", "c"): lambda a, k, c, bits: (
+        a + k * c if max(a.bit_length(), k.bit_length() + c.bit_length()) < bits else None
+    ),
+    ("add", "acc", "idx"): lambda a, k, c, bits: (
+        a + k * (k - 1) // 2 if max(a.bit_length(), 2 * k.bit_length()) < bits else None
+    ),
+    ("mul", "acc", "acc"): lambda a, k, c, bits: a if a < 2 else None,
+    ("mul", "acc", "c"): lambda a, k, c, bits: a * c**k if a.bit_length() + k * c.bit_length() <= bits else None,
+}
+# idx is 0 at the first iteration, so acc is 0 from then on, as with zero.
+_ACC_AFTER["mul", "acc", "idx"] = _ACC_AFTER["mul", "acc", "c"]
 
 _RULES: dict[str, Callable[..., Code]] = {
     "succ": _succ,

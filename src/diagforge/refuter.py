@@ -20,7 +20,7 @@ from .errors import EmptyClassifierError
 from .enumeration import Tier, sized_stream
 from .interp import EvalBudget, compile_term, run_probes, slot_vector
 from .kernel import Record, TypedProgram, pretty
-from .machines import Subsequence
+from .machines import Subsequence, _apply_indexed
 
 DEFAULT_HORIZON = 100_000
 
@@ -66,7 +66,8 @@ def describe_classifier(c: Classifier) -> str:
 
 def _acceptor(c: Classifier, budget: EvalBudget | None) -> Callable[[int, int], bool]:
     """The classifier's verdict on a program, given its index and size; a
-    decider is compiled here, once."""
+    decider is compiled here, once, and an exhausted budget names the index
+    it was deciding."""
     if isinstance(c, MaxSize):
         return lambda index, size_: size_ <= c.bound
     if isinstance(c, AcceptAll):
@@ -76,7 +77,8 @@ def _acceptor(c: Classifier, budget: EvalBudget | None) -> Callable[[int, int], 
     if not c.decider.free_vars <= {"n"}:
         raise ValueError(f"a decider's only input is n, got free variables {sorted(c.decider.free_vars)}")
     code = compile_term(c.decider.term)
-    return lambda index, size_: next(run_probes(code, (slot_vector({"n": index}),), budget)) != 0
+    decide = lambda index: next(run_probes(code, (slot_vector({"n": index}),), budget))
+    return lambda index, size_: _apply_indexed(decide, index) != 0
 
 
 def accepted_prefix(

@@ -49,6 +49,59 @@ def test_certificate_stdout_is_pinned(command, digest):
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
 
+# Commands that exit 3 keep the rows proved so far and name what ran out,
+# and where: sha256 of stdout, and the whole error line. The decider
+# squares 2 until the default value-bits cap stops it, at index 16.
+PINNED_EXHAUSTED = [
+    (
+        "diag --tier natfn --witness 916 --budget 2000",
+        "432d9d980483f6823f6b018470c412fc57066516eefb475edc70075e1485bac7",
+        "steps, 2000 steps used at index 835",
+    ),
+    (
+        "refute --tier natfn --classifier program:decider.txt --count 20",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "value-bits, 53 steps used at index 16",
+    ),
+]
+
+
+@pytest.mark.parametrize("command,digest,where", PINNED_EXHAUSTED, ids=[c for c, _, _ in PINNED_EXHAUSTED])
+def test_exhausted_command_output_is_pinned(command, digest, where, tmp_path, monkeypatch, capsys):
+    from diagforge import cli
+
+    (tmp_path / "decider.txt").write_text("(precnat (succ (succ zero)) (mul acc acc) n)\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(command.split()) == 3
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert err == f"error: evaluation budget exhausted ({where})\n"
+
+
+# The benchmark's "stdout digest over all ops" (perfbench/run.py) of the
+# certify workload at seed 43, computed in process over the same op list.
+PINNED_CERTIFY_DIGEST = "7cd89d5d77acab0b7db1c79c801951cc810e67a2afb7eb7ca7cce89b4c1b1e71"
+
+
+def test_certify_workload_stdout_digest_is_pinned(tmp_path, monkeypatch, capsys):
+    from diagforge import cli
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    digests = {}
+    for op in workloads.generate("certify", 43):
+        op_dir = tmp_path / op["id"]
+        op_dir.mkdir()
+        for name, text in op["files"].items():
+            (op_dir / name).write_text(text)
+        monkeypatch.chdir(op_dir)
+        assert cli.main(op["argv"]) == op["expect"]["exit"], op["argv"]
+        digests[op["id"]] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    overall = hashlib.sha256("".join(f"{op}:{d}\n" for op, d in sorted(digests.items())).encode())
+    assert overall.hexdigest() == PINNED_CERTIFY_DIGEST
+
+
 def _synth_batch(seed=7):
     """Seeded synth runs as (name, schema, budget, goal text): bottom-up
     goals at budgets 4-7, each the outputs of a random non-constant nat

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from diagforge.enumeration import Tier, enumerate_stream, walk_layer
 from diagforge.errors import ResourceExhaustedError
 from diagforge.interp import (
+    DEFAULT_MAX_STEPS,
     DEFAULT_MAX_VALUE_BITS,
     EvalBudget,
     compile_term,
@@ -21,7 +22,7 @@ from diagforge.interp import (
     run_probes,
     slot_vector,
 )
-from diagforge.kernel import Sort, check_well_formed, infer_sort, parse
+from diagforge.kernel import Sort, check_well_formed, infer_sort, parse, size
 from oracles import Exhausted, eval_budgeted, eval_nat, insertion_sort
 from strategies import random_term, terms
 
@@ -134,6 +135,15 @@ def test_value_size_cap_stops_iterated_squaring():
 def test_budget_validation():
     with pytest.raises(ValueError):
         EvalBudget(max_steps=0)
+    with pytest.raises(ValueError):
+        EvalBudget(max_value_bits=0)
+
+
+def test_if_runs_out_of_steps_on_entry():
+    program = nat_program("(succ (if (lt n zero) n zero))")
+    with pytest.raises(ResourceExhaustedError) as excinfo:
+        evaluate(program, 3, EvalBudget(max_steps=1))
+    assert (excinfo.value.reason, excinfo.value.steps_used) == ("steps", 1)
 
 
 def test_input_validation():
@@ -272,6 +282,77 @@ def test_nested_binders_accounting_at_every_step_budget():
                 outcome = _outcome(lambda: evaluate(program, value, budget))
                 assert outcome == _reference(program.term, env, budget), (program, env, budget)
             assert outcome[:2] != ("exhausted", "steps"), (program, env)
+
+
+# precnat loops whose step is one succ, add or mul node over leaves, which
+# run in closed form where the fuel covers the loop and the value-bits check
+# passes at the last iteration: every operator with each leaf in each
+# operand position, acc entering below and past the cap, and caps that cut
+# the loop at its first iteration or in its middle.
+NODE_LEAVES = ("acc", "idx", "zero", "n")
+NODE_STEPS = [f"(succ {a})" for a in NODE_LEAVES] + [
+    f"({op} {a} {b})" for op in ("add", "mul") for a in NODE_LEAVES for b in NODE_LEAVES
+]
+NODE_CAPS = (DEFAULT_MAX_VALUE_BITS, 3, 8, 200)
+
+
+def _node_loop_budgets(program, env, bits, end):
+    """Step budgets for a run that takes `end` steps when nothing runs out:
+    every budget up to past `end` for a short run; for a long one, every
+    budget in its first and last few iterations, on both sides of where it
+    runs out of value bits, and every 97th between."""
+    budgets = set(range(1, end + 5)) if end <= 60 else set(range(1, 12)) | set(range(end - 7, end + 3))
+    budgets |= set(range(1, end, 97))
+    failed = _reference(program.term, env, EvalBudget(end + 4, bits))
+    if failed[:2] == ("exhausted", "value-bits"):
+        budgets |= {failed[2] - 1, failed[2], failed[2] + 1}
+    return sorted(budgets) + [DEFAULT_MAX_STEPS]
+
+
+def test_one_node_precnat_steps_match_reference_accounting():
+    checked = long_values = 0
+    for step in NODE_STEPS:
+        for base in ("zero", "n", "(succ n)"):
+            program = nat_program(f"(precnat {base} {step} n)")
+            assert compile_term(program.term).__qualname__.startswith("_precnat_node")
+            long_caps = NODE_CAPS[::2] if base != "(succ n)" else ()
+            for value, caps in ((0, NODE_CAPS), (1, NODE_CAPS), (2, NODE_CAPS), (300, long_caps)):
+                end = size(program.term) + (value - 1) * size(parse(step))
+                for bits in caps:
+                    env = {"n": value}
+                    for max_steps in _node_loop_budgets(program, env, bits, end):
+                        budget = EvalBudget(max_steps, bits)
+                        outcome = _outcome(lambda: evaluate(program, value, budget))
+                        assert outcome == _reference(program.term, env, budget), (program, env, budget)
+                        checked += 1
+                        long_values += outcome[0] == "value" and value == 300
+    assert checked > 15_000 and long_values > 250
+
+
+def test_one_node_precnat_steps_over_x_and_pivot():
+    # x and pivot, bound by pivotrec, in each operand position, as loop
+    # counts and entry values taken from the list.
+    leaves = ("acc", "idx", "x", "pivot")
+    steps = [f"(succ {a})" for a in ("x", "pivot")] + [
+        f"({op} {a} {b})" for op in ("add", "mul") for a in leaves for b in leaves if {a, b} & {"x", "pivot"}
+    ]
+    # Every step budget, up to the first that does not run out of steps. In
+    # (127, 3), acc enters one bit short of the 8-bit cap, so that a loop
+    # can fail its check before its last iteration, and still end within
+    # the cap.
+    lists = ((), (2, 0, 1), (1, 3, 0, 2), (127, 3))
+    for step in steps:
+        program = list_program(f"(pivotrec l (lt x (precnat pivot {step} x)) (lt pivot x) (append l (cons pivot r)))")
+        for value in lists:
+            env = {"l": value}
+            for bits in (DEFAULT_MAX_VALUE_BITS, 4, 8):
+                outcome = ("exhausted", "steps")
+                max_steps = 0
+                while outcome[:2] == ("exhausted", "steps"):
+                    max_steps += 1
+                    budget = EvalBudget(max_steps, bits)
+                    outcome = _outcome(lambda: evaluate(program, value, budget))
+                    assert outcome == _reference(program.term, env, budget), (program, env, budget)
 
 
 def test_batched_probes_equal_per_probe_evaluation():

@@ -169,6 +169,8 @@ def test_list_input_spaces():
     assert len(space.classes) == 2
     space = absorb(space, parse("(len l)"))  # nat-valued members are fine
     assert len(space.classes) == 3
+    with pytest.raises(ValueError, match="different input sorts"):
+        unify(absorb(new_space((0, 1)), parse("(succ n)")), space)
 
 
 def test_random_operations_keep_invariants():

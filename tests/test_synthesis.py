@@ -424,6 +424,8 @@ def test_invalid_searches_fail_before_any_term_runs(monkeypatch):
         synthesize(NAT_BASE | {"sux"}, goal, SCHEMA_BOTTOM_UP, 3)
     with pytest.raises(ValueError):
         synthesize(LIST_BASE | {"sux"}, sort_goal, SCHEMA_PIVOT_DC, 3)
+    with pytest.raises(ValueError, match="unknown schema: 'nope'"):
+        synthesize(NAT_BASE, goal, "nope", 3)
     assert runs == []
 
 
