@@ -41,12 +41,13 @@ class ResourceExhaustedError(DiagforgeError):
 
     `index` is set when the failure happened while evaluating the n-th
     function of a machine stream, so diagonal constructions can report
-    the offending index instead of silently skipping it.
+    the offending index instead of silently skipping it. `at` names any
+    other place a command failed, such as a space's probe and term.
     """
 
-    def __init__(self, steps_used: int, reason: str = "steps", index: int | None = None):
-        at = f" at index {index}" if index is not None else ""
-        super().__init__(f"evaluation budget exhausted ({reason}, {steps_used} steps used{at})")
+    def __init__(self, steps_used: int, reason: str = "steps", index: int | None = None, at: str | None = None):
+        where = f" at index {index}" if index is not None else f" at {at}" if at else ""
+        super().__init__(f"evaluation budget exhausted ({reason}, {steps_used} steps used{where})")
         self.steps_used = steps_used
         self.reason = reason
         self.index = index

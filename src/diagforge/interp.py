@@ -24,22 +24,22 @@ Accounting is exact and the same for every caller. Two caps are enforced:
   sizes and raise ResourceExhaustedError before computing an oversized
   result, with the steps used so far.
 
-A precnat whose step is a single leaf (zero, n, acc, idx, x or pivot)
-runs in one go, with the same accounting: such a step spends one step per
-iteration and checks no value bits, so the loop spends count steps at
-once, fails with the steps error the loop would raise, and returns the
-last iteration's value as a closed form of the count.
-
-A precnat whose step is one succ, add or mul node over leaves runs in
-closed form where it can: when the fuel covers the whole loop, acc before
-the last iteration comes from a formula of the count picked at compile
-time (acc + count(count - 1)/2 for (add acc idx), acc * c^count for
-(mul acc c), ...), used only where it stays within the cap, and only the
-last iteration runs. The step's operands never shrink from one iteration
-to the next (a mul by zero or idx drops acc to 0 once, which the
-formula's bound covers), so its check passes throughout if it passes
-there. Otherwise the loop runs from the start, so value, reason and steps
-used are always the loop's.
+A precnat whose step is one leaf, or one succ, add or mul node over
+leaves, runs in closed form with the loop's accounting. Such a step
+spends the same steps in every iteration (1 for a leaf, 1 + arity for a
+node), so the fuel reaches iteration jump = min(count, left // cost) - 1
+in full, where left is the fuel as the loop starts. Acc entering it
+comes from a formula of jump picked at compile time (acc itself for a
+step that does not read acc, acc + jump(jump - 1)/2 for (add acc idx),
+acc * c^jump for (mul acc c), ...), used only where it stays within the
+cap, and the loop runs from there: only the last iteration when the fuel
+covers the loop, else the last full iteration and the one that runs out
+of steps. The step's operands never shrink from one iteration to the
+next (a mul by zero or idx drops acc to 0 once, which the formula's
+bound covers), so its value-bits check passes throughout if it passes at
+iteration jump, and a steps error from there is the loop's own. A
+formula in doubt or a value-bits error runs the loop from the start, so
+value, reason and steps used are always the loop's.
 
 A term with no binder can also be run over whole probe columns at once
 (probe_outputs): each node's rule is applied to its arguments' columns,
@@ -171,24 +171,51 @@ def _mul(a: Code, b: Code) -> Code:
 
 
 def _precnat(base: Code, step: Code, target: Code) -> Code:
-    last = _LEAF_LOOPS.get(step)
-    if last is not None:
-        return _precnat_leaf(base, last, target)
-    head = _NODE_HEADS.get(step.__qualname__)
-    if head is not None:
+    # A step that is one leaf, or one succ, add or mul node over leaves, runs
+    # in closed form (see the module docstring); any other runs in a loop.
+    after = None
+    if step in _LEAF_KINDS:
+        cost, after, other = 1, _acc_unread, step
+    elif step.__qualname__ in _NODE_HEADS:
         cells = step.__closure__  # a, or a and b
         a, b = cells[0].cell_contents, cells[-1].cell_contents
-        if a in _LEAF_LOOPS and b in _LEAF_LOOPS:
-            return _precnat_node(base, step, target, head, len(cells), a, b)
+        if a in _LEAF_KINDS and b in _LEAF_KINDS:
+            if b is _LEAVES["acc"]:
+                a, b = b, a
+            shape = (_NODE_HEADS[step.__qualname__], _LEAF_KINDS[a], _LEAF_KINDS[b])
+            cost, after, other = 1 + len(cells), _ACC_AFTER.get(shape, _acc_unread), b
+    if after is None:
 
-    def run(s, f):
+        def run(s, f):
+            f.left -= 1
+            if f.left < 0:
+                raise _out_of_steps(f)
+            count = target(s, f)
+            return _loop(step, s, f, base(s, f), 0, count)
+
+        return run
+
+    def closed_form(s, f):
         f.left -= 1
         if f.left < 0:
             raise _out_of_steps(f)
         count = target(s, f)
-        return _loop(step, s, f, base(s, f), 0, count)
+        acc = base(s, f)
+        left = f.left
+        jump = min(count, left // cost) - 1
+        if jump > 0:
+            before = after(acc, jump, other(s, f), f.max_bits)
+            if before is not None:
+                f.left = left - jump * cost
+                try:
+                    return _loop(step, s, f, before, jump, count)
+                except ResourceExhaustedError as exc:
+                    if exc.reason == "steps":
+                        raise
+            f.left = left  # with the step spent reading the constant operand
+        return _loop(step, s, f, acc, 0, count)
 
-    return run
+    return closed_form
 
 
 def _loop(step: Code, s: list, f: _Fuel, acc: Value, start: int, stop: int) -> Value:
@@ -199,60 +226,6 @@ def _loop(step: Code, s: list, f: _Fuel, acc: Value, start: int, stop: int) -> V
         acc = step(s, f)
     s[_ACC], s[_IDX] = saved_acc, saved_idx
     return acc
-
-
-def _precnat_leaf(base: Code, last: Callable[[list, int, Value], Value], target: Code) -> Code:
-    # A step that is one leaf spends one step per iteration, writes no slot
-    # and checks no value bits, so the loop runs in one go: it spends count
-    # steps, fails where the loop would (every steps error reads the same),
-    # and returns the last iteration's value, last(s, count, base).
-    def run(s, f):
-        f.left -= 1
-        if f.left < 0:
-            raise _out_of_steps(f)
-        count = target(s, f)
-        acc = base(s, f)
-        if not count:
-            return acc
-        f.left -= count
-        if f.left < 0:
-            raise _out_of_steps(f)
-        return last(s, count, acc)
-
-    return run
-
-
-def _precnat_node(base: Code, step: Code, target: Code, head: str, arity: int, a: Code, b: Code) -> Code:
-    # A step that is one succ, add or mul node over leaves spends 1 + arity
-    # steps per iteration and passes its value-bits check throughout if it
-    # passes at the last iteration (see the module docstring). When the fuel
-    # covers the whole loop, acc before the last iteration comes in closed
-    # form and only that iteration runs; if it fails, the loop runs from the
-    # start and fails where it must.
-    cost = 1 + arity
-    if b is _LEAVES["acc"]:
-        a, b = b, a
-    after = _ACC_AFTER.get((head, _LEAF_KINDS.get(a, "c"), _LEAF_KINDS.get(b, "c")), _acc_unread)
-    other = _LEAF_LOOPS[b]
-
-    def run(s, f):
-        f.left -= 1
-        if f.left < 0:
-            raise _out_of_steps(f)
-        count = target(s, f)
-        acc = base(s, f)
-        left = f.left
-        if count > 1 and count * cost <= left:
-            before_last = after(acc, count - 1, other(s, 1, acc), f.max_bits)
-            if before_last is not None:
-                f.left = left - (count - 1) * cost
-                try:
-                    return _loop(step, s, f, before_last, count - 1, count)
-                except ResourceExhaustedError:
-                    f.left = left
-        return _loop(step, s, f, acc, 0, count)
-
-    return run
 
 
 def _cons(a: Code, b: Code) -> Code:
@@ -387,34 +360,21 @@ def _pivotrec(items: Code, pred_left: Code, pred_right: Code, combine: Code) -> 
 _LEAVES: dict[str, Code] = {"zero": _const(0), "nil": _const(())}
 _LEAVES.update((name, _var(slot)) for slot, name in enumerate(_SLOTS))
 
-# For a precnat whose step is the leaf keyed here: the loop's value after
-# count >= 1 iterations, from the slots, the count and the base. A variable
-# other than acc and idx keeps its value through the loop.
-_LEAF_LOOPS: dict[Code, Callable[[list, int, Value], Value]] = {
-    _LEAVES[name]: lambda s, count, base, slot=slot: s[slot] for slot, name in enumerate(_SLOTS)
-}
-_LEAF_LOOPS.update({
-    _LEAVES["zero"]: lambda s, count, base: 0,
-    _LEAVES["nil"]: lambda s, count, base: (),
-    _LEAVES["acc"]: lambda s, count, base: base,
-    _LEAVES["idx"]: lambda s, count, base: count - 1,
-})
-
-# A one-node precnat step is read from its closure: the rule from the
-# closure's name, the operands from its cells.
+# A precnat step in closed form is read from its closure: a leaf by its
+# kind, a node's rule from the closure's name and its operands from its cells.
+_LEAF_KINDS = {code: name if name in ("acc", "idx") else "c" for name, code in _LEAVES.items()}
 _NODE_HEADS = {f"_{head}.<locals>.run": head for head in ("succ", "add", "mul")}
-_LEAF_KINDS = {_LEAVES["acc"]: "acc", _LEAVES["idx"]: "idx"}  # any other leaf is a constant, "c"
 
 
 def _acc_unread(a, k, c, bits):
-    return a  # a step that does not read acc leaves it as it entered
+    return a  # a leaf, or a step that does not read acc, leaves acc as it entered
 
 
 # For a one-node step that reads acc, keyed by its operator and its
 # operands' kinds, acc first (succ's operand twice): acc after k iterations
-# from a, given the other operand's value c at the first iteration, or None
-# where that value could pass the value-bits cap (the loop then runs, and
-# fails where it must). Every intermediate value stays within the cap too.
+# from a, given the constant operand's value c, or None where that value
+# could pass the value-bits cap (the loop then runs, and fails where it
+# must). Every intermediate value stays within the cap too.
 _ACC_AFTER: dict[tuple[str, str, str], Callable[[int, int, int, int], int | None]] = {
     ("succ", "acc", "acc"): lambda a, k, c, bits: a + k if max(a.bit_length(), k.bit_length()) < bits else None,
     ("add", "acc", "acc"): lambda a, k, c, bits: a << k if a.bit_length() + k <= bits else None,
@@ -426,9 +386,9 @@ _ACC_AFTER: dict[tuple[str, str, str], Callable[[int, int, int, int], int | None
     ),
     ("mul", "acc", "acc"): lambda a, k, c, bits: a if a < 2 else None,
     ("mul", "acc", "c"): lambda a, k, c, bits: a * c**k if a.bit_length() + k * c.bit_length() <= bits else None,
+    # idx is 0 at the first iteration, which checks acc alone and drops it to 0.
+    ("mul", "acc", "idx"): lambda a, k, c, bits: 0 if a.bit_length() <= bits else None,
 }
-# idx is 0 at the first iteration, so acc is 0 from then on, as with zero.
-_ACC_AFTER["mul", "acc", "idx"] = _ACC_AFTER["mul", "acc", "c"]
 
 _RULES: dict[str, Callable[..., Code]] = {
     "succ": _succ,

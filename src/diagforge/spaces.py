@@ -11,8 +11,8 @@ probes. Spaces are values: every operation returns a new space.
 
 from __future__ import annotations
 
-from .errors import DiagforgeError, DuplicateProbeError, EmptyProbesError, ParseError
-from .interp import EvalBudget, probe_outputs, probe_vectors
+from .errors import DiagforgeError, DuplicateProbeError, EmptyProbesError, ParseError, ResourceExhaustedError
+from .interp import EvalBudget, compile_term, probe_outputs, probe_vectors, run_probes
 from .kernel import (
     INPUT_VARS,
     Record,
@@ -75,12 +75,30 @@ def _check_probes(probes: tuple[Value, ...]) -> None:
         raise DuplicateProbeError(f"duplicate probe in {probes!r}")
 
 
-def _fingerprint(term: Term, vectors: list[list], var: str, budget: EvalBudget | None, memo: dict) -> tuple:
+def _fingerprint(
+    term: Term, probes: tuple[Value, ...], vectors: list[list], var: str, budget: EvalBudget | None, memo: dict
+) -> tuple:
     # The output sort tags the key: True and 1 are equal (and hash alike)
     # in Python, so raw vectors of mixed-sort outputs could collide. `memo`
     # keeps subterm columns for these vectors and this budget.
     out_sort = infer_sort(term, frozenset({var}))
-    return (out_sort.value, probe_outputs(term, vectors, budget, memo))
+    try:
+        return (out_sort.value, probe_outputs(term, vectors, budget, memo))
+    except ResourceExhaustedError:
+        # Run probe by probe to name the first that fails, and the term.
+        outputs = run_probes(compile_term(term), vectors, budget)
+        for probe in probes:
+            try:
+                next(outputs)
+            except ResourceExhaustedError as exc:
+                at = f"probe {format_value(probe)} for {_cut(pretty(term))}"
+                raise ResourceExhaustedError(exc.steps_used, exc.reason, at=at) from exc
+        raise
+
+
+def _cut(text: str, width: int = 60) -> str:
+    """text, or its head and "..." in `width` characters."""
+    return text if len(text) <= width else text[: width - 3] + "..."
 
 
 def _class(fingerprint: tuple, members) -> SpaceClass:
@@ -100,7 +118,7 @@ def _rebuild(
     grouped: dict[tuple, list[Term]] = {}
     memo: dict = {}
     for term in members:
-        grouped.setdefault(_fingerprint(term, vectors, var, budget, memo), []).append(term)
+        grouped.setdefault(_fingerprint(term, probes, vectors, var, budget, memo), []).append(term)
     classes = [_class(fingerprint, group) for fingerprint, group in grouped.items()]
     classes.sort(key=lambda c: canonical_key(c.representative))
     return AnalyticalSpace(probes, tuple(classes), history)
@@ -124,7 +142,7 @@ def absorb(space: AnalyticalSpace, term: Term, budget: EvalBudget | None = None)
     """
     var = space.input_var
     # A fresh memo: a space keeps no columns, so its memory stays its members'.
-    fingerprint = _fingerprint(term, probe_vectors((var,), space.probes), var, budget, {})
+    fingerprint = _fingerprint(term, space.probes, probe_vectors((var,), space.probes), var, budget, {})
     existing = space.class_map().get(fingerprint)
     if existing is None:
         outcome = "new"

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,57 @@ def test_exhausted_command_output_is_pinned(command, digest, where, tmp_path, mo
     out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert err == f"error: evaluation budget exhausted ({where})\n"
+
+
+def _space_file(tmp_path, name, probes, members=()):
+    """A space snapshot over probes holding members as one class, fingerprint unchecked."""
+    path = tmp_path / name
+    classes = [{"fingerprint": {"sort": "nat", "outputs": []}, "members": list(members)}] if members else []
+    path.write_text(json.dumps({"probes": probes, "classes": classes, "history": []}) + "\n")
+    return str(path)
+
+
+def test_exhausted_space_commands_name_the_probe_and_the_term(tmp_path, capsys):
+    # 2 squared 20 times passes the default value-bits cap on probe 20 only.
+    # absorb, expand, unify and load (through export) each fail there, and
+    # print the term cut to 60 characters.
+    from diagforge import cli
+
+    term = "(precnat (succ (succ zero)) (mul acc acc) n)"
+    at = f"value-bits, 53 steps used at probe 20 for {term}"
+    long_term = "(succ " * 5 + term + ")" * 5
+    cut = "(succ (succ (succ (succ (succ (precnat (succ (succ zero))..."
+    out = str(tmp_path / "out.json")
+    cases = [
+        (["absorb", "--space", _space_file(tmp_path, "a.json", [0, 1, 20]), "--term", term, "--out", out], at),
+        (["expand", "--space", _space_file(tmp_path, "e.json", [0, 1], [term]), "--probes", "(20)", "--out", out], at),
+        (["unify", "--left", _space_file(tmp_path, "l.json", [0, 1], [term]),
+          "--right", _space_file(tmp_path, "r.json", [20]), "--out", out], at),
+        (["export", "--space", _space_file(tmp_path, "x.json", [0, 1, 20], [term])], at),
+        (["absorb", "--space", _space_file(tmp_path, "a.json", [0, 1, 20]), "--term", long_term, "--out", out],
+         f"value-bits, 58 steps used at probe 20 for {cut}"),
+    ]
+    for argv, where in cases:
+        assert cli.main(["space", *argv]) == 3, argv
+        assert capsys.readouterr() == ("", f"error: evaluation budget exhausted ({where})\n")
+    assert len(cut) == 60
+
+
+@pytest.mark.parametrize("probe,term,steps", [(10**7, "(precnat zero (add acc n) n)", 10**7),
+                                              (10**12, "(precnat zero idx n)", 10**9)])
+def test_short_fuel_fails_a_closed_form_loop_at_once(probe, term, steps, tmp_path, monkeypatch, capsys):
+    # A leaf or one-node step runs only the iterations around the one where
+    # its steps run out; the full loop would take seconds to get there.
+    from diagforge import cli
+
+    monkeypatch.setenv("DIAGFORGE_BUDGET", str(steps))
+    space = _space_file(tmp_path, "s.json", [probe])
+    argv = ["space", "absorb", "--space", space, "--term", term, "--out", str(tmp_path / "out.json")]
+    started = time.perf_counter()
+    assert cli.main(argv) == 3
+    assert time.perf_counter() - started < 0.5
+    where = f"steps, {steps} steps used at probe {probe} for {term}"
+    assert capsys.readouterr() == ("", f"error: evaluation budget exhausted ({where})\n")
 
 
 # The benchmark's "stdout digest over all ops" (perfbench/run.py) of the

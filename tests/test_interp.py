@@ -285,15 +285,17 @@ def test_nested_binders_accounting_at_every_step_budget():
 
 
 # precnat loops whose step is one succ, add or mul node over leaves, which
-# run in closed form where the fuel covers the loop and the value-bits check
-# passes at the last iteration: every operator with each leaf in each
-# operand position, acc entering below and past the cap, and caps that cut
-# the loop at its first iteration or in its middle.
+# run in closed form from the last iteration the fuel reaches: every
+# operator with each leaf in each operand position, acc entering below and
+# past the cap, caps that cut the loop at its first iteration or in its
+# middle, and counts that do and do not follow the input.
 NODE_LEAVES = ("acc", "idx", "zero", "n")
 NODE_STEPS = [f"(succ {a})" for a in NODE_LEAVES] + [
     f"({op} {a} {b})" for op in ("add", "mul") for a in NODE_LEAVES for b in NODE_LEAVES
 ]
 NODE_CAPS = (DEFAULT_MAX_VALUE_BITS, 3, 8, 200)
+# Each target with its count at input n.
+NODE_TARGETS = {"n": lambda n: n, "(succ (succ (succ zero)))": lambda n: 3, "(add n n)": lambda n: 2 * n}
 
 
 def _node_loop_budgets(program, env, bits, end):
@@ -310,23 +312,31 @@ def _node_loop_budgets(program, env, bits, end):
 
 
 def test_one_node_precnat_steps_match_reference_accounting():
+    # 2**10 enters past the small caps; under the 8-bit cap the constant
+    # target makes (mul acc idx) fail its first check and pass its last.
+    def runner(step):
+        return compile_term(nat_program(f"(precnat n {step} n)").term).__qualname__
+
+    assert all(runner(leaf) == "_precnat.<locals>.closed_form" for leaf in NODE_LEAVES)
+    assert runner("(succ (succ acc))") == runner("(add acc (succ idx))") == "_precnat.<locals>.run"
     checked = long_values = 0
     for step in NODE_STEPS:
         for base in ("zero", "n", "(succ n)"):
-            program = nat_program(f"(precnat {base} {step} n)")
-            assert compile_term(program.term).__qualname__.startswith("_precnat_node")
-            long_caps = NODE_CAPS[::2] if base != "(succ n)" else ()
-            for value, caps in ((0, NODE_CAPS), (1, NODE_CAPS), (2, NODE_CAPS), (300, long_caps)):
-                end = size(program.term) + (value - 1) * size(parse(step))
-                for bits in caps:
-                    env = {"n": value}
-                    for max_steps in _node_loop_budgets(program, env, bits, end):
-                        budget = EvalBudget(max_steps, bits)
-                        outcome = _outcome(lambda: evaluate(program, value, budget))
-                        assert outcome == _reference(program.term, env, budget), (program, env, budget)
-                        checked += 1
-                        long_values += outcome[0] == "value" and value == 300
-    assert checked > 15_000 and long_values > 250
+            for target, count in NODE_TARGETS.items():
+                program = nat_program(f"(precnat {base} {step} {target})")
+                assert compile_term(program.term).__qualname__ == "_precnat.<locals>.closed_form"
+                long_caps = NODE_CAPS[::2] if base != "(succ n)" and target != "(add n n)" else ()
+                for value, caps in ((0, NODE_CAPS), (1, NODE_CAPS), (2, NODE_CAPS), (300, long_caps), (2**10, (8,))):
+                    end = size(program.term) + (count(value) - 1) * size(parse(step))
+                    for bits in caps:
+                        env = {"n": value}
+                        for max_steps in _node_loop_budgets(program, env, bits, end):
+                            budget = EvalBudget(max_steps, bits)
+                            outcome = _outcome(lambda: evaluate(program, value, budget))
+                            assert outcome == _reference(program.term, env, budget), (program, env, budget)
+                            checked += 1
+                            long_values += outcome[0] == "value" and value == 300
+    assert checked > 40_000 and long_values > 250
 
 
 def test_one_node_precnat_steps_over_x_and_pivot():
