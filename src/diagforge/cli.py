@@ -6,10 +6,11 @@ budget exhausted, or a term too deep or too large to evaluate
 (RecursionError, MemoryError). Records go to stdout, diagnostics to stderr;
 identical invocations produce byte-identical output. Witness rows are
 printed as each is proved, so a run that exhausts its budget keeps the
-rows before the failing index. Every value the value cap admits prints in
-full, past CPython's default limit of 4,300 digits for int and str
-conversion; numerals given as arguments keep that limit. DIAGFORGE_BUDGET
-overrides the default step budget.
+rows before the failing index. A command converts every value the value
+cap admits between int and str, past CPython's default limit of 4,300
+digits; numerals in text (options, DIAGFORGE_BUDGET, probes, goal files)
+keep 4,300 digits on every Python. DIAGFORGE_BUDGET overrides the default
+step budget.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     TypeCheckError,
 )
 from .interp import DEFAULT_MAX_STEPS, DEFAULT_MAX_VALUE_BITS, EvalBudget
-from .kernel import check_well_formed, parse, parse_value_list, pretty, size, Sort
+from .kernel import NUMERAL_DIGITS, check_well_formed, parse, parse_value_list, pretty, size, Sort
 
 ENV_BUDGET = "DIAGFORGE_BUDGET"
 # A natural of b bits has fewer than b / 3 digits, as log10(2) < 1/3.
@@ -39,24 +40,14 @@ _VALUE_DIGITS = DEFAULT_MAX_VALUE_BITS // 3
 
 
 def _int(text: str | int, source: str) -> int:
-    """int(text); a bad value is a usage error that names its source."""
+    """int(text), of at most NUMERAL_DIGITS digits; a bad value is a usage
+    error that names its source."""
     try:
-        return int(text)
+        if sum(map(str.isdigit, str(text))) <= NUMERAL_DIGITS:
+            return int(text)
     except ValueError:
-        raise ParseError(f"{source}: invalid int value {text!r}") from None
-
-
-def _with_value_digits(convert, *args):
-    """convert(*args), converting between int and str up to _VALUE_DIGITS
-    digits where CPython's limit is lower (the limit is restored after)."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if not limit or limit >= _VALUE_DIGITS:
-        return convert(*args)
-    sys.set_int_max_str_digits(_VALUE_DIGITS)
-    try:
-        return convert(*args)
-    finally:
-        sys.set_int_max_str_digits(limit)
+        pass
+    raise ParseError(f"{source}: invalid int value {text!r}")
 
 
 def _budget(steps: int | None) -> EvalBudget:
@@ -96,17 +87,9 @@ def _print_rows(machine: machines.Machine, count: int, **fields: int) -> None:
     """One JSON line per witness row, printed as soon as the row is proved.
     Every field is an int, so the line is formatted directly."""
     head = "{" + "".join(f'"{name}": {value}, ' for name, value in fields.items())
-
-    def line(w: machines.Witness) -> str:
-        return f'{head}"index": {w.index}, "fn_at_n": {w.fn_at_n}, "g_at_n": {w.g_at_n}}}\n'
-
     write = sys.stdout.write
     for w in machines.witness_rows(machine, count):
-        try:
-            text = line(w)
-        except ValueError:  # a value past CPython's default digit limit
-            text = _with_value_digits(line, w)
-        write(text)
+        write(f'{head}"index": {w.index}, "fn_at_n": {w.fn_at_n}, "g_at_n": {w.g_at_n}}}\n')
 
 
 def _cmd_diag(tier: str, witness: int, budget: int | None) -> None:
@@ -142,7 +125,7 @@ def _cmd_synth(schema: str, goal: str, budget: int, budget_steps: int | None) ->
 def _load_space(path: str) -> spaces.AnalyticalSpace:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = _with_value_digits(json.load, handle)
+            data = json.load(handle)
         except RecursionError:
             raise ParseError("malformed space snapshot: JSON nested too deeply") from None
     return spaces.load_snapshot(data)
@@ -150,7 +133,7 @@ def _load_space(path: str) -> spaces.AnalyticalSpace:
 
 def _save_space(space: spaces.AnalyticalSpace, path: str) -> None:
     # Encoded whole before the file is opened, so a failure leaves it intact.
-    text = _with_value_digits(json.dumps, spaces.snapshot(space))
+    text = json.dumps(spaces.snapshot(space))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
 
@@ -172,7 +155,7 @@ def _space_expand(space: str, probes: str, out: str) -> None:
 
 
 def _space_export(space: str) -> None:
-    print(_with_value_digits(json.dumps, spaces.export_summary(_load_space(space))))
+    print(json.dumps(spaces.export_summary(_load_space(space))))
 
 
 # An option is (type, default or REQUIRED, allowed values or None).
@@ -255,6 +238,11 @@ def parse_argv(argv: list[str]):
 
 
 def main(argv: list[str] | None = None) -> int:
+    # For the whole command, raise CPython's int/str digit limit to what
+    # the value cap admits; 0 (no limit) or a higher one is left alone.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if 0 < limit < _VALUE_DIGITS:
+        sys.set_int_max_str_digits(_VALUE_DIGITS)
     try:
         handler, options = parse_argv(sys.argv[1:] if argv is None else argv)
         return handler(**options) or 0
@@ -275,6 +263,9 @@ def main(argv: list[str] | None = None) -> int:
     except DiagforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -377,7 +377,7 @@ def _acc_unread(a, k, c, bits):
 # must). Every intermediate value stays within the cap too.
 _ACC_AFTER: dict[tuple[str, str, str], Callable[[int, int, int, int], int | None]] = {
     ("succ", "acc", "acc"): lambda a, k, c, bits: a + k if max(a.bit_length(), k.bit_length()) < bits else None,
-    ("add", "acc", "acc"): lambda a, k, c, bits: a << k if a.bit_length() + k <= bits else None,
+    ("add", "acc", "acc"): lambda a, k, c, bits: a << k if not a or a.bit_length() + k <= bits else None,
     ("add", "acc", "c"): lambda a, k, c, bits: (
         a + k * c if max(a.bit_length(), k.bit_length() + c.bit_length()) < bits else None
     ),
@@ -385,7 +385,11 @@ _ACC_AFTER: dict[tuple[str, str, str], Callable[[int, int, int, int], int | None
         a + k * (k - 1) // 2 if max(a.bit_length(), 2 * k.bit_length()) < bits else None
     ),
     ("mul", "acc", "acc"): lambda a, k, c, bits: a if a < 2 else None,
-    ("mul", "acc", "c"): lambda a, k, c, bits: a * c**k if a.bit_length() + k * c.bit_length() <= bits else None,
+    # Acc 0 stays 0, and c = 0 or 1 drops acc to 0 once or keeps it: the
+    # first iteration's bound is every one's.
+    ("mul", "acc", "c"): lambda a, k, c, bits: (
+        a and a * c**k if a.bit_length() + (k if a and c > 1 else 1) * c.bit_length() <= bits else None
+    ),
     # idx is 0 at the first iteration, which checks acc alone and drops it to 0.
     ("mul", "acc", "idx"): lambda a, k, c, bits: 0 if a.bit_length() <= bits else None,
 }

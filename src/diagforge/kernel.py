@@ -341,6 +341,17 @@ def sort_of_value(v: Value) -> Sort:
     raise ParseError(f"not a kernel value: {v!r}")
 
 
+# Numerals in text keep CPython's default int/str digit limit on every
+# Python, whatever limit the caller has set.
+NUMERAL_DIGITS = 4300
+
+
+def _numeral(form: str) -> int:
+    if len(form) > NUMERAL_DIGITS:
+        raise ParseError(f"numeral of {len(form)} digits, past the limit of {NUMERAL_DIGITS}")
+    return int(form)
+
+
 def _form_to_value(form) -> Value:
     if isinstance(form, str):
         if form == "true":
@@ -348,13 +359,13 @@ def _form_to_value(form) -> Value:
         if form == "false":
             return False
         if form.isdigit():
-            return int(form)
+            return _numeral(form)
         raise ParseError(f"not a value atom: {form!r}")
     out = []
     for item in form:
         if not isinstance(item, str) or not item.isdigit():
             raise ParseError("list values hold plain naturals")
-        out.append(int(item))
+        out.append(_numeral(item))
     return tuple(out)
 
 

@@ -72,7 +72,7 @@ def _check_probes(probes: tuple[Value, ...]) -> None:
         if sort_of_value(p) is not first:
             raise ValueError("a space has a single input sort; probes disagree")
     if len(set(probes)) != len(probes):
-        raise DuplicateProbeError(f"duplicate probe in {probes!r}")
+        raise DuplicateProbeError(f"duplicate probe in {_cut(repr(probes))}")
 
 
 def _fingerprint(
@@ -91,7 +91,7 @@ def _fingerprint(
             try:
                 next(outputs)
             except ResourceExhaustedError as exc:
-                at = f"probe {format_value(probe)} for {_cut(pretty(term))}"
+                at = f"probe {_cut(format_value(probe))} for {_cut(pretty(term))}"
                 raise ResourceExhaustedError(exc.steps_used, exc.reason, at=at) from exc
         raise
 

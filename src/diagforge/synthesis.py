@@ -125,16 +125,15 @@ class GoalSpec(Record):
                 raise ValueError(f"probes must cover example input {inp!r}")
 
 
-def make_goal(examples: Sequence[tuple[Value, Value]], probes: Sequence[Value] | None = None) -> GoalSpec:
-    """Infer sorts from the first example; default probes by input sort."""
+def make_goal(examples: Sequence[tuple[Value, Value]]) -> GoalSpec:
+    """Infer sorts from the first example; the default probes of the input
+    sort, then any example input they miss."""
     examples = tuple(examples)
     if not examples:
         raise ValueError("goal needs at least one example")
     input_sort = sort_of_value(examples[0][0])
     output_sort = sort_of_value(examples[0][1])
-    if probes is None:
-        probes = default_probes(input_sort)
-    probe_list = list(probes)
+    probe_list = list(default_probes(input_sort))
     for inp, _ in examples:
         if inp not in probe_list:
             probe_list.append(inp)

@@ -114,7 +114,9 @@ def test_exhausted_space_commands_name_the_probe_and_the_term(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("probe,term,steps", [(10**7, "(precnat zero (add acc n) n)", 10**7),
-                                              (10**12, "(precnat zero idx n)", 10**9)])
+                                              (10**12, "(precnat zero idx n)", 10**9),
+                                              (10**7, "(precnat zero (add acc acc) n)", 10**7),
+                                              (10**7, "(precnat zero (mul acc n) n)", 10**7)])
 def test_short_fuel_fails_a_closed_form_loop_at_once(probe, term, steps, tmp_path, monkeypatch, capsys):
     # A leaf or one-node step runs only the iterations around the one where
     # its steps run out; the full loop would take seconds to get there.
@@ -130,28 +132,51 @@ def test_short_fuel_fails_a_closed_form_loop_at_once(probe, term, steps, tmp_pat
     assert capsys.readouterr() == ("", f"error: evaluation budget exhausted ({where})\n")
 
 
-# The benchmark's "stdout digest over all ops" (perfbench/run.py) of the
-# certify workload at seed 43, computed in process over the same op list.
-PINNED_CERTIFY_DIGEST = "7cd89d5d77acab0b7db1c79c801951cc810e67a2afb7eb7ca7cce89b4c1b1e71"
+# The benchmark's "stdout digest over all ops" (perfbench/run.py) of each
+# workload at seed 43.
+PINNED_WORKLOAD_DIGESTS = {
+    "certify": "7cd89d5d77acab0b7db1c79c801951cc810e67a2afb7eb7ca7cce89b4c1b1e71",
+    "synth": "4e358147c1eebec0e88cf0b6b87ec25caec24db3f361c9374bd217fac575abc4",
+    "rank": "09fa9d2ec64bf138687fcf153a81b206bbc2cd45e4f5716282626abd367b6a4f",
+    "spaces": "e6205d985d087f6e8a2bcecb8b8bf5c254bb19f7e43cae157bb4e27056ca7e34",
+}
 
 
-def test_certify_workload_stdout_digest_is_pinned(tmp_path, monkeypatch, capsys):
+def _workload_digest(workload, tmp_path, monkeypatch, capsys):
+    """The stdout digest over all ops of the workload at seed 43, computed in
+    process over the benchmark's op list: CLI ops through cli.main, the
+    others through the benchmark child's own session functions."""
     from diagforge import cli
 
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import child
     import workloads
 
+    run_op = {
+        "cli": lambda op: cli.main(op["argv"]),
+        "index_of": child.run_index_of,
+        "space": lambda op: child.run_space(op) and 0,
+    }
     digests = {}
-    for op in workloads.generate("certify", 43):
+    for op in workloads.generate(workload, 43):
         op_dir = tmp_path / op["id"]
         op_dir.mkdir()
         for name, text in op["files"].items():
             (op_dir / name).write_text(text)
         monkeypatch.chdir(op_dir)
-        assert cli.main(op["argv"]) == op["expect"]["exit"], op["argv"]
+        code, expect = run_op[op["kind"]](op), op["expect"]
+        assert code == expect["exit"] or code == 1 and expect.get("allow_exit1"), op["id"]
         digests[op["id"]] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    overall = hashlib.sha256("".join(f"{op}:{d}\n" for op, d in sorted(digests.items())).encode())
-    assert overall.hexdigest() == PINNED_CERTIFY_DIGEST
+    return hashlib.sha256("".join(f"{op}:{d}\n" for op, d in sorted(digests.items())).encode()).hexdigest()
+
+
+def test_certify_workload_stdout_digest_is_pinned(tmp_path, monkeypatch, capsys):
+    assert _workload_digest("certify", tmp_path, monkeypatch, capsys) == PINNED_WORKLOAD_DIGESTS["certify"]
+
+
+@pytest.mark.parametrize("workload", ["synth", "rank", "spaces"])
+def test_workload_stdout_digest_is_pinned(workload, tmp_path, monkeypatch, capsys):
+    assert _workload_digest(workload, tmp_path, monkeypatch, capsys) == PINNED_WORKLOAD_DIGESTS[workload]
 
 
 def _synth_batch(seed=7):
@@ -443,19 +468,24 @@ def _ints(text):
     return json.loads(text, parse_int=lambda digits: _unlimited(int, digits))
 
 
-def _digit_limit():
-    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
 
 
-def _unlimited(convert, *args):
-    limit = _digit_limit()
-    if limit:
-        sys.set_int_max_str_digits(0)
+def _at_limit(limit, call, *args):
+    """call(*args) under CPython's int/str digit limit `limit`, where the
+    Python has one; the limit is restored after."""
+    if not HAS_DIGIT_LIMIT:
+        return call(*args)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
     try:
-        return convert(*args)
+        return call(*args)
     finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(before)
+
+
+def _unlimited(call, *args):
+    return _at_limit(0, call, *args)
 
 
 def test_rows_past_the_default_digit_limit_print(tmp_path):
@@ -484,19 +514,103 @@ def test_space_values_past_the_default_digit_limit(tmp_path):
 
 
 def test_row_lines_equal_json_dumps(capsys):
+    # Rows print under the limit cli.main sets for a command.
     from diagforge import cli, machines
     from diagforge.enumeration import Tier
 
-    limit = _digit_limit()
     values = [0, 7, 10**4300, 2**16384 + 5, 0, 3**20000]
     prepended = tuple(machines.OracleFn(lambda n, v=v: v, name=f"f{k}") for k, v in enumerate(values))
     machine = machines.Extend(machines.Base(Tier.NATFN), prepended)
     for fields in ({}, {"level": 0}, {"level": 12}):
-        cli._print_rows(machine, len(values), **fields)
+        _at_limit(cli._VALUE_DIGITS, lambda: cli._print_rows(machine, len(values), **fields))
         lines = capsys.readouterr().out.splitlines()
         expected = [{**fields, "index": i, "fn_at_n": v, "g_at_n": v + 1} for i, v in enumerate(values, start=1)]
         assert lines == [_unlimited(json.dumps, row) for row in expected]
-    assert _digit_limit() == limit  # restored after the rows past it
+
+
+@pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="this Python has no int/str digit limit")
+@pytest.mark.parametrize("limit", [4300, 0])
+def test_main_restores_the_callers_digit_limit(limit, tmp_path, capsys):
+    from diagforge import cli
+
+    space = _unlimited(_space_file, tmp_path, "big.json", [10**5000, 1])
+    cases = [
+        (["space", "export", "--space", space], 0),  # prints the 5,001-digit probe
+        (["enum", "--count", "0"], 2),
+        (["diag", "--witness", "3", "--budget", "1"], 3),
+    ]
+    for argv, code in cases:
+        assert _at_limit(limit, lambda: (cli.main(argv), sys.get_int_max_str_digits())) == (code, limit), argv
+        out, _ = capsys.readouterr()
+        if argv[0] == "space":
+            assert _ints(out)["probes"] == [10**5000, 1]
+
+
+@pytest.mark.parametrize("verb", ["unify", "absorb", "expand"])
+def test_space_command_on_a_probe_past_the_default_digit_limit(verb, tmp_path, monkeypatch, capsys):
+    # Each converts the 5,001-digit probe to a string: unify in its history
+    # event, absorb and expand in their error lines, which cut it to 60
+    # characters.
+    from diagforge import cli
+
+    monkeypatch.delenv("DIAGFORGE_BUDGET", raising=False)
+    space = _unlimited(_space_file, tmp_path, "big.json", [10**5000, 1])
+    out = tmp_path / "out.json"
+    term = "(precnat zero (succ acc) n)"
+    where = f"steps, 1000000 steps used at probe {'1' + '0' * 56}... for {term}"
+    argv, code, err = {
+        "unify": (["--left", space, "--right", _space_file(tmp_path, "r.json", [2])], 0, ""),
+        "absorb": (["--space", space, "--term", term], 3, f"error: evaluation budget exhausted ({where})\n"),
+        "expand": (["--space", space, "--probes", "(1)"], 1, f"error: duplicate probe in (1{'0' * 55}...\n"),
+    }[verb]
+    assert cli.main(["space", verb, *argv, "--out", str(out)]) == code
+    assert capsys.readouterr() == ("", err)
+    if verb == "unify":
+        assert _ints(out.read_text())["probes"] == [10**5000, 1, 2]
+    if verb == "expand":  # short probes print whole
+        small = _space_file(tmp_path, "small.json", [0, 1])
+        assert cli.main(["space", "expand", "--space", small, "--probes", "(1)", "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: duplicate probe in (0, 1, 1)\n")
+
+
+# Each place a command reads a numeral from text. A numeral of 4,300 digits
+# is read whatever the caller's digit limit; one of 4,301 is a usage error.
+NUMERAL_PLACES = ["--index", "--index +", "--index _", "--classifier maxsize", "DIAGFORGE_BUDGET", "--probes", "goal"]
+
+
+@pytest.mark.parametrize("limit", [4300, 0])
+@pytest.mark.parametrize("place", NUMERAL_PLACES)
+def test_numerals_in_text_keep_4300_digits(place, limit, tmp_path, monkeypatch, capsys):
+    from diagforge import cli
+
+    out, goal = tmp_path / "out.json", tmp_path / "goal.txt"
+
+    def outcome(digits):
+        """Exit code, stdout, stderr and the written space for a numeral of
+        `digits` digits whose value is 1 (written with a sign or with
+        underscores for "--index +" and "--index _")."""
+        text = "0" * (digits - 1) + "1"
+        text = {"--index +": "+" + text, "--index _": "_".join(text)}.get(place, text)
+        goal.write_text(f"{text} -> 2\n")
+        monkeypatch.setenv("DIAGFORGE_BUDGET", text if place == "DIAGFORGE_BUDGET" else "1000000")
+        argv = {
+            "--classifier maxsize": ["refute", "--classifier", f"maxsize:{text}", "--count", "2"],
+            "DIAGFORGE_BUDGET": ["diag", "--witness", "2"],
+            "--probes": ["space", "new", "--probes", f"({text} 0)", "--out", str(out)],
+            "goal": ["synth", "--schema", "bottomup", "--goal", str(goal), "--budget", "3"],
+        }.get(place, ["show", "--index", text])
+        code = _at_limit(limit, cli.main, argv)
+        return (code, *capsys.readouterr(), out.read_text() if out.exists() else None), text
+
+    accepted, _ = outcome(4300)
+    assert (accepted[0], accepted[2]) == (0, "")
+    assert accepted == outcome(1)[0]
+    rejected, text = outcome(4301)
+    if place in ("--probes", "goal"):
+        line = "numeral of 4301 digits, past the limit of 4300"
+    else:
+        line = f"{'--index' if place.startswith('--index') else place}: invalid int value {text!r}"
+    assert rejected[:3] == (2, "", f"error: {line}\n")
 
 
 def test_budget_exhaustion_exits_3():

@@ -311,31 +311,44 @@ def _node_loop_budgets(program, env, bits, end):
     return sorted(budgets) + [DEFAULT_MAX_STEPS]
 
 
+def _node_cases():
+    """(program, input, caps, loop count) for one-node precnat steps. 2**10
+    enters past the small caps; under the 8-bit cap the constant target
+    makes (mul acc idx) fail its first check and pass its last."""
+    for step in NODE_STEPS:
+        for base in ("zero", "n", "(succ n)"):
+            for target, count in NODE_TARGETS.items():
+                program = nat_program(f"(precnat {base} {step} {target})")
+                long_caps = NODE_CAPS[::2] if base != "(succ n)" and target != "(add n n)" else ()
+                for value, caps in ((0, NODE_CAPS), (1, NODE_CAPS), (2, NODE_CAPS), (300, long_caps), (2**10, (8,))):
+                    yield program, value, caps, count(value)
+    # acc entering at 0, and (mul acc n) at n = 1, over (n + 3)^2 iterations,
+    # past the small caps, where acc's bit length gives no bound.
+    square = "(mul (add n (succ (succ (succ zero)))) (add n (succ (succ (succ zero)))))"
+    for step in ("(add acc acc)", "(mul acc n)", "(mul n acc)"):
+        for base in ("zero", "n"):
+            for value in (0, 1, 2):
+                yield nat_program(f"(precnat {base} {step} {square})"), value, NODE_CAPS, (value + 3) ** 2
+
+
 def test_one_node_precnat_steps_match_reference_accounting():
-    # 2**10 enters past the small caps; under the 8-bit cap the constant
-    # target makes (mul acc idx) fail its first check and pass its last.
     def runner(step):
         return compile_term(nat_program(f"(precnat n {step} n)").term).__qualname__
 
     assert all(runner(leaf) == "_precnat.<locals>.closed_form" for leaf in NODE_LEAVES)
     assert runner("(succ (succ acc))") == runner("(add acc (succ idx))") == "_precnat.<locals>.run"
     checked = long_values = 0
-    for step in NODE_STEPS:
-        for base in ("zero", "n", "(succ n)"):
-            for target, count in NODE_TARGETS.items():
-                program = nat_program(f"(precnat {base} {step} {target})")
-                assert compile_term(program.term).__qualname__ == "_precnat.<locals>.closed_form"
-                long_caps = NODE_CAPS[::2] if base != "(succ n)" and target != "(add n n)" else ()
-                for value, caps in ((0, NODE_CAPS), (1, NODE_CAPS), (2, NODE_CAPS), (300, long_caps), (2**10, (8,))):
-                    end = size(program.term) + (count(value) - 1) * size(parse(step))
-                    for bits in caps:
-                        env = {"n": value}
-                        for max_steps in _node_loop_budgets(program, env, bits, end):
-                            budget = EvalBudget(max_steps, bits)
-                            outcome = _outcome(lambda: evaluate(program, value, budget))
-                            assert outcome == _reference(program.term, env, budget), (program, env, budget)
-                            checked += 1
-                            long_values += outcome[0] == "value" and value == 300
+    for program, value, caps, count in _node_cases():
+        assert compile_term(program.term).__qualname__ == "_precnat.<locals>.closed_form"
+        end = size(program.term) + (count - 1) * size(program.term.args[1])
+        for bits in caps:
+            env = {"n": value}
+            for max_steps in _node_loop_budgets(program, env, bits, end):
+                budget = EvalBudget(max_steps, bits)
+                outcome = _outcome(lambda: evaluate(program, value, budget))
+                assert outcome == _reference(program.term, env, budget), (program, env, budget)
+                checked += 1
+                long_values += outcome[0] == "value" and value == 300
     assert checked > 40_000 and long_values > 250
 
 

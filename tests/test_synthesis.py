@@ -439,10 +439,11 @@ def test_goal_construction():
         make_goal([(1, 2), ((), 3)])
     with pytest.raises(ParseError):
         make_goal([(-1, 0)])
+    assert make_goal([(9, 10), (1, 2)]).probes == (0, 1, 2, 3, 4, 5, 6, 9)  # the default probes, then 9
     with pytest.raises(ParseError):
-        make_goal([(1, 2)], probes=[-1])
+        GoalSpec(Sort.NAT, Sort.NAT, ((1, 2),), probes=(-1, 1))
     with pytest.raises(ValueError):
-        make_goal([(1, 2)], probes=[(1,)])
+        GoalSpec(Sort.NAT, Sort.NAT, ((1, 2),), probes=((1,), 1))
     with pytest.raises(ValueError):
         GoalSpec(Sort.NAT, Sort.NAT, ((9, 10),), probes=(0, 1))
     with pytest.raises(ValueError):
