@@ -39,18 +39,16 @@ class UnboundVariableError(TypeCheckError):
 class ResourceExhaustedError(DiagforgeError):
     """Evaluation budget exceeded (step count or value-size cap).
 
-    `index` is set when the failure happened while evaluating the n-th
-    function of a machine stream, so diagonal constructions can report
-    the offending index instead of silently skipping it. `at` names any
-    other place a command failed, such as a space's probe and term.
+    `at` names where a command failed, when known: "index n" for the n-th
+    function of a machine stream, or a space's probe and term.
     """
 
-    def __init__(self, steps_used: int, reason: str = "steps", index: int | None = None, at: str | None = None):
-        where = f" at index {index}" if index is not None else f" at {at}" if at else ""
+    def __init__(self, steps_used: int, reason: str = "steps", at: str | None = None):
+        where = f" at {at}" if at else ""
         super().__init__(f"evaluation budget exhausted ({reason}, {steps_used} steps used{where})")
         self.steps_used = steps_used
         self.reason = reason
-        self.index = index
+        self.at = at
 
 
 class NotInTierError(DiagforgeError):

@@ -25,7 +25,8 @@ Accounting is exact and the same for every caller. Two caps are enforced:
   result, with the steps used so far.
 
 A precnat whose step is one leaf, or one succ, add or mul node over
-leaves, runs in closed form with the loop's accounting. Such a step
+leaves, runs in closed form with the loop's accounting; the form is
+chosen from the step's term when the precnat is compiled. Such a step
 spends the same steps in every iteration (1 for a leaf, 1 + arity for a
 node), so the fuel reaches iteration jump = min(count, left // cost) - 1
 in full, where left is the fuel as the loop starts. Acc entering it
@@ -170,41 +171,22 @@ def _mul(a: Code, b: Code) -> Code:
     return run
 
 
-def _precnat(base: Code, step: Code, target: Code) -> Code:
-    # A step that is one leaf, or one succ, add or mul node over leaves, runs
-    # in closed form (see the module docstring); any other runs in a loop.
-    after = None
-    if step in _LEAF_KINDS:
-        cost, after, other = 1, _acc_unread, step
-    elif step.__qualname__ in _NODE_HEADS:
-        cells = step.__closure__  # a, or a and b
-        a, b = cells[0].cell_contents, cells[-1].cell_contents
-        if a in _LEAF_KINDS and b in _LEAF_KINDS:
-            if b is _LEAVES["acc"]:
-                a, b = b, a
-            shape = (_NODE_HEADS[step.__qualname__], _LEAF_KINDS[a], _LEAF_KINDS[b])
-            cost, after, other = 1 + len(cells), _ACC_AFTER.get(shape, _acc_unread), b
-    if after is None:
+def _precnat(base: Code, step: Code, target: Code, form: tuple | None) -> Code:
+    # With a closed form (_closed_form, read from the step's term), the loop
+    # runs from the last iteration the fuel reaches (see the module
+    # docstring); without one, or with its formula in doubt, from the start.
+    cost, after, other = form or (1, None, None)
 
-        def run(s, f):
-            f.left -= 1
-            if f.left < 0:
-                raise _out_of_steps(f)
-            count = target(s, f)
-            return _loop(step, s, f, base(s, f), 0, count)
-
-        return run
-
-    def closed_form(s, f):
+    def run(s, f):
         f.left -= 1
         if f.left < 0:
             raise _out_of_steps(f)
         count = target(s, f)
         acc = base(s, f)
         left = f.left
-        jump = min(count, left // cost) - 1
+        jump = min(count, left // cost) - 1 if after else 0
         if jump > 0:
-            before = after(acc, jump, other(s, f), f.max_bits)
+            before = after(acc, jump, other(s), f.max_bits)
             if before is not None:
                 f.left = left - jump * cost
                 try:
@@ -212,10 +194,10 @@ def _precnat(base: Code, step: Code, target: Code) -> Code:
                 except ResourceExhaustedError as exc:
                     if exc.reason == "steps":
                         raise
-            f.left = left  # with the step spent reading the constant operand
+                f.left = left
         return _loop(step, s, f, acc, 0, count)
 
-    return closed_form
+    return run
 
 
 def _loop(step: Code, s: list, f: _Fuel, acc: Value, start: int, stop: int) -> Value:
@@ -357,13 +339,13 @@ def _pivotrec(items: Code, pred_left: Code, pred_right: Code, combine: Code) -> 
     return run
 
 
-_LEAVES: dict[str, Code] = {"zero": _const(0), "nil": _const(())}
-_LEAVES.update((name, _var(slot)) for slot, name in enumerate(_SLOTS))
-
-# A precnat step in closed form is read from its closure: a leaf by its
-# kind, a node's rule from the closure's name and its operands from its cells.
-_LEAF_KINDS = {code: name if name in ("acc", "idx") else "c" for name, code in _LEAVES.items()}
-_NODE_HEADS = {f"_{head}.<locals>.run": head for head in ("succ", "add", "mul")}
+# Each leaf's code, and its reader: the leaf's value in a slot vector, read
+# without spending a step, for probe columns and a closed form's operand.
+_LEAVES: dict[str, tuple[Code, Callable[[list], Value]]] = {
+    "zero": (_const(0), lambda s: 0),
+    "nil": (_const(()), lambda s: ()),
+}
+_LEAVES.update((name, (_var(slot), operator.itemgetter(slot))) for slot, name in enumerate(_SLOTS))
 
 
 def _acc_unread(a, k, c, bits):
@@ -394,11 +376,28 @@ _ACC_AFTER: dict[tuple[str, str, str], Callable[[int, int, int, int], int | None
     ("mul", "acc", "idx"): lambda a, k, c, bits: 0 if a.bit_length() <= bits else None,
 }
 
+_KINDS = {"acc": "acc", "idx": "idx"}  # any other leaf is a constant operand, "c"
+
+
+def _closed_form(step: Term) -> tuple[int, Callable, Callable[[list], Value]] | None:
+    """For a precnat step that is one leaf, or one succ, add or mul node
+    over leaves: the steps one iteration spends, acc's formula with acc as
+    the first operand, and the reader of the other. None for any other."""
+    a = b = step
+    if step.head in ("succ", "add", "mul"):
+        a, b = step.args[0], step.args[-1]
+    if a.args or b.args:
+        return None
+    if b.head == "acc":
+        a, b = b, a
+    shape = (step.head, _KINDS.get(a.head, "c"), _KINDS.get(b.head, "c"))
+    return 1 + len(step.args), _ACC_AFTER.get(shape, _acc_unread), _LEAVES[b.head][1]
+
+
 _RULES: dict[str, Callable[..., Code]] = {
     "succ": _succ,
     "add": _add,
     "mul": _mul,
-    "precnat": _precnat,
     "cons": _cons,
     "first": _first,
     "rest": _rest,
@@ -416,10 +415,12 @@ _RULES: dict[str, Callable[..., Code]] = {
 
 
 def compile_node(head: str, args: Sequence[Code] = ()) -> Code:
-    """The code of one node whose arguments are already compiled."""
-    if not args:
-        return _LEAVES[head]
-    return _RULES[head](*args)
+    """The code of one node whose arguments are already compiled. A precnat
+    takes its closed form from its step's term, so only compile_term
+    compiles one."""
+    if head == "precnat":
+        raise ValueError("a precnat is compiled from its term, by compile_term")
+    return _RULES[head](*args) if args else _LEAVES[head][0]
 
 
 def compile_term(t: Term) -> Code:
@@ -429,10 +430,12 @@ def compile_term(t: Term) -> Code:
     while stack:
         node, ready = stack.pop()
         if not node.args:
-            done.append(compile_node(node.head))
+            done.append(_LEAVES[node.head][0])
+        elif ready and node.head == "precnat":
+            done[-3:] = [_precnat(*done[-3:], _closed_form(node.args[1]))]
         elif ready:
             k = len(node.args)
-            done[-k:] = [compile_node(node.head, done[-k:])]
+            done[-k:] = [_RULES[node.head](*done[-k:])]
         else:
             stack.append((node, True))
             stack.extend((a, False) for a in reversed(node.args))
@@ -520,7 +523,6 @@ _COLUMN_RULES: dict[str, Callable[..., tuple | None]] = {
     "lt": lambda bits, u, v: tuple(map(operator.lt, u, v)),
     "if": lambda bits, c, u, v: tuple([a if k else b for k, a, b in zip(c, u, v)]),
 }
-_LEAF_VALUES: dict[str, Value] = {"zero": 0, "nil": ()}
 
 
 def _columns(t: Term, vectors: Sequence[list], max_bits: int, memo: dict[Term, tuple]) -> tuple | None:
@@ -538,12 +540,7 @@ def _columns(t: Term, vectors: Sequence[list], max_bits: int, memo: dict[Term, t
             continue
         column = memo.get(node)
         if column is None and not node.args:
-            if node.head in _LEAF_VALUES:
-                column = (_LEAF_VALUES[node.head],) * len(vectors)
-            else:
-                slot = _SLOTS.index(node.head)
-                column = tuple(vector[slot] for vector in vectors)
-            memo[node] = column
+            column = memo[node] = tuple(map(_LEAVES[node.head][1], vectors))
         if column is not None:
             done.append(column)
         elif node.head not in _COLUMN_RULES:

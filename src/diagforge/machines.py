@@ -146,7 +146,7 @@ def _apply_indexed(f: OracleFn, index: int) -> int:
     try:
         return f(index)
     except ResourceExhaustedError as exc:
-        raise ResourceExhaustedError(exc.steps_used, exc.reason, index=index) from exc
+        raise ResourceExhaustedError(exc.steps_used, exc.reason, at=f"index {index}") from exc
 
 
 def diagonal(m: Machine) -> OracleFn:

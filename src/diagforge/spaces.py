@@ -56,9 +56,6 @@ class AnalyticalSpace(Record):
     def input_var(self) -> str:
         return INPUT_VARS[self.input_sort]
 
-    def class_map(self) -> dict[tuple, SpaceClass]:
-        return {c.fingerprint: c for c in self.classes}
-
 
 def _check_probes(probes: tuple[Value, ...]) -> None:
     if not probes:
@@ -143,7 +140,7 @@ def absorb(space: AnalyticalSpace, term: Term, budget: EvalBudget | None = None)
     var = space.input_var
     # A fresh memo: a space keeps no columns, so its memory stays its members'.
     fingerprint = _fingerprint(term, space.probes, probe_vectors((var,), space.probes), var, budget, {})
-    existing = space.class_map().get(fingerprint)
+    existing = next((c for c in space.classes if c.fingerprint == fingerprint), None)
     if existing is None:
         outcome = "new"
     elif canonical_key(term) < canonical_key(existing.representative):
@@ -151,7 +148,7 @@ def absorb(space: AnalyticalSpace, term: Term, budget: EvalBudget | None = None)
     else:
         outcome = "kept"
     updated = _class(fingerprint, (existing.members if existing else ()) + (term,))
-    classes = [c for c in space.classes if c.fingerprint != fingerprint] + [updated]
+    classes = [c for c in space.classes if c is not existing] + [updated]
     classes.sort(key=lambda c: canonical_key(c.representative))
     history = space.history + (("absorbed", pretty(term), outcome),)
     return AnalyticalSpace(space.probes, tuple(classes), history)

@@ -162,14 +162,14 @@ def eval_nat(term, env):
 
 
 class Exhausted(Exception):
-    """eval_budgeted ran out of budget: reason, steps used, and the
-    machine index (always None here), as ResourceExhaustedError carries."""
+    """eval_budgeted ran out of budget: reason, steps used, and the place
+    of the failure (always None here), as ResourceExhaustedError carries."""
 
     def __init__(self, reason, steps_used):
         super().__init__(reason, steps_used)
         self.reason = reason
         self.steps_used = steps_used
-        self.index = None
+        self.at = None
 
 
 class _Fuel:

@@ -116,7 +116,9 @@ def test_exhausted_space_commands_name_the_probe_and_the_term(tmp_path, capsys):
 @pytest.mark.parametrize("probe,term,steps", [(10**7, "(precnat zero (add acc n) n)", 10**7),
                                               (10**12, "(precnat zero idx n)", 10**9),
                                               (10**7, "(precnat zero (add acc acc) n)", 10**7),
-                                              (10**7, "(precnat zero (mul acc n) n)", 10**7)])
+                                              (10**7, "(precnat zero (mul acc n) n)", 10**7),
+                                              (10**7, "(precnat zero (add n acc) n)", 10**7),
+                                              (10**7, "(precnat zero (mul n acc) n)", 10**7)])
 def test_short_fuel_fails_a_closed_form_loop_at_once(probe, term, steps, tmp_path, monkeypatch, capsys):
     # A leaf or one-node step runs only the iterations around the one where
     # its steps run out; the full loop would take seconds to get there.

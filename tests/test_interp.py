@@ -16,13 +16,16 @@ from diagforge.interp import (
     DEFAULT_MAX_STEPS,
     DEFAULT_MAX_VALUE_BITS,
     EvalBudget,
+    _ACC_AFTER,
+    _closed_form,
+    compile_node,
     compile_term,
     evaluate,
     probe_outputs,
     run_probes,
     slot_vector,
 )
-from diagforge.kernel import Sort, check_well_formed, infer_sort, parse, size
+from diagforge.kernel import Sort, Term, check_well_formed, infer_sort, parse, size
 from oracles import Exhausted, eval_budgeted, eval_nat, insertion_sort
 from strategies import random_term, terms
 
@@ -189,11 +192,11 @@ ACCOUNTING_BUDGETS = (EvalBudget(), EvalBudget(max_steps=37), EvalBudget(max_ste
 
 
 def _outcome(run):
-    """A value, or the exhaustion as (reason, steps_used, index)."""
+    """A value, or the exhaustion as (reason, steps_used, at)."""
     try:
         return ("value", run())
     except (ResourceExhaustedError, Exhausted) as exc:
-        return ("exhausted", exc.reason, exc.steps_used, exc.index)
+        return ("exhausted", exc.reason, exc.steps_used, exc.at)
 
 
 def _reference(term, env, budget):
@@ -331,15 +334,43 @@ def _node_cases():
                 yield nat_program(f"(precnat {base} {step} {square})"), value, NODE_CAPS, (value + 3) ** 2
 
 
-def test_one_node_precnat_steps_match_reference_accounting():
-    def runner(step):
-        return compile_term(nat_program(f"(precnat n {step} n)").term).__qualname__
+def test_precnat_closed_form_is_chosen_from_the_step_term():
+    # A leaf spends one step an iteration and leaves acc as it entered. A
+    # one-node step over leaves spends 1 + arity, and has one of the
+    # _ACC_AFTER formulas iff it reads acc, with the other operand read from
+    # the slots, the same in either operand order. A step whose top node has
+    # a non-leaf argument gets no form, and loops.
+    env = {"n": 7, "acc": 5, "idx": 3}
+    slots = slot_vector(env)
+    for leaf in NODE_LEAVES:
+        cost, after, read = _closed_form(parse(leaf))
+        assert cost == 1 and after(5, 3, 7, DEFAULT_MAX_VALUE_BITS) == 5
+    for step in NODE_STEPS:
+        term = parse(step)
+        cost, after, read = _closed_form(term)
+        assert cost == 1 + len(term.args)
+        assert _closed_form(Term(term.head, term.args[::-1]))[1] is after, step
+        if "acc" in step:
+            other = next((a.head for a in term.args if a.head != "acc"), "acc")
+            assert after in _ACC_AFTER.values() and read(slots) == env.get(other, 0), step
+        else:
+            assert after not in _ACC_AFTER.values() and after(5, 3, 7, DEFAULT_MAX_VALUE_BITS) == 5, step
+    for step in ("(succ (succ acc))", "(add acc (succ idx))", "(mul (add acc n) idx)", "(len l)"):
+        assert _closed_form(parse(step)) is None, step
 
-    assert all(runner(leaf) == "_precnat.<locals>.closed_form" for leaf in NODE_LEAVES)
-    assert runner("(succ (succ acc))") == runner("(add acc (succ idx))") == "_precnat.<locals>.run"
+
+def test_compile_node_refuses_precnat():
+    # A precnat's closed form is read from its step's term, which compiled
+    # arguments do not carry.
+    leaf = compile_term(parse("n"))
+    with pytest.raises(ValueError, match="a precnat is compiled from its term, by compile_term"):
+        compile_node("precnat", [leaf, leaf, leaf])
+
+
+def test_one_node_precnat_steps_match_reference_accounting():
     checked = long_values = 0
     for program, value, caps, count in _node_cases():
-        assert compile_term(program.term).__qualname__ == "_precnat.<locals>.closed_form"
+        assert _closed_form(program.term.args[1]) is not None, program
         end = size(program.term) + (count - 1) * size(program.term.args[1])
         for bits in caps:
             env = {"n": value}

@@ -154,4 +154,4 @@ def test_concurrent_queries_on_a_fresh_base_agree():
 def test_budget_exhaustion_reports_index():
     with pytest.raises(ResourceExhaustedError) as excinfo:
         list(witness_rows(Base(Tier.NATFN, EvalBudget(max_steps=1)), 3))
-    assert excinfo.value.index == 3  # f_3 = (succ n) needs two steps
+    assert excinfo.value.at == "index 3"  # f_3 = (succ n) needs two steps
