@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import machines, refuter, spaces, synthesis
-from .enumeration import Tier, program_at, sized_stream
+from .enumeration import Tier, program_at, sized_texts
 from .errors import (
     DiagforgeError,
     DuplicateProbeError,
@@ -74,8 +74,9 @@ def _parse_classifier(text: str) -> refuter.Classifier:
 def _cmd_enum(tier: str, count: int) -> None:
     if count < 1:
         raise ValueError(f"enumeration count must be >= 1, got {count}")
-    for index, (size_, program) in zip(range(1, count + 1), sized_stream(Tier(tier))):
-        print(f"{index}\t{size_}\t{pretty(program.term)}")
+    write = sys.stdout.write
+    for index, (size_, text) in zip(range(1, count + 1), sized_texts(Tier(tier))):
+        write(f"{index}\t{size_}\t{text}\n")
 
 
 def _cmd_show(tier: str, index: int) -> None:

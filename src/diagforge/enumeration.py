@@ -13,9 +13,10 @@ each node, the constructor whose completions cover the index, so no layer
 is built and both cost polynomial time in term size. Streams and
 synthesis candidate pools walk the same tables depth-first, visiting only
 constructors that can be completed, so they hold one term at a time and
-their canonical orders agree by construction. The tables are built on
-demand: a slot's constructors and counts, and the counts of each stack of
-pending slots, only as far as some rank or walk has read them.
+their canonical orders agree by construction; `enum` reads its text from
+that walk, with no Term. The tables are built on demand: a slot's
+constructors and counts, and the counts of each stack of pending slots,
+only as far as some rank or walk has read them.
 """
 
 from __future__ import annotations
@@ -233,21 +234,36 @@ def _push(open_: tuple | None, choice: _Choice) -> tuple | Term:
     return term
 
 
-def _walk(counts: _Counts, size_: int) -> Iterator[Term]:
+# `_push` for text. A text being built in pre-order is the chain (parent,
+# arguments still missing) of its open nodes, innermost first, and the text
+# so far, each token led by a space; once the root closes, the term's
+# `pretty` text.
+def _push_text(open_: tuple, choice: _Choice) -> tuple | str:
+    missing, text = open_
+    if choice[1]:
+        return ((missing, choice[1]), text + " (" + choice[0])
+    text += " " + choice[0]
+    while missing and missing[1] == 1:
+        text += ")"
+        missing = missing[0]
+    return ((missing[0], missing[1] - 1), text) if missing else text[1:]
+
+
+def _walk(counts: _Counts, size_: int, push=_push, start=None) -> Iterator:
     """Every term of the root slot with exactly this size, in canonical order.
 
     Depth-first over the `steps` memo: a frame holds a pending stack, the
-    remaining size, the partly built term and an iterator over the
-    constructors that can complete it, so no dead end is entered.
+    remaining size, what `push` has built from `start` and an iterator
+    over the constructors that can complete it, so no dead end is entered.
     """
     if size_ < 1:
         return
     steps = counts.steps
-    frames = [((0,), size_, None, iter(counts.step((0,), size_)[1]))]
+    frames = [((0,), size_, start, iter(counts.step((0,), size_)[1]))]
     while frames:
         pending, remaining, open_, choices = frames[-1]
         for choice in choices:
-            built = _push(open_, choice)
+            built = push(open_, choice)
             rest = pending[:-1] + choice[2]
             if rest:
                 key = (rest, remaining - 1)
@@ -264,15 +280,24 @@ def walk_layer(ops: frozenset[str], scope: frozenset[str], sort: Sort, size_: in
     return _walk(_counts(ops, scope, sort), size_)
 
 
-def sized_stream(tier: Tier) -> Iterator[tuple[int, TypedProgram]]:
-    """Every well-formed program of the tier with its size, exactly once,
-    in canonical order."""
+def _sized(tier: Tier, push, start, finish) -> Iterator[tuple[int, object]]:
     counts = _tier_counts(tier)
     size_ = 1
     while True:
-        for t in _walk(counts, size_):
-            yield size_, _typed(t)
+        for built in _walk(counts, size_, push, start):
+            yield size_, finish(built)
         size_ += 1
+
+
+def sized_stream(tier: Tier) -> Iterator[tuple[int, TypedProgram]]:
+    """Every well-formed program of the tier with its size, exactly once,
+    in canonical order."""
+    return _sized(tier, _push, None, _typed)
+
+
+def sized_texts(tier: Tier) -> Iterator[tuple[int, str]]:
+    """`sized_stream(tier)` with each program's `pretty` text, built with no Term."""
+    return _sized(tier, _push_text, (None, ""), str)  # str(text) is text
 
 
 def enumerate_stream(tier: Tier) -> Iterator[TypedProgram]:

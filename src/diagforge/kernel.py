@@ -389,8 +389,13 @@ def format_value(v: Value) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
-        return str(v)
-    return "(" + " ".join(str(x) for x in v) + ")"
+        try:
+            return str(v)
+        except ValueError:  # past sys.get_int_max_str_digits(), which Decimal ignores
+            from decimal import Decimal  # imported here, off every command's start-up
+
+            return str(Decimal(v))
+    return "(" + " ".join(map(format_value, v)) + ")"
 
 
 # ---------------------------------------------------------------------------

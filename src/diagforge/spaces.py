@@ -69,7 +69,7 @@ def _check_probes(probes: tuple[Value, ...]) -> None:
         if sort_of_value(p) is not first:
             raise ValueError("a space has a single input sort; probes disagree")
     if len(set(probes)) != len(probes):
-        raise DuplicateProbeError(f"duplicate probe in {_cut(repr(probes))}")
+        raise DuplicateProbeError(f"duplicate probe in {_cut(_repr(probes))}")
 
 
 def _fingerprint(
@@ -91,6 +91,13 @@ def _fingerprint(
                 at = f"probe {_cut(format_value(probe))} for {_cut(pretty(term))}"
                 raise ResourceExhaustedError(exc.steps_used, exc.reason, at=at) from exc
         raise
+
+
+def _repr(probe) -> str:
+    """repr of a probe, or a tuple of probes, at any length of int."""
+    if isinstance(probe, tuple):
+        return "(" + ", ".join(map(_repr, probe)) + ("," if len(probe) == 1 else "") + ")"
+    return format_value(probe)
 
 
 def _cut(text: str, width: int = 60) -> str:

@@ -25,8 +25,9 @@ def run(*args, env=None, cwd=None):
     )
 
 
-# sha256 of stdout for the README's diag, iterate and refute commands and
-# two larger certificates. Each succeeds with nothing on stderr.
+# sha256 of stdout for the README's diag, iterate and refute commands, two
+# larger certificates and two enum prefixes. Each succeeds with nothing on
+# stderr.
 PINNED_STDOUT = [
     ("diag --tier natfn --witness 20", "62c0d9de444b2fc6344b39fb088deb76cf1608a70233f45b8c8166d21544f969"),
     ("iterate --depth 5 --witness 5", "a5b35fb5ce1324b244bad4fc7b5260a3084b92714ed2f8877baf035bf969f1a2"),
@@ -39,6 +40,9 @@ PINNED_STDOUT = [
     ("iterate --depth 4 --witness 300", "fbabf8d648fbf0a3ff80932bbee1fca04b2e8690ef2ffaca9009d09e27c9ed10"),
     # every row the default budget allows (row 917 exhausts it)
     ("diag --tier natfn --witness 916", "9e3b26326631c367b4614080d34dd395f0432fa1ba1aa9a8616258826ffeb6a5"),
+    # the rank workload's largest enum prefix, in each tier
+    ("enum --tier natfn --count 6000", "1917708c6626b1afd7f753fd4860dca6ed42d93e2e93a390658a39e7fdebcd71"),
+    ("enum --tier full --count 6000", "90725bafa3a74a911a8fd9dc86dd44d8bdc968a753760b770405ae3546b1d3e2"),
 ]
 
 

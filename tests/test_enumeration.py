@@ -17,6 +17,8 @@ from diagforge.enumeration import (
     enumerate_stream,
     index_of,
     program_at,
+    sized_stream,
+    sized_texts,
     walk_layer,
 )
 from diagforge.errors import NotInTierError
@@ -139,8 +141,14 @@ def test_pool_layers_match_the_oracle(ops, scope, sort):
     assert ours == canonical_terms(ops, scope, sort_name, 6)
 
 
+@pytest.mark.parametrize("tier", list(Tier))
+def test_sized_texts_are_the_pretty_stream(tier):
+    texts = islice(sized_texts(tier), 20_000)
+    assert list(texts) == [(s, pretty(p.term)) for s, p in islice(sized_stream(tier), 20_000)]
+
+
 def test_rank_and_unrank_far_past_materializable_layers(monkeypatch):
-    def no_walk(counts, size_):
+    def no_walk(*args):
         raise AssertionError("ranking walked a layer")
 
     monkeypatch.setattr(enumeration, "_walk", no_walk)

@@ -2,13 +2,14 @@
 
 import json
 import random
+import sys
 
 import pytest
 
 from diagforge import spaces
-from diagforge.errors import DuplicateProbeError, EmptyProbesError, ParseError
+from diagforge.errors import DuplicateProbeError, EmptyProbesError, ParseError, ResourceExhaustedError
 from diagforge.interp import DEFAULT_MAX_STEPS, DEFAULT_MAX_VALUE_BITS
-from diagforge.kernel import canonical_key, parse, pretty, size
+from diagforge.kernel import canonical_key, format_value, parse, pretty, size
 from diagforge.spaces import (
     absorb,
     expand_domain,
@@ -33,6 +34,37 @@ def test_new_space():
     with pytest.raises(ValueError):
         new_space((0, (1, 2)))  # one input sort per space
 
+
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default int/str digit limit, 4,300, where the Python has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_probes_past_the_default_digit_limit(default_digit_limit):
+    big = 10**5000
+    assert format_value(big) == "1" + "0" * 5000
+    assert format_value((big, 3)) == "(1" + "0" * 5000 + " 3)"
+    space = new_space((big, 1))
+    assert space.history[0][1] == (format_value(big), "1")
+    assert unify(space, new_space((2,))).probes == (big, 1, 2)
+    with pytest.raises(DuplicateProbeError) as caught:
+        expand_domain(space, (1,))
+    assert str(caught.value) == "duplicate probe in (1" + "0" * 55 + "..."
+    with pytest.raises(ResourceExhaustedError) as caught:
+        absorb(space, parse("(precnat zero (succ acc) n)"))
+    assert caught.value.at == "probe 1" + "0" * 56 + "... for (precnat zero (succ acc) n)"
+    with pytest.raises(DuplicateProbeError) as caught:
+        new_space(((1, 2), (3,), (1, 2)))
+    assert str(caught.value) == "duplicate probe in ((1, 2), (3,), (1, 2))"
 
 def test_absorb_first_term_founds_a_class():
     space = absorb(new_space((0, 1, 2)), parse("(succ n)"))
