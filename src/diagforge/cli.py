@@ -1,10 +1,11 @@
 """Batch command-line front end.
 
-Exit codes: 0 success, 1 domain outcome (nothing synthesized, empty
-classifier, duplicate probe), 2 usage or malformed input, 3 evaluation
-budget exhausted, or a term too deep or too large to evaluate
-(RecursionError, MemoryError). Records go to stdout, diagnostics to stderr;
-identical invocations produce byte-identical output. Witness rows are
+Exit codes: 0 success, also when the reader closes stdout early, 1 domain
+outcome (nothing synthesized, empty classifier, duplicate probe), 2 usage
+or malformed input, 3 evaluation budget exhausted, or a term too deep or
+too large to evaluate (RecursionError, MemoryError). Records go to
+stdout, diagnostics to stderr; identical invocations produce
+byte-identical output. Witness rows are
 printed as each is proved, so a run that exhausts its budget keeps the
 rows before the failing index. A command converts every value the value
 cap admits between int and str, past CPython's default limit of 4,300
@@ -21,16 +22,7 @@ import sys
 
 from . import machines, refuter, spaces, synthesis
 from .enumeration import Tier, program_at, sized_texts
-from .errors import (
-    DiagforgeError,
-    DuplicateProbeError,
-    EmptyClassifierError,
-    EmptyProbesError,
-    NotInTierError,
-    ParseError,
-    ResourceExhaustedError,
-    TypeCheckError,
-)
+from .errors import DiagforgeError, NotInTierError, ParseError, ResourceExhaustedError, TypeCheckError
 from .interp import DEFAULT_MAX_STEPS, DEFAULT_MAX_VALUE_BITS, EvalBudget
 from .kernel import NUMERAL_DIGITS, check_well_formed, parse, parse_value_list, pretty, size, Sort
 
@@ -246,7 +238,14 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(_VALUE_DIGITS)
     try:
         handler, options = parse_argv(sys.argv[1:] if argv is None else argv)
-        return handler(**options) or 0
+        code = handler(**options) or 0
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout, as `| head` does: stop with success, and
+        # point stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ResourceExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -255,15 +254,9 @@ def main(argv: list[str] | None = None) -> int:
         # enough term overflows the stack before any budget is reached.
         print(f"error: interpreter resources exhausted ({type(exc).__name__})", file=sys.stderr)
         return 3
-    except (EmptyClassifierError, DuplicateProbeError, EmptyProbesError) as exc:
+    except (DiagforgeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, TypeCheckError, NotInTierError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DiagforgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ParseError, TypeCheckError, NotInTierError, ValueError, OSError)) else 1
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

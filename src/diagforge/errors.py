@@ -40,7 +40,8 @@ class ResourceExhaustedError(DiagforgeError):
     """Evaluation budget exceeded (step count or value-size cap).
 
     `at` names where a command failed, when known: "index n" for the n-th
-    function of a machine stream, or a space's probe and term.
+    function of a machine stream, or a space's probe and term. `probe_index`
+    is the position of the probe that ran out in interp.run_probes, else None.
     """
 
     def __init__(self, steps_used: int, reason: str = "steps", at: str | None = None):
@@ -49,6 +50,7 @@ class ResourceExhaustedError(DiagforgeError):
         self.steps_used = steps_used
         self.reason = reason
         self.at = at
+        self.probe_index: int | None = None
 
 
 class NotInTierError(DiagforgeError):

@@ -467,15 +467,20 @@ def run_probes(code: Code, vectors: Iterable[list], budget: EvalBudget | None = 
     One slot vector and one fuel object serve every probe; the fuel is
     reset to the full budget before each, so every probe is accounted as
     a separate evaluate call would be, and the first failing probe raises
-    what that call would raise.
+    what that call would raise, with its position in `probe_index`.
     """
     fuel = _Fuel(budget or DEFAULT_BUDGET)
     full = fuel.max_steps
     slots: list = []
-    for vector in vectors:
+    for index, vector in enumerate(vectors):
         slots[:] = vector
         fuel.left = full
-        yield code(slots, fuel)
+        try:
+            value = code(slots, fuel)
+        except ResourceExhaustedError as exc:
+            exc.probe_index = index
+            raise
+        yield value
 
 
 # ---------------------------------------------------------------------------

@@ -358,12 +358,12 @@ def _form_to_value(form) -> Value:
             return True
         if form == "false":
             return False
-        if form.isdigit():
+        if form.isascii() and form.isdigit():
             return _numeral(form)
         raise ParseError(f"not a value atom: {form!r}")
     out = []
     for item in form:
-        if not isinstance(item, str) or not item.isdigit():
+        if not (isinstance(item, str) and item.isascii() and item.isdigit()):
             raise ParseError("list values hold plain naturals")
         out.append(_numeral(item))
     return tuple(out)

@@ -12,7 +12,7 @@ probes. Spaces are values: every operation returns a new space.
 from __future__ import annotations
 
 from .errors import DiagforgeError, DuplicateProbeError, EmptyProbesError, ParseError, ResourceExhaustedError
-from .interp import EvalBudget, compile_term, probe_outputs, probe_vectors, run_probes
+from .interp import EvalBudget, probe_outputs, probe_vectors
 from .kernel import (
     INPUT_VARS,
     Record,
@@ -69,7 +69,7 @@ def _check_probes(probes: tuple[Value, ...]) -> None:
         if sort_of_value(p) is not first:
             raise ValueError("a space has a single input sort; probes disagree")
     if len(set(probes)) != len(probes):
-        raise DuplicateProbeError(f"duplicate probe in {_cut(_repr(probes))}")
+        raise DuplicateProbeError(f"duplicate probe in {_cut(format_value(probes))}")
 
 
 def _fingerprint(
@@ -81,23 +81,9 @@ def _fingerprint(
     out_sort = infer_sort(term, frozenset({var}))
     try:
         return (out_sort.value, probe_outputs(term, vectors, budget, memo))
-    except ResourceExhaustedError:
-        # Run probe by probe to name the first that fails, and the term.
-        outputs = run_probes(compile_term(term), vectors, budget)
-        for probe in probes:
-            try:
-                next(outputs)
-            except ResourceExhaustedError as exc:
-                at = f"probe {_cut(format_value(probe))} for {_cut(pretty(term))}"
-                raise ResourceExhaustedError(exc.steps_used, exc.reason, at=at) from exc
-        raise
-
-
-def _repr(probe) -> str:
-    """repr of a probe, or a tuple of probes, at any length of int."""
-    if isinstance(probe, tuple):
-        return "(" + ", ".join(map(_repr, probe)) + ("," if len(probe) == 1 else "") + ")"
-    return format_value(probe)
+    except ResourceExhaustedError as exc:
+        at = f"probe {_cut(format_value(probes[exc.probe_index]))} for {_cut(pretty(term))}"
+        raise ResourceExhaustedError(exc.steps_used, exc.reason, at=at) from exc
 
 
 def _cut(text: str, width: int = 60) -> str:
@@ -208,22 +194,17 @@ def _value_json(v: Value):
     return v
 
 
-def _fingerprint_json(fingerprint: tuple):
-    out_sort, outputs = fingerprint
-    return {"sort": out_sort, "outputs": [_value_json(v) for v in outputs]}
+def _class_json(c: SpaceClass) -> dict:
+    """A class's fingerprint and representative, as snapshots and exports write them."""
+    out_sort, outputs = c.fingerprint
+    fingerprint = {"sort": out_sort, "outputs": [_value_json(v) for v in outputs]}
+    return {"fingerprint": fingerprint, "representative": pretty(c.representative)}
 
 
 def snapshot(space: AnalyticalSpace) -> dict:
     return {
         "probes": [_value_json(p) for p in space.probes],
-        "classes": [
-            {
-                "fingerprint": _fingerprint_json(c.fingerprint),
-                "representative": pretty(c.representative),
-                "members": [pretty(m) for m in c.members],
-            }
-            for c in space.classes
-        ],
+        "classes": [_class_json(c) | {"members": [pretty(m) for m in c.members]} for c in space.classes],
         "history": [list(event) for event in space.history],
     }
 
@@ -262,13 +243,6 @@ def load_snapshot(data: dict, budget: EvalBudget | None = None) -> AnalyticalSpa
 def export_summary(space: AnalyticalSpace) -> dict:
     return {
         "probes": [_value_json(p) for p in space.probes],
-        "classes": [
-            {
-                "fingerprint": _fingerprint_json(c.fingerprint),
-                "representative": pretty(c.representative),
-                "member_count": len(c.members),
-            }
-            for c in space.classes
-        ],
+        "classes": [_class_json(c) | {"member_count": len(c.members)} for c in space.classes],
         "history_length": len(space.history),
     }

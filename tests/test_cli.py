@@ -576,7 +576,7 @@ def test_space_command_on_a_probe_past_the_default_digit_limit(verb, tmp_path, m
     if verb == "expand":  # short probes print whole
         small = _space_file(tmp_path, "small.json", [0, 1])
         assert cli.main(["space", "expand", "--space", small, "--probes", "(1)", "--out", str(out)]) == 1
-        assert capsys.readouterr() == ("", "error: duplicate probe in (0, 1, 1)\n")
+        assert capsys.readouterr() == ("", "error: duplicate probe in (0 1 1)\n")
 
 
 # Each place a command reads a numeral from text. A numeral of 4,300 digits
@@ -626,6 +626,19 @@ def test_budget_exhaustion_exits_3():
     # rows proved before the failing index are kept
     assert result.stdout == '{"index": 1, "fn_at_n": 1, "g_at_n": 2}\n{"index": 2, "fn_at_n": 0, "g_at_n": 1}\n'
     assert "at index 3" in result.stderr
+
+
+@pytest.mark.parametrize("argv, first", [(["enum", "--count", "20000"], "1\t1\tn\n"),
+                                         (["diag", "--witness", "300"], '{"index": 1, "fn_at_n": 1, "g_at_n": 2}\n')])
+def test_a_closed_stdout_exits_0_quietly(argv, first):
+    # The reader takes one line and closes the pipe, as `| head -1` does. A
+    # later write or the last flush finds it closed: that is no error, and
+    # nothing is printed, not even an "Exception ignored" line at exit.
+    with subprocess.Popen(CMD + argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline() == first
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (0, "")
 
 
 def test_exhaustion_keeps_the_rows_already_proved():

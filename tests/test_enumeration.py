@@ -1,5 +1,6 @@
 """Canonical enumeration: ordering, bijection, completeness, stability."""
 
+import hashlib
 import sys
 import tracemalloc
 from itertools import islice
@@ -156,6 +157,17 @@ def test_rank_and_unrank_far_past_materializable_layers(monkeypatch):
         program = program_at(tier, index)
         assert size(program.term) > 20
         assert index_of(tier, program) == index
+
+
+def test_unranking_at_large_indices_is_pinned():
+    # Round trips cannot see an off-by-one that program_at and index_of
+    # share, so the programs themselves are pinned: one sha256 over the
+    # programs at 10**3, 10**12, ..., 10**120 in each tier.
+    digest = hashlib.sha256()
+    for tier in (Tier.NATFN, Tier.FULL):
+        for k in range(3, 121, 9):
+            digest.update(f"{pretty(program_at(tier, 10**k).term)}\n".encode())
+    assert digest.hexdigest() == "87d431419e3fc697755557fcc42bf9946a7f5a023175c2fe2cfaa61335599994"
 
 
 def _recursion_limit_above_caller(frames):

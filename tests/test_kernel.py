@@ -204,6 +204,12 @@ MALFORMED_TEXTS = [
     (parse_value_list, "(1) 2", "expected a parenthesized list of values"),
     (parse_value_list, ")", "unexpected ')'"),
     (parse_value_list, "((1 (2)))", "list values hold plain naturals"),
+    # Numerals are ASCII digits: int() would read these, or fail with a
+    # Python message.
+    (parse_value, "\u0663", "not a value atom: '\u0663'"),
+    (parse_value, "\u00b2", "not a value atom: '\u00b2'"),
+    (parse_value, "(1 \u0663)", "list values hold plain naturals"),
+    (parse_value_list, "((\u00b2))", "list values hold plain naturals"),
 ]
 
 

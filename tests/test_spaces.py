@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from diagforge import spaces
+from diagforge import interp, spaces
 from diagforge.errors import DuplicateProbeError, EmptyProbesError, ParseError, ResourceExhaustedError
 from diagforge.interp import DEFAULT_MAX_STEPS, DEFAULT_MAX_VALUE_BITS
 from diagforge.kernel import canonical_key, format_value, parse, pretty, size
@@ -64,7 +64,28 @@ def test_probes_past_the_default_digit_limit(default_digit_limit):
     assert caught.value.at == "probe 1" + "0" * 56 + "... for (precnat zero (succ acc) n)"
     with pytest.raises(DuplicateProbeError) as caught:
         new_space(((1, 2), (3,), (1, 2)))
-    assert str(caught.value) == "duplicate probe in ((1, 2), (3,), (1, 2))"
+    assert str(caught.value) == "duplicate probe in ((1 2) (3) (1 2))"
+
+
+def test_absorb_runs_a_failing_term_once(monkeypatch):
+    # The term runs out of steps on its second probe only; the error names
+    # that probe from the one run that failed (one fuel per run).
+    runs = []
+
+    class CountingFuel(interp._Fuel):
+        __slots__ = ()
+
+        def __init__(self, budget):
+            runs.append(budget)
+            super().__init__(budget)
+
+    monkeypatch.setattr(interp, "_Fuel", CountingFuel)
+    term = parse("(precnat zero (if (lt acc n) (succ acc) acc) n)")
+    with pytest.raises(ResourceExhaustedError) as caught:
+        absorb(new_space((1, 1000)), term, interp.EvalBudget(max_steps=1000))
+    assert len(runs) == 1
+    assert str(caught.value) == ("evaluation budget exhausted (steps, 1000 steps used at probe 1000"
+                                 " for (precnat zero (if (lt acc n) (succ acc) acc) n))")
 
 def test_absorb_first_term_founds_a_class():
     space = absorb(new_space((0, 1, 2)), parse("(succ n)"))
