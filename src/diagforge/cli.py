@@ -42,9 +42,12 @@ def _int(text: str | int, source: str) -> int:
     raise ParseError(f"{source}: invalid int value {text!r}")
 
 
-def _budget(steps: int | None) -> EvalBudget:
+def _budget(steps: int | None, option: str = "--budget") -> EvalBudget:
+    """The steps `option` gave, or else DIAGFORGE_BUDGET's; below 1 is a usage error naming the source."""
     if steps is None:
-        steps = _int(os.environ.get(ENV_BUDGET, DEFAULT_MAX_STEPS), ENV_BUDGET)
+        option, steps = ENV_BUDGET, _int(os.environ.get(ENV_BUDGET, DEFAULT_MAX_STEPS), ENV_BUDGET)
+    if steps < 1:
+        raise ParseError(f"{option}: must be >= 1, got {steps}")
     return EvalBudget(max_steps=steps)
 
 
@@ -108,7 +111,7 @@ def _cmd_synth(schema: str, goal: str, budget: int, budget_steps: int | None) ->
         ops = synthesis.NAT_BASE
     else:
         ops = synthesis.LIST_BASE
-    program = synthesis.synthesize(ops, spec, schema, budget, _budget(budget_steps))
+    program = synthesis.synthesize(ops, spec, schema, budget, _budget(budget_steps, "--budget-steps"))
     if program is None:
         print("no program found within budget", file=sys.stderr)
         return 1
@@ -121,7 +124,7 @@ def _load_space(path: str) -> spaces.AnalyticalSpace:
             data = json.load(handle)
         except RecursionError:
             raise ParseError("malformed space snapshot: JSON nested too deeply") from None
-    return spaces.load_snapshot(data)
+    return spaces.load_snapshot(data, _budget(None))
 
 
 def _save_space(space: spaces.AnalyticalSpace, path: str) -> None:

@@ -1,8 +1,8 @@
 """The total kernel language: terms, sorts, S-expression syntax, typing.
 
-Every constructor has a fixed rank; the pre-order sequence of ranks is the
-tie-breaking key the enumeration and synthesis modules use inside a size
-class, so the rank table here is normative for program indices.
+A constructor's rank is its position in OP_TABLE; the pre-order sequence of
+ranks is the tie-breaking key the enumeration and synthesis modules use inside
+a size class, so the order of OP_TABLE is normative for program indices.
 
 Values are plain Python data: naturals are non-negative ints, booleans are
 bools, and number lists are tuples of ints (tuples so values are hashable
@@ -123,18 +123,16 @@ class Param(Record):
 
 
 class OpSpec(Record):
-    __slots__ = _fields = ("name", "rank", "result", "params", "var_sort")
+    __slots__ = _fields = ("name", "result", "params", "var_sort")
 
     def __init__(
         self,
         name: str,
-        rank: int,
         result: Sort | None,  # None: polymorphic (if)
         params: tuple[Param, ...] = (),
         var_sort: Sort | None = None,  # set for variable occurrences
     ):
         self.name = name
-        self.rank = rank
         self.result = result
         self.params = params
         self.var_sort = var_sort
@@ -151,24 +149,23 @@ class OpSpec(Record):
 _N, _B, _L = Sort.NAT, Sort.BOOL, Sort.LIST_NAT
 
 OP_TABLE: tuple[OpSpec, ...] = (
-    OpSpec("n", 0, _N, (), var_sort=_N),
-    OpSpec("zero", 1, _N),
-    OpSpec("succ", 2, _N, (Param(_N),)),
-    OpSpec("add", 3, _N, (Param(_N), Param(_N))),
-    OpSpec("mul", 4, _N, (Param(_N), Param(_N))),
-    OpSpec("precnat", 5, _N, (Param(_N), Param(_N, ("acc", "idx")), Param(_N))),
-    OpSpec("nil", 6, _L),
-    OpSpec("cons", 7, _L, (Param(_N), Param(_L))),
-    OpSpec("first", 8, _N, (Param(_L),)),
-    OpSpec("rest", 9, _L, (Param(_L),)),
-    OpSpec("append", 10, _L, (Param(_L), Param(_L))),
-    OpSpec("len", 11, _N, (Param(_L),)),
-    OpSpec("lt", 12, _B, (Param(_N), Param(_N))),
-    OpSpec("if", 13, None, (Param(_B), Param(None), Param(None))),
-    OpSpec("filter", 14, _L, (Param(_L), Param(_B, ("x",)))),
+    OpSpec("n", _N, (), var_sort=_N),
+    OpSpec("zero", _N),
+    OpSpec("succ", _N, (Param(_N),)),
+    OpSpec("add", _N, (Param(_N), Param(_N))),
+    OpSpec("mul", _N, (Param(_N), Param(_N))),
+    OpSpec("precnat", _N, (Param(_N), Param(_N, ("acc", "idx")), Param(_N))),
+    OpSpec("nil", _L),
+    OpSpec("cons", _L, (Param(_N), Param(_L))),
+    OpSpec("first", _N, (Param(_L),)),
+    OpSpec("rest", _L, (Param(_L),)),
+    OpSpec("append", _L, (Param(_L), Param(_L))),
+    OpSpec("len", _N, (Param(_L),)),
+    OpSpec("lt", _B, (Param(_N), Param(_N))),
+    OpSpec("if", None, (Param(_B), Param(None), Param(None))),
+    OpSpec("filter", _L, (Param(_L), Param(_B, ("x",)))),
     OpSpec(
         "pivotrec",
-        15,
         _L,
         (
             Param(_L),
@@ -177,15 +174,16 @@ OP_TABLE: tuple[OpSpec, ...] = (
             Param(_L, ("l", "pivot", "r")),
         ),
     ),
-    OpSpec("x", 16, _N, (), var_sort=_N),
-    OpSpec("acc", 17, _N, (), var_sort=_N),
-    OpSpec("idx", 18, _N, (), var_sort=_N),
-    OpSpec("pivot", 19, _N, (), var_sort=_N),
-    OpSpec("l", 20, _L, (), var_sort=_L),
-    OpSpec("r", 21, _L, (), var_sort=_L),
+    OpSpec("x", _N, (), var_sort=_N),
+    OpSpec("acc", _N, (), var_sort=_N),
+    OpSpec("idx", _N, (), var_sort=_N),
+    OpSpec("pivot", _N, (), var_sort=_N),
+    OpSpec("l", _L, (), var_sort=_L),
+    OpSpec("r", _L, (), var_sort=_L),
 )
 
 OPS: dict[str, OpSpec] = {spec.name: spec for spec in OP_TABLE}
+RANKS: dict[str, int] = {spec.name: rank for rank, spec in enumerate(OP_TABLE)}
 VAR_SORTS: dict[str, Sort] = {s.name: s.var_sort for s in OP_TABLE if s.is_variable}
 
 # Input variable per program input sort; `l` doubles as the input of
@@ -210,13 +208,15 @@ def rank_seq(t: Term) -> tuple[int, ...]:
     stack = [t]
     while stack:
         node = stack.pop()
-        out.append(OPS[node.head].rank)
+        out.append(RANKS[node.head])
         stack.extend(reversed(node.args))
     return tuple(out)
 
 
 def canonical_key(t: Term) -> tuple[int, tuple[int, ...]]:
-    return (size(t), rank_seq(t))
+    """(size(t), rank_seq(t)) from one walk: the sequence has one rank per node."""
+    ranks = rank_seq(t)
+    return (len(ranks), ranks)
 
 
 def subterms(t: Term) -> Iterator[Term]:

@@ -134,13 +134,13 @@ def absorb(space: AnalyticalSpace, term: Term, budget: EvalBudget | None = None)
     # A fresh memo: a space keeps no columns, so its memory stays its members'.
     fingerprint = _fingerprint(term, space.probes, probe_vectors((var,), space.probes), var, budget, {})
     existing = next((c for c in space.classes if c.fingerprint == fingerprint), None)
+    updated = _class(fingerprint, (existing.members if existing else ()) + (term,))
+    # The set in `_class` keeps a member over an equal term, so a copy of the
+    # representative, or the same term again, is kept.
     if existing is None:
         outcome = "new"
-    elif canonical_key(term) < canonical_key(existing.representative):
-        outcome = "displaced"
     else:
-        outcome = "kept"
-    updated = _class(fingerprint, (existing.members if existing else ()) + (term,))
+        outcome = "kept" if updated.representative is existing.representative else "displaced"
     classes = [c for c in space.classes if c is not existing] + [updated]
     classes.sort(key=lambda c: canonical_key(c.representative))
     history = space.history + (("absorbed", pretty(term), outcome),)

@@ -117,6 +117,26 @@ def test_exhausted_space_commands_name_the_probe_and_the_term(tmp_path, capsys):
     assert len(cut) == 60
 
 
+def test_space_verbs_load_a_snapshot_under_the_budget(tmp_path, monkeypatch, capsys):
+    # Loading fingerprints every stored member again, under DIAGFORGE_BUDGET
+    # as the verb's own work is.
+    from diagforge import cli
+
+    monkeypatch.setenv("DIAGFORGE_BUDGET", "100")
+    term = "(precnat zero (if (lt acc n) (succ acc) acc) n)"
+    space = _space_file(tmp_path, "s.json", [1000], [term])
+    out = str(tmp_path / "out.json")
+    where = f"steps, 100 steps used at probe 1000 for {term}"
+    for argv in (["export", "--space", space], ["absorb", "--space", space, "--term", "(succ n)", "--out", out],
+                 ["unify", "--left", space, "--right", space, "--out", out],
+                 ["expand", "--space", space, "--probes", "(2)", "--out", out]):
+        assert cli.main(["space", *argv]) == 3, argv
+        assert capsys.readouterr() == ("", f"error: evaluation budget exhausted ({where})\n")
+    monkeypatch.delenv("DIAGFORGE_BUDGET")
+    assert cli.main(["space", "export", "--space", space]) == 0
+    assert json.loads(capsys.readouterr().out)["classes"][0]["fingerprint"]["outputs"] == [1000]
+
+
 @pytest.mark.parametrize("probe,term,steps", [(10**7, "(precnat zero (add acc n) n)", 10**7),
                                               (10**12, "(precnat zero idx n)", 10**9),
                                               (10**7, "(precnat zero (add acc acc) n)", 10**7),
@@ -722,16 +742,23 @@ USAGE_ERRORS = [
     (["refute", "--classifier", "sometimes", "--count", "1"], "unknown classifier spec"),
     (["refute", "--classifier", "maxsize:x", "--count", "1"], "--classifier maxsize: invalid int value 'x'"),
     (["refute", "--classifier", "program:{bad}", "--count", "1"], "'first' takes 1 arguments"),
+    (["diag", "--witness", "2", "--budget", "0"], "error: --budget: must be >= 1, got 0"),
+    (["synth", "--schema", "bottomup", "--goal", "goals/succ.txt", "--budget", "3", "--budget-steps", "0"],
+     "error: --budget-steps: must be >= 1, got 0"),
+    (["DIAGFORGE_BUDGET=0", "diag", "--witness", "2"], "error: DIAGFORGE_BUDGET: must be >= 1, got 0"),
 ]
 
 
 @pytest.mark.parametrize("argv,fragment", USAGE_ERRORS, ids=[" ".join(a)[:40] or "no-arguments" for a, _ in USAGE_ERRORS])
-def test_usage_errors_exit_2(argv, fragment, tmp_path, capsys):
+def test_usage_errors_exit_2(argv, fragment, tmp_path, capsys, monkeypatch):
     from diagforge import cli
 
     bad = tmp_path / "bad.txt"
     bad.write_text("(succ first)\n")
     argv = [a.format(bad=bad) for a in argv]
+    if argv and argv[0].startswith("DIAGFORGE_"):  # NAME=value sets a variable, as in a shell
+        name, _, value = argv.pop(0).partition("=")
+        monkeypatch.setenv(name, value)
     result = run(*argv, cwd=ROOT)
     assert result.returncode == 2
     assert result.stdout == "" and "Traceback" not in result.stderr

@@ -23,7 +23,7 @@ from diagforge.enumeration import (
     walk_layer,
 )
 from diagforge.errors import NotInTierError
-from diagforge.kernel import Sort, Term, infer_sort, parse, pretty, rank_seq, size
+from diagforge.kernel import Sort, Term, canonical_key, infer_sort, parse, pretty, rank_seq, size
 from diagforge.synthesis import LIST_BASE, NAT_BASE
 from oracles import all_nat_terms, canonical_terms, nat_terms_of_size
 
@@ -146,6 +146,17 @@ def test_pool_layers_match_the_oracle(ops, scope, sort):
 def test_sized_texts_are_the_pretty_stream(tier):
     texts = islice(sized_texts(tier), 20_000)
     assert list(texts) == [(s, pretty(p.term)) for s, p in islice(sized_stream(tier), 20_000)]
+
+
+@pytest.mark.parametrize("tier", list(Tier))
+def test_canonical_key_strictly_increases_along_the_stream(tier):
+    # The walk follows OP_TABLE's order and canonical_key reads RANKS, so
+    # the stream's order is the key's; the key is (size, rank_seq) from one walk.
+    keys = []
+    for s, p in islice(sized_stream(tier), 20_000):
+        keys.append(canonical_key(p.term))
+        assert keys[-1] == (size(p.term), rank_seq(p.term)) and s == size(p.term)
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_rank_and_unrank_far_past_materializable_layers(monkeypatch):

@@ -14,6 +14,7 @@ from diagforge.errors import (
 )
 from diagforge.kernel import (
     OP_TABLE,
+    RANKS,
     Sort,
     Term,
     check_well_formed,
@@ -32,11 +33,14 @@ from diagforge.machines import Base, Subsequence, Witness
 from diagforge.refuter import AcceptAll, AcceptNone, MaxSize
 from diagforge.spaces import absorb, new_space
 from diagforge.synthesis import Candidate, GoalSpec
+from oracles import OPERATORS, VARIABLES
 from strategies import terms
 
 
 def test_ranks_are_the_documented_table():
-    assert [spec.rank for spec in OP_TABLE] == list(range(22))
+    # A rank is a position in OP_TABLE; the reference grammar states each one.
+    documented = {name: spec[0] for name, spec in {**VARIABLES, **OPERATORS}.items()}
+    assert RANKS == documented == {spec.name: i for i, spec in enumerate(OP_TABLE)}
     assert [spec.name for spec in OP_TABLE] == [
         "n", "zero", "succ", "add", "mul", "precnat", "nil", "cons", "first",
         "rest", "append", "len", "lt", "if", "filter", "pivotrec",

@@ -9,7 +9,7 @@ import pytest
 from diagforge import interp, spaces
 from diagforge.errors import DuplicateProbeError, EmptyProbesError, ParseError, ResourceExhaustedError
 from diagforge.interp import DEFAULT_MAX_STEPS, DEFAULT_MAX_VALUE_BITS
-from diagforge.kernel import canonical_key, format_value, parse, pretty, size
+from diagforge.kernel import canonical_key, format_value, parse, pretty, rank_seq, size
 from diagforge.spaces import (
     absorb,
     expand_domain,
@@ -121,6 +121,66 @@ def test_absorbing_the_representative_again_only_logs():
     again = absorb(space, parse("(succ n)"))
     assert again.classes == space.classes
     assert len(again.history) == len(space.history) + 1
+
+
+def test_absorb_outcomes_and_members():
+    # Outcome: new for a new behaviour, displaced for a cheaper equivalent,
+    # and kept for a costlier one, an equal copy of the representative, or
+    # the very same term object again.
+    cheap, costly = parse("(succ n)"), parse("(add n (succ zero))")
+    space = absorb(new_space((0, 1, 2)), costly)
+    assert (space.history[-1][2], space.classes[0].members) == ("new", (costly,))
+    space = absorb(space, cheap)
+    assert (space.history[-1][2], space.classes[0].members) == ("displaced", (cheap, costly))
+    for term in (parse("(add (succ zero) n)"), parse("(succ n)"), cheap, cheap):
+        before = space.classes[0].members
+        space = absorb(space, term)
+        assert space.history[-1][2] == "kept", pretty(term)
+        assert space.classes[0].members == tuple(sorted({*before, term}, key=canonical_key))
+        assert space.classes[0].representative is cheap
+    assert len(space.classes[0].members) == 3
+
+
+def test_absorb_matches_a_reference_over_size_and_rank_seq():
+    # A seeded run of absorbs, some of them equal copies or the same term
+    # object again, against a model that fingerprints with the reference
+    # evaluator and orders members by (size, rank_seq).
+    rng = random.Random(27)
+    probes = (0, 1, 2, 5)
+    population = [random_term(rng, max_size=7) for _ in range(150)]
+    space, classes, history = new_space(probes), {}, [["created", [format_value(p) for p in probes]]]
+
+    def key(t):
+        return (size(t), rank_seq(t))
+
+    for _ in range(400):
+        term = rng.choice(population)
+        if rng.random() < 0.3:
+            term = parse(pretty(term))  # an equal copy, not the same object
+        space = absorb(space, term)
+        outputs = tuple(eval_budgeted(term, {"n": p}, DEFAULT_MAX_STEPS, DEFAULT_MAX_VALUE_BITS) for p in probes)
+        members = classes.setdefault(outputs, [])
+        if not members:
+            outcome = "new"
+        elif key(term) < key(members[0]):
+            outcome = "displaced"
+        else:
+            outcome = "kept"
+        if term not in members:
+            members.append(term)
+            members.sort(key=key)
+        history.append(["absorbed", pretty(term), outcome])
+        order = sorted(classes.items(), key=lambda item: key(item[1][0]))
+        assert json.loads(json.dumps(snapshot(space))) == {
+            "probes": list(probes),
+            "classes": [
+                {"fingerprint": {"sort": "nat", "outputs": list(outputs)}, "representative": pretty(members[0]),
+                 "members": [pretty(m) for m in members]}
+                for outputs, members in order
+            ],
+            "history": history,
+        }
+    assert {"new", "displaced", "kept"} <= {event[2] for event in history[1:]}
 
 
 def test_unify_with_fresh_space_is_identity_like():
