@@ -28,6 +28,7 @@ from functools import lru_cache
 from operator import itemgetter, mul
 
 from .errors import NotInTierError
+from .interp import keep_code
 from .kernel import OP_TABLE, Sort, Term, TypedProgram, size, subterms
 
 
@@ -58,7 +59,7 @@ def _typed(t: Term) -> TypedProgram:
 
 # One constructor that can fill a slot: head, arity, the slots its
 # arguments open in push order (first argument last), and for a leaf the
-# one Term every walk shares.
+# one Term every walk shares, with its code kept.
 _Choice = tuple[str, int, tuple[int, ...], "Term | None"]
 
 
@@ -110,7 +111,7 @@ class _Counts:
         for spec in OP_TABLE:
             if spec.var_sort is not None:
                 if spec.name in scope and spec.var_sort is sort:
-                    built.append((spec.name, 0, (), Term(spec.name)))
+                    built.append((spec.name, 0, (), keep_code(Term(spec.name))))
             elif spec.name in self._ops and (spec.result is None or spec.result is sort):
                 args = tuple(
                     self._slot(
@@ -119,7 +120,7 @@ class _Counts:
                     )
                     for p in reversed(spec.params)
                 )
-                built.append((spec.name, len(args), args, None if args else Term(spec.name)))
+                built.append((spec.name, len(args), args, None if args else keep_code(Term(spec.name))))
         row = self._rows[slot] = tuple(built)
         self._opens[slot] = tuple(choice[2] for choice in row if choice[2])
         return row
@@ -234,6 +235,20 @@ def _push(open_: tuple | None, choice: _Choice) -> tuple | Term:
     return term
 
 
+def _push_code(open_: tuple | None, choice: _Choice) -> tuple | Term:
+    """`_push`, keeping each node's code as it closes it (interp.keep_code)."""
+    head, arity, _, term = choice
+    if term is None:
+        return (open_, head, arity, ())
+    while open_ is not None:
+        parent, head, missing, args = open_
+        if missing > 1:
+            return (parent, head, missing - 1, args + (term,))
+        term = keep_code(Term(head, args + (term,)))
+        open_ = parent
+    return term
+
+
 # `_push` for text. A text being built in pre-order is the chain (parent,
 # arguments still missing) of its open nodes, innermost first, and the text
 # so far, each token led by a space; once the root closes, the term's
@@ -303,6 +318,12 @@ def sized_texts(tier: Tier) -> Iterator[tuple[int, str]]:
 def enumerate_stream(tier: Tier) -> Iterator[TypedProgram]:
     """Every well-formed program of the tier, exactly once, in canonical order."""
     return (program for _, program in sized_stream(tier))
+
+
+def compiled_stream(tier: Tier) -> Iterator[TypedProgram]:
+    """`enumerate_stream(tier)`, each term with its code kept, built with
+    the term: for a reader that runs every program it reads."""
+    return (program for _, program in _sized(tier, _push_code, None, _typed))
 
 
 def program_at(tier: Tier, i: int) -> TypedProgram:

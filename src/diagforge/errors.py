@@ -1,6 +1,11 @@
 """Exception types shared across the workbench."""
 
 
+def cut(text: str, width: int = 60) -> str:
+    """text, or its head and "..." in `width` characters, as error texts cut terms and probes."""
+    return text if len(text) <= width else text[: width - 3] + "..."
+
+
 class DiagforgeError(Exception):
     """Base class for all workbench errors."""
 

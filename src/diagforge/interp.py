@@ -7,7 +7,10 @@ bounds wall clock, not semantics.
 
 A term is compiled once into a tree of closures, one per node, with the
 evaluation rule picked at compile time; the compiler walks the term with
-an explicit stack, so compiling costs no Python recursion. A compiled
+an explicit stack, so compiling costs no Python recursion. A term keeps
+its code, as it keeps its hash, so a Term object is compiled once; and a
+Base machine's stream builds each program's code with the term, node by
+node (enumeration.compiled_stream). A compiled
 term is run on a slot vector, a list holding the variables n, x, acc,
 idx, pivot, l and r at fixed positions. Binders (precnat, filter,
 pivotrec) set their slots and restore them when they finish, so no
@@ -82,6 +85,7 @@ DEFAULT_BUDGET = EvalBudget()
 # Positions of the variables in a slot vector.
 _SLOTS = ("n", "x", "acc", "idx", "pivot", "l", "r")
 _X, _ACC, _IDX, _PIVOT, _L, _R = range(1, 7)
+_NAT, _LIST_NAT = Sort.NAT, Sort.LIST_NAT  # read once: an enum member is slow to look up
 
 
 class _Fuel:
@@ -423,23 +427,32 @@ def compile_node(head: str, args: Sequence[Code] = ()) -> Code:
     return _RULES[head](*args) if args else _LEAVES[head][0]
 
 
+def keep_code(t: Term) -> Term:
+    """t, with its code kept on it, built from its arguments' kept code."""
+    args = [a._code for a in t.args]
+    if not args:
+        t._code = _LEAVES[t.head][0]
+    elif t.head == "precnat":
+        t._code = _precnat(*args, _closed_form(t.args[1]))
+    else:
+        t._code = _RULES[t.head](*args)
+    return t
+
+
 def compile_term(t: Term) -> Code:
-    """Compile a term bottom-up with an explicit stack (no recursion)."""
-    done: list[Code] = []
-    stack: list[tuple[Term, bool]] = [(t, False)]
-    while stack:
-        node, ready = stack.pop()
-        if not node.args:
-            done.append(_LEAVES[node.head][0])
-        elif ready and node.head == "precnat":
-            done[-3:] = [_precnat(*done[-3:], _closed_form(node.args[1]))]
-        elif ready:
-            k = len(node.args)
-            done[-k:] = [_RULES[node.head](*done[-k:])]
-        else:
-            stack.append((node, True))
-            stack.extend((a, False) for a in reversed(node.args))
-    return done[0]
+    """The term's kept code, or else each node's built and kept, children
+    first, on an explicit stack (no recursion), as Term.__hash__ does."""
+    if t._code is None:
+        stack = [t]
+        while stack:
+            node = stack[-1]
+            for a in node.args:
+                if a._code is None:
+                    stack.append(a)
+            if stack[-1] is node:
+                stack.pop()
+                keep_code(node)
+    return t._code
 
 
 def slot_vector(env: dict[str, Value]) -> list:
@@ -582,13 +595,15 @@ def evaluate(program: TypedProgram, value: Value, budget: EvalBudget | None = No
     kernel value of that variable's sort (ValueError otherwise). Evaluation
     is pure and deterministic: identical inputs yield identical outputs.
     """
-    env = dict.fromkeys(program.free_vars, value)
-    if len(env) > 1:
-        raise ValueError(f"program is not single-input: free variables {sorted(env)}")
-    for var in env:
+    if len(program.free_vars) > 1:
+        raise ValueError(f"program is not single-input: free variables {sorted(program.free_vars)}")
+    slots = [None] * len(_SLOTS)
+    for var in program.free_vars:
         sort = VAR_SORTS.get(var)
-        if sort is Sort.NAT and not is_nat(value):
+        if sort is _NAT and not is_nat(value):
             raise ValueError(f"input for {var!r} must be a non-negative int, got {value!r}")
-        if sort is Sort.LIST_NAT and not (isinstance(value, tuple) and all(is_nat(v) for v in value)):
+        if sort is _LIST_NAT and not (isinstance(value, tuple) and all(is_nat(v) for v in value)):
             raise ValueError(f"input for {var!r} must be a tuple of non-negative ints, got {value!r}")
-    return compile_term(program.term)(slot_vector(env), _Fuel(budget or DEFAULT_BUDGET))
+        if sort:
+            slots[_SLOTS.index(var)] = value
+    return compile_term(program.term)(slots, _Fuel(budget or DEFAULT_BUDGET))

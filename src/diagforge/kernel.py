@@ -61,15 +61,17 @@ class Term:
 
     Equality and hashing are structural and walk the term with explicit
     stacks, so they hold at any depth. The hash equals that of the tuple
-    (head, args); it is computed on first use and kept.
+    (head, args); it is computed on first use and kept. So is the term's
+    compiled code (`interp.compile_term`), which is never compared.
     """
 
-    __slots__ = ("head", "args", "_hash")
+    __slots__ = ("head", "args", "_hash", "_code")
 
     def __init__(self, head: str, args: tuple[Term, ...] = ()):
         self.head = head
         self.args = args
         self._hash = None
+        self._code = None
 
     def __eq__(self, other):
         if self is other:

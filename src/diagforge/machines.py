@@ -25,7 +25,7 @@ from collections.abc import Callable, Iterator
 from functools import cached_property
 
 from .errors import ResourceExhaustedError
-from .enumeration import Tier, enumerate_stream, program_at
+from .enumeration import Tier, compiled_stream, program_at
 from .interp import EvalBudget, evaluate
 from .kernel import Record, TypedProgram, pretty
 
@@ -81,7 +81,7 @@ class Base(Record):
         with self._lock:
             if i == self._streamed + 1:
                 if self._stream is None:
-                    self._stream = enumerate_stream(self.tier)
+                    self._stream = compiled_stream(self.tier)
                 self._streamed = i
                 return next(self._stream)
         return program_at(self.tier, i)

@@ -11,7 +11,7 @@ probes. Spaces are values: every operation returns a new space.
 
 from __future__ import annotations
 
-from .errors import DiagforgeError, DuplicateProbeError, EmptyProbesError, ParseError, ResourceExhaustedError
+from .errors import DiagforgeError, DuplicateProbeError, EmptyProbesError, ParseError, ResourceExhaustedError, cut
 from .interp import EvalBudget, probe_outputs, probe_vectors
 from .kernel import (
     INPUT_VARS,
@@ -69,7 +69,7 @@ def _check_probes(probes: tuple[Value, ...]) -> None:
         if sort_of_value(p) is not first:
             raise ValueError("a space has a single input sort; probes disagree")
     if len(set(probes)) != len(probes):
-        raise DuplicateProbeError(f"duplicate probe in {_cut(format_value(probes))}")
+        raise DuplicateProbeError(f"duplicate probe in {cut(format_value(probes))}")
 
 
 def _fingerprint(
@@ -82,13 +82,8 @@ def _fingerprint(
     try:
         return (out_sort.value, probe_outputs(term, vectors, budget, memo))
     except ResourceExhaustedError as exc:
-        at = f"probe {_cut(format_value(probes[exc.probe_index]))} for {_cut(pretty(term))}"
+        at = f"probe {cut(format_value(probes[exc.probe_index]))} for {cut(pretty(term))}"
         raise ResourceExhaustedError(exc.steps_used, exc.reason, at=at) from exc
-
-
-def _cut(text: str, width: int = 60) -> str:
-    """text, or its head and "..." in `width` characters."""
-    return text if len(text) <= width else text[: width - 3] + "..."
 
 
 def _class(fingerprint: tuple, members) -> SpaceClass:

@@ -35,11 +35,10 @@ from collections.abc import Iterator, Sequence
 from itertools import product
 
 from .enumeration import walk_layer
-from .errors import ResourceExhaustedError
+from .errors import ResourceExhaustedError, cut
 from .interp import (
     BITS_CHECKED,
     DEFAULT_BUDGET,
-    Code,
     EvalBudget,
     compile_node,
     compile_term,
@@ -61,6 +60,7 @@ from .kernel import (
     check_well_formed,
     format_value,
     parse_value,
+    pretty,
     sort_of_value,
 )
 
@@ -164,16 +164,15 @@ def load_goal(path: str) -> GoalSpec:
 
 
 class Candidate(Record):
-    _fields = ("term", "cost", "fingerprint")
-    __slots__ = _fields + ("code",)
+    """A pool member; its code, once compiled, is kept on its term
+    (`compile_term(candidate.term)`)."""
 
-    def __init__(self, term: Term, cost: int, fingerprint: tuple, code: Code | None = None):
+    __slots__ = _fields = ("term", "cost", "fingerprint")
+
+    def __init__(self, term: Term, cost: int, fingerprint: tuple):
         self.term = term
         self.cost = cost
         self.fingerprint = fingerprint
-        # The compiled term, kept for pool members so schemas and verification
-        # run them without recompiling; None where nothing will run it again.
-        self.code = code
 
 
 class Pool(list):
@@ -193,8 +192,9 @@ class Pool(list):
     output; and as pre-order rank sequences are prefix-free, that term
     comes earlier in canonical order, so its fingerprint is already seen.
 
-    A candidate that exhausts the budget on a probe is dropped; the first
-    such error is kept as `dropped` (None while none was dropped). Under
+    A candidate that exhausts the budget on a probe is dropped and counted
+    in `drops`; the first such error is kept as `dropped`, naming the probe
+    and the candidate (None while none was dropped). Under
     the value-bits cap skipping stays exact, as a representative runs in
     the term as on its own and a dropped argument exhausts in the term too.
     Under the steps cap it need not be: a representative can take more
@@ -220,7 +220,9 @@ class Pool(list):
         self.max_size = max_size
         self.built = 0  # the sizes 1..built are in the pool
         self.dropped: ResourceExhaustedError | None = None
+        self.drops = 0
         self._walk = (ops, frozenset(free_vars), target_sort)
+        self._probes = probes
         self._vectors = probe_vectors(free_vars, probes)
         self._budget = budget
         self._pooled = {
@@ -240,15 +242,23 @@ class Pool(list):
                 try:
                     fingerprint = probe_outputs(term, self._vectors, self._budget, self._columns)
                 except ResourceExhaustedError as exc:
-                    self.dropped = self.dropped or exc
+                    self.drops += 1
+                    self.dropped = self.dropped or _named(exc, "probe", self._probes[exc.probe_index], term)
                     continue
                 seen = len(self._seen)
                 self._seen.add(fingerprint)
                 if len(self._seen) == seen:
                     continue
                 self._reps.add(term)
-                self.append(Candidate(term, size_, fingerprint, compile_term(term)))
+                self.append(Candidate(term, size_, fingerprint))
             self.built = size_
+
+
+def _named(exc: ResourceExhaustedError, where: str, value: Value, term: Term) -> ResourceExhaustedError:
+    """exc, naming the probe or example it ran out on and the term run,
+    each cut as the space verbs cut them."""
+    at = f"{where} {cut(format_value(value))} for {cut(pretty(term))}"
+    return ResourceExhaustedError(exc.steps_used, exc.reason, at=at)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +327,9 @@ _UNBOUNDED_OPS = frozenset(name for name, spec in OPS.items() if any(p.binders f
 class _PivotExamples:
     """Which fillings of a pivotrec run meet every goal example: `first(run)`
     is the position of the run's first combiner whose filling meets them,
-    or None. A filling that exhausts the budget is skipped, and the first
-    such error kept as `dropped`.
+    or None. A filling that exhausts the budget is skipped and counted in
+    `drops`, and the first such error kept as `dropped`, naming the example
+    and the filling.
 
     No filling can exhaust (bounded) when the operators have no binder and
     no value-bits check, so a hole spends at most its pool's max_size
@@ -347,6 +358,7 @@ class _PivotExamples:
         self.preds = preds
         self.combiners = combiners
         self.dropped: ResourceExhaustedError | None = None
+        self.drops = 0
         longest = max(len(xs) for xs in self.lists)
         # Each call splits its tail into two sublists, each possibly the whole tail.
         calls = 2 ** (longest + 1) - 1
@@ -365,18 +377,22 @@ class _PivotExamples:
     def first(self, run: tuple[int, int, int, int]) -> int | None:
         i, j, lo, hi = run
         if not self.bounded:
-            left, right = self.preds[i].code, self.preds[j].code
+            left, right = compile_term(self.preds[i].term), compile_term(self.preds[j].term)
             for k in range(lo, hi):
-                code = compile_node("pivotrec", [self.input_code, left, right, self.combiners[k].code])
+                code = compile_node("pivotrec", [self.input_code, left, right, compile_term(self.combiners[k].term)])
                 runs = zip(run_probes(code, self.inputs, self.eval_budget), self.outputs)
                 try:
                     if all(got == out for got, out in runs):
                         return k
                 except ResourceExhaustedError as exc:
-                    self.dropped = self.dropped or exc
+                    self.drops += 1
+                    if not self.dropped:
+                        holes = self.preds[i].term, self.preds[j].term, self.combiners[k].term
+                        filling = Term("pivotrec", (Term("l"), *holes))
+                        self.dropped = _named(exc, "example", self.lists[exc.probe_index], filling)
             return None
         while len(self.signatures) <= max(i, j):
-            code = self.preds[len(self.signatures)].code
+            code = compile_term(self.preds[len(self.signatures)].term)
             signatures = tuple(tuple(run_probes(code, pairs, self.eval_budget)) for pairs in self.pairs)
             self.signatures.append(None if signatures in self.signatures else signatures)
         left, right = self.signatures[i], self.signatures[j]
@@ -411,7 +427,7 @@ class _PivotExamples:
         return self.cases[k, sides]
 
     def _meets_all(self, cases: list, k: int) -> bool:
-        code = self.combiners[k].code
+        code = compile_term(self.combiners[k].term)
         for nodes, out, met in cases:
             if k not in met:
                 # run_probes takes a node's vector only after yielding the
@@ -441,7 +457,8 @@ def synthesize(
     filling that exhausts `eval_budget` is dropped; when nothing is found
     after a drop, the first ResourceExhaustedError of the pools grown
     through `budget`, or else of the fillings, is raised instead of
-    returning None.
+    returning None, naming its probe or example, the candidate or filling,
+    and how many were dropped in all.
     """
     outputs = [out for _, out in goal.examples]
     if schema == SCHEMA_BOTTOM_UP:
@@ -454,7 +471,7 @@ def synthesize(
             for candidate in pool[start:]:
                 if [candidate.fingerprint[i] for i in at] == outputs:
                     return check_well_formed(candidate.term, goal.output_sort, {var})
-        dropped = pool.dropped
+        dropped, drops = pool.dropped, pool.drops
     elif schema == SCHEMA_PIVOT_DC:
         if goal.input_sort is not Sort.LIST_NAT or goal.output_sort is not Sort.LIST_NAT:
             raise ValueError("the divide-and-conquer schema sorts lists into lists")
@@ -469,8 +486,9 @@ def synthesize(
         preds.grow(budget)
         combiners.grow(budget)
         dropped = preds.dropped or combiners.dropped or meets.dropped
+        drops = preds.drops + combiners.drops + meets.drops
     else:
         raise ValueError(f"unknown schema: {schema!r}")
     if dropped:
-        raise dropped
+        raise ResourceExhaustedError(dropped.steps_used, dropped.reason, at=f"{dropped.at}, {drops} dropped in all")
     return None

@@ -305,7 +305,8 @@ def eager_synthesize(synthesis, ops, goal, schema, budget, eval_budget=None):
             key=lambda f: (sum(c.cost for _, c in f), [i for i, _ in f]),
         )
         for filling in (tuple(c for _, c in f) for f in fillings):
-            code = synthesis.compile_node("pivotrec", [synthesis.compile_node("l")] + [c.code for c in filling])
+            holes = [synthesis.compile_term(c.term) for c in filling]
+            code = synthesis.compile_node("pivotrec", [synthesis.compile_node("l")] + holes)
             try:
                 if all(got == out for got, out in zip(synthesis.run_probes(code, inputs, eval_budget), outputs)):
                     return synthesis.Term("pivotrec", (synthesis.Term("l"),) + tuple(c.term for c in filling))

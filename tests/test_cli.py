@@ -478,6 +478,34 @@ def test_synth_drops_exhausting_candidates(tmp_path):
     assert "budget exhausted" in result.stderr
 
 
+# A search that finds nothing after a drop names, on its one error line,
+# the first candidate or filling dropped (cut to 60 characters), the probe
+# or example it ran out on, and how many were dropped in all.
+SYNTH_BUDGET_ERRORS = {
+    "bottomup": (
+        "0 -> 7\n1 -> 3\n2 -> 9\n3 -> 2\n4 -> 11\n",
+        ["--budget", "8"],
+        "error: evaluation budget exhausted (value-bits, 50 steps used at probe 4 for"
+        " (precnat n (mul acc acc) (mul n n)), 1 dropped in all)\n",
+    ),
+    "pivotdc": (
+        "() -> ()\n(2 1) -> (1 2)\n(3 1 2) -> (1 2 3)\n",
+        ["--budget", "5", "--budget-steps", "10"],
+        "error: evaluation budget exhausted (steps, 10 steps used at example (2 1) for"
+        " (pivotrec l (lt zero zero) (lt zero zero) nil), 2825 dropped in all)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("schema", sorted(SYNTH_BUDGET_ERRORS))
+def test_synth_budget_error_names_the_first_drop_and_counts_them(tmp_path, schema):
+    text, options, line = SYNTH_BUDGET_ERRORS[schema]
+    goal = tmp_path / "goal.txt"
+    goal.write_text(text)
+    result = run("synth", "--schema", schema, "--goal", str(goal), *options)
+    assert (result.returncode, result.stdout, result.stderr) == (3, "", line)
+
+
 def _numeral_term(k):
     return "(succ " * k + "zero" + ")" * k
 

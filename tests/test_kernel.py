@@ -28,11 +28,11 @@ from diagforge.kernel import (
     size,
     sort_of_value,
 )
-from diagforge.interp import EvalBudget
+from diagforge.interp import EvalBudget, compile_term
 from diagforge.machines import Base, Subsequence, Witness
 from diagforge.refuter import AcceptAll, AcceptNone, MaxSize
 from diagforge.spaces import absorb, new_space
-from diagforge.synthesis import Candidate, GoalSpec
+from diagforge.synthesis import GoalSpec
 from oracles import OPERATORS, VARIABLES
 from strategies import terms
 
@@ -294,9 +294,11 @@ def test_deep_terms_compare_and_hash():
 def test_records_keep_dataclass_semantics():
     assert AcceptAll() != AcceptNone() and AcceptAll() == AcceptAll()
     assert MaxSize(3) != (3,) and MaxSize(bound=3) == MaxSize(3)
-    term = Term("n")
-    assert Candidate(term, 1, (0,), code=len) == Candidate(term, 1, (0,))
-    assert hash(Candidate(term, 1, (0,), code=len)) == hash(Candidate(term, 1, (0,)))
+    # A term's kept code is not compared or hashed.
+    term = parse("(precnat n (add acc idx) n)")
+    compile_term(term)
+    assert term._code is not None and parse(pretty(term))._code is None
+    assert term == parse(pretty(term)) and hash(term) == hash(parse(pretty(term)))
     base = Base(Tier.NATFN)
     base._fns[1] = None
     assert base == Base(tier=Tier.NATFN) and repr(base) == "Base(tier=<Tier.NATFN: 'natfn'>, budget=None)"

@@ -4,11 +4,11 @@ import sys
 
 import pytest
 
-from diagforge import machines
+from diagforge import interp, machines
 from diagforge.enumeration import Tier, program_at
 from diagforge.errors import ResourceExhaustedError
-from diagforge.interp import EvalBudget, evaluate
-from diagforge.kernel import pretty
+from diagforge.interp import EvalBudget, compile_node, compile_term, evaluate, run_probes, slot_vector
+from diagforge.kernel import parse, pretty
 from diagforge.machines import (
     Base,
     Extend,
@@ -130,6 +130,47 @@ def test_streamed_base_equals_unranking(tier, monkeypatch):
     assert [function_at(m, i).name for i in order] == _names(tier, order)
     assert unranked == [400, 350]
     assert [function_at(m, i)(i) for i in order] == [evaluate(program_at(tier, i), i) for i in order]
+
+
+def _outcomes(code, budget, vectors):
+    """code's value on each slot vector, or (reason, steps used) where it runs out."""
+    try:
+        return list(run_probes(code, vectors, budget))
+    except ResourceExhaustedError:
+        pass
+    out = []
+    for vector in vectors:
+        try:
+            out.append(next(run_probes(code, [vector], budget)))
+        except ResourceExhaustedError as exc:
+            out.append((exc.reason, exc.steps_used))
+    return out
+
+
+def _looped(term):
+    """The term's code with every precnat run as a plain loop, with no closed form."""
+    args = [_looped(a) for a in term.args]
+    return interp._precnat(*args, None) if term.head == "precnat" else compile_node(term.head, args)
+
+
+@pytest.mark.parametrize("tier", list(Tier))
+def test_streamed_code_runs_as_a_fresh_compile(tier):
+    # Each program a Base machine reads from its stream comes with code the
+    # walk built node by node. On inputs 0-12 it runs as compile_term of an
+    # equal, freshly parsed term, under the default budget and a small one;
+    # under the small one both run as the term with every precnat looped,
+    # so a closed form chosen from the wrong argument shows on either side.
+    vectors = [slot_vector({"n": n}) for n in range(13)]
+    small = EvalBudget(50, 64)
+    m = Base(tier)
+    for i in range(1, 20_001):
+        term = m._program(i).term
+        assert term._code is not None, i
+        fresh = parse(pretty(term))
+        for budget in (None, small):
+            want = _outcomes(compile_term(fresh), budget, vectors)
+            assert _outcomes(term._code, budget, vectors) == want, (i, pretty(term), budget)
+        assert _outcomes(_looped(fresh), small, vectors) == want, (i, pretty(term))
 
 
 def test_concurrent_queries_on_a_fresh_base_agree():

@@ -102,6 +102,26 @@ def test_absorb_types_the_term_once(monkeypatch):
     assert typed == [term]
 
 
+def test_space_verbs_compile_each_member_once(monkeypatch):
+    # A member's code is kept on its term when absorb fingerprints it, so
+    # expand_domain and unify, which fingerprint every member again, build
+    # no code for a member already fingerprinted. Binder-free members run
+    # over probe columns and are never compiled.
+    built = []
+    keep_code = interp.keep_code
+    monkeypatch.setattr(interp, "keep_code", lambda t: built.append(t) or keep_code(t))
+    left, right = new_space((0, 1)), new_space((2, 3))
+    for text in ("(precnat n (add acc idx) n)", "(precnat zero (succ acc) n)", "(succ n)"):
+        left = absorb(left, parse(text))
+    for text in ("(precnat n (mul acc (succ n)) n)", "(add n n)", "(precnat (succ n) (succ acc) n)"):
+        right = absorb(right, parse(text))
+    assert {pretty(t) for t in built} >= {"(precnat n (add acc idx) n)", "(precnat n (mul acc (succ n)) n)"}
+    built.clear()
+    space = unify(expand_domain(left, (4, 5)), right)
+    assert sum(len(c.members) for c in space.classes) == 6
+    assert built == []
+
+
 def test_absorb_keeps_the_cheaper_representative():
     space = absorb(new_space((0, 1, 2)), parse("(succ n)"))
     space = absorb(space, parse("(add n (succ zero))"))

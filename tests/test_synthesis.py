@@ -8,7 +8,7 @@ import pytest
 
 from diagforge import synthesis
 from diagforge.errors import ParseError, ResourceExhaustedError
-from diagforge.interp import EvalBudget, compile_node, evaluate, probe_vectors, run_probes
+from diagforge.interp import EvalBudget, compile_node, compile_term, evaluate, probe_vectors, run_probes
 from diagforge.kernel import Sort, parse, pretty, size
 from diagforge.synthesis import (
     LIST_BASE,
@@ -357,7 +357,8 @@ def test_pivot_example_checks_equal_direct_runs(goal):
         for i, j, lo, hi in pivot_runs(preds, combiners):
             want = None, None
             for k in range(lo, hi):
-                code = compile_node("pivotrec", [compile_node("l"), preds[i].code, preds[j].code, combiners[k].code])
+                holes = [compile_term(c.term) for c in (preds[i], preds[j], combiners[k])]
+                code = compile_node("pivotrec", [compile_node("l"), *holes])
                 runs = zip(run_probes(code, inputs, budget), outputs)
                 outcome = _check_outcome(lambda: all(got == out for got, out in runs))
                 if outcome is True:
