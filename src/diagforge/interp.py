@@ -111,11 +111,15 @@ Code = Callable[[list, _Fuel], Value]
 
 # ---------------------------------------------------------------------------
 # Rules: one closure factory per constructor. Each closure spends its own
-# step before evaluating its arguments, in argument order.
+# step before evaluating its arguments, in argument order. It holds its
+# arguments' code as default arguments, not in closure cells: code kept on
+# a Term lives as long as the term (a Base machine keeps every program it
+# reads), and a cell per argument would more than double the objects the
+# cyclic collector rescans in each full collection.
 
 
 def _const(value: Value) -> Code:
-    def run(s, f):
+    def run(s, f, value=value):
         f.left -= 1
         if f.left < 0:
             raise _out_of_steps(f)
@@ -125,7 +129,7 @@ def _const(value: Value) -> Code:
 
 
 def _var(slot: int) -> Code:
-    def run(s, f):
+    def run(s, f, slot=slot):
         f.left -= 1
         if f.left < 0:
             raise _out_of_steps(f)
@@ -135,7 +139,7 @@ def _var(slot: int) -> Code:
 
 
 def _succ(a: Code) -> Code:
-    def run(s, f):
+    def run(s, f, a=a):
         f.left -= 1
         if f.left < 0:
             raise _out_of_steps(f)
@@ -148,7 +152,7 @@ def _succ(a: Code) -> Code:
 
 
 def _add(a: Code, b: Code) -> Code:
-    def run(s, f):
+    def run(s, f, a=a, b=b):
         f.left -= 1
         if f.left < 0:
             raise _out_of_steps(f)
@@ -162,7 +166,7 @@ def _add(a: Code, b: Code) -> Code:
 
 
 def _mul(a: Code, b: Code) -> Code:
-    def run(s, f):
+    def run(s, f, a=a, b=b):
         f.left -= 1
         if f.left < 0:
             raise _out_of_steps(f)
@@ -181,7 +185,7 @@ def _precnat(base: Code, step: Code, target: Code, form: tuple | None) -> Code:
     # docstring); without one, or with its formula in doubt, from the start.
     cost, after, other = form or (1, None, None)
 
-    def run(s, f):
+    def run(s, f, target=target, base=base, step=step, cost=cost, after=after, other=other):
         f.left -= 1
         if f.left < 0:
             raise _out_of_steps(f)
@@ -215,7 +219,7 @@ def _loop(step: Code, s: list, f: _Fuel, acc: Value, start: int, stop: int) -> V
 
 
 def _cons(a: Code, b: Code) -> Code:
-    def run(s, f):
+    def run(s, f, a=a, b=b):
         f.left -= 1
         if f.left < 0:
             raise _out_of_steps(f)
@@ -226,7 +230,7 @@ def _cons(a: Code, b: Code) -> Code:
 
 
 def _first(a: Code) -> Code:
-    def run(s, f):
+    def run(s, f, a=a):
         f.left -= 1
         if f.left < 0:
             raise _out_of_steps(f)
@@ -237,7 +241,7 @@ def _first(a: Code) -> Code:
 
 
 def _rest(a: Code) -> Code:
-    def run(s, f):
+    def run(s, f, a=a):
         f.left -= 1
         if f.left < 0:
             raise _out_of_steps(f)
@@ -247,7 +251,7 @@ def _rest(a: Code) -> Code:
 
 
 def _append(a: Code, b: Code) -> Code:
-    def run(s, f):
+    def run(s, f, a=a, b=b):
         f.left -= 1
         if f.left < 0:
             raise _out_of_steps(f)
@@ -258,7 +262,7 @@ def _append(a: Code, b: Code) -> Code:
 
 
 def _len(a: Code) -> Code:
-    def run(s, f):
+    def run(s, f, a=a):
         f.left -= 1
         if f.left < 0:
             raise _out_of_steps(f)
@@ -268,7 +272,7 @@ def _len(a: Code) -> Code:
 
 
 def _lt(a: Code, b: Code) -> Code:
-    def run(s, f):
+    def run(s, f, a=a, b=b):
         f.left -= 1
         if f.left < 0:
             raise _out_of_steps(f)
@@ -279,7 +283,7 @@ def _lt(a: Code, b: Code) -> Code:
 
 
 def _if(cond: Code, then: Code, other: Code) -> Code:
-    def run(s, f):
+    def run(s, f, cond=cond, then=then, other=other):
         f.left -= 1
         if f.left < 0:
             raise _out_of_steps(f)
@@ -289,7 +293,7 @@ def _if(cond: Code, then: Code, other: Code) -> Code:
 
 
 def _filter(items: Code, pred: Code) -> Code:
-    def run(s, f):
+    def run(s, f, items=items, pred=pred):
         f.left -= 1
         if f.left < 0:
             raise _out_of_steps(f)
@@ -334,7 +338,7 @@ def _pivotrec(items: Code, pred_left: Code, pred_right: Code, combine: Code) -> 
         s[_L], s[_PIVOT], s[_R] = saved_l, saved_pivot, saved_r
         return out
 
-    def run(s, f):
+    def run(s, f, items=items):
         f.left -= 1
         if f.left < 0:
             raise _out_of_steps(f)

@@ -156,10 +156,11 @@ def _looped(term):
 @pytest.mark.parametrize("tier", list(Tier))
 def test_streamed_code_runs_as_a_fresh_compile(tier):
     # Each program a Base machine reads from its stream comes with code the
-    # walk built node by node. On inputs 0-12 it runs as compile_term of an
-    # equal, freshly parsed term, under the default budget and a small one;
-    # under the small one both run as the term with every precnat looped,
-    # so a closed form chosen from the wrong argument shows on either side.
+    # walk built node by node, which compile_term returns. On inputs 0-12
+    # it runs as compile_term of an equal, freshly parsed term, under the
+    # default budget and a small one; under the small one both run as the
+    # term with every precnat looped, so a closed form chosen from the wrong
+    # argument shows on either side.
     vectors = [slot_vector({"n": n}) for n in range(13)]
     small = EvalBudget(50, 64)
     m = Base(tier)
@@ -169,7 +170,7 @@ def test_streamed_code_runs_as_a_fresh_compile(tier):
         fresh = parse(pretty(term))
         for budget in (None, small):
             want = _outcomes(compile_term(fresh), budget, vectors)
-            assert _outcomes(term._code, budget, vectors) == want, (i, pretty(term), budget)
+            assert _outcomes(compile_term(term), budget, vectors) == want, (i, pretty(term), budget)
         assert _outcomes(_looped(fresh), small, vectors) == want, (i, pretty(term))
 
 
