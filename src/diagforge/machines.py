@@ -10,23 +10,23 @@ differs from g again. Machine indices are 1-based to match the stream
 f_1, f_2, ...; g(0) is defined as g(1) so oracle functions are total on all
 naturals.
 
-A tier or subsequence machine owns its functions: it hands out one
-OracleFn per index, built on first use and evaluated under the budget the
-machine was built with, so each f_n(n) is evaluated once per machine. A
-tier machine reads its programs from the tier's stream while indices are
-asked for in order, as witness rows ask for them, and unranks only an
-index that skips ahead of the stream.
+A tier or subsequence machine keeps each diagonal value f_n(n) in one
+memo of plain ints, which witness rows and the diagonal read, so a row
+builds no function object. `function_at` builds one OracleFn per index
+when asked, holding the program and budget, not the machine; its cache
+starts from the memo, so each f_n(n) is evaluated once per machine. A tier
+machine keeps the programs it reads from the tier's stream while indices
+are asked for in order, as rows ask, and unranks only an index past them.
 """
 
 from __future__ import annotations
 
 import _thread
 from collections.abc import Callable, Iterator
-from functools import cached_property
 
 from .errors import ResourceExhaustedError
 from .enumeration import Tier, compiled_stream, program_at
-from .interp import EvalBudget, evaluate
+from .interp import EvalBudget, evaluate, run_on_n
 from .kernel import Record, TypedProgram, pretty
 
 
@@ -34,57 +34,79 @@ class OracleFn:
     """A total Nat -> Nat function, memoized by argument.
 
     Not necessarily expressible in the enumerated tier (the diagonal never
-    is). Memoization is idempotent: values are deterministic, so concurrent
-    queries may race on the cache without changing any result.
+    is). A stream element of a Base or a Subsequence holds its program and
+    budget, never the machine, so a machine is no reference cycle. Values
+    are deterministic, so concurrent queries may race on the cache.
     """
+
+    __slots__ = ("_fn", "_name", "_cache")
 
     def __init__(self, fn: Callable[[int], int], name: str | Callable[[], str]):
         self._fn = fn
         self._name = name
         self._cache: dict[int, int] = {}
 
-    @cached_property
+    @property
     def name(self) -> str:
-        """The display name; a callable given for it is called on first read."""
+        """The display name; a callable given for it is called on each read."""
         return self._name if isinstance(self._name, str) else self._name()
+
+    def _run(self, n: int) -> int:
+        return self._fn(n)
 
     def __call__(self, n: int) -> int:
         cached = self._cache.get(n)
         if cached is not None:
             return cached
-        value = self._fn(n)
-        self._cache[n] = value
+        value = self._cache[n] = self._run(n)
         return value
 
     def __repr__(self) -> str:
         return f"OracleFn<{self.name}>"
 
 
+class _ProgramFn(OracleFn):
+    """f_i of a Base or a Subsequence: its program under the machine's budget."""
+
+    __slots__ = ("program", "budget")
+
+    def __init__(self, program: TypedProgram, budget: EvalBudget | None, cache: dict[int, int]):
+        self.program, self.budget, self._cache = program, budget, cache
+
+    @property
+    def name(self) -> str:
+        return pretty(self.program.term)
+
+    def _run(self, n: int) -> int:
+        return evaluate(self.program, n, self.budget)
+
+
 class Base(Record):
     """The tier's whole enumeration, evaluated under `budget`."""
 
     _fields = ("tier", "budget")
-    __slots__ = _fields + ("_fns", "_stream", "_streamed", "_lock")
+    __slots__ = _fields + ("_fns", "_memo", "_programs", "_stream", "_lock")
 
     def __init__(self, tier: Tier, budget: EvalBudget | None = None):
         self.tier = tier
         self.budget = budget
         self._fns: dict[int, OracleFn] = {}
+        self._memo: dict[int, int] = {}  # f_i(i) by index i
+        self._programs: list[TypedProgram] = []  # read from the stream so far
         self._stream: Iterator[TypedProgram] | None = None
-        self._streamed = 0  # programs read from the stream so far
         # One generator cannot be advanced by two threads at once.
         self._lock = _thread.allocate_lock()
 
     def _program(self, i: int) -> TypedProgram:
-        """The i-th program: the stream's next one when i follows the last
-        index read from it, else unranked."""
+        """The i-th program: read from the stream when i is at most one past
+        the programs read so far, else unranked."""
+        programs = self._programs
         with self._lock:
-            if i == self._streamed + 1:
+            if i == len(programs) + 1:
                 if self._stream is None:
                     self._stream = compiled_stream(self.tier)
-                self._streamed = i
-                return next(self._stream)
-        return program_at(self.tier, i)
+                programs.append(next(self._stream))
+        return programs[i - 1] if i <= len(programs) else program_at(self.tier, i)
 
 
 class Subsequence(Record):
@@ -92,13 +114,19 @@ class Subsequence(Record):
     stream order, evaluated under `budget`."""
 
     _fields = ("programs", "label", "budget")
-    __slots__ = _fields + ("_fns",)
+    __slots__ = _fields + ("_fns", "_memo")
 
     def __init__(self, programs: tuple[tuple[int, TypedProgram], ...], label: str, budget: EvalBudget | None = None):
         self.programs = programs
         self.label = label
         self.budget = budget
         self._fns: dict[int, OracleFn] = {}
+        self._memo: dict[int, int] = {}
+
+    def _program(self, i: int) -> TypedProgram:
+        if i > len(self.programs):
+            raise ValueError(f"stream index {i} is past the end of {self.label}")
+        return self.programs[i - 1][1]
 
 
 class Extend(Record):
@@ -131,30 +159,32 @@ def function_at(m: Machine, i: int) -> OracleFn:
         m = m.inner
     fn = m._fns.get(i)
     if fn is None:
-        if isinstance(m, Subsequence):
-            if i > len(m.programs):
-                raise ValueError(f"stream index {i} is past the end of {m.label}")
-            program = m.programs[i - 1][1]
-        else:
-            program = m._program(i)
+        value = m._memo.get(i)
         # setdefault keeps one function per index when threads race here.
-        fn = m._fns.setdefault(i, OracleFn(lambda n: evaluate(program, n, m.budget), name=lambda: pretty(program.term)))
+        fn = m._fns.setdefault(i, _ProgramFn(m._program(i), m.budget, {} if value is None else {i: value}))
     return fn
 
 
-def _apply_indexed(f: OracleFn, index: int) -> int:
+def _diagonal_value(m: Machine, n: int) -> int:
+    """f_n(n), from m's memo unless m is an Extend, evaluated by whichever of
+    the rows and function_at(m, n) asks first; running out names index n."""
     try:
-        return f(index)
+        if isinstance(m, Extend):
+            return function_at(m, n)(n)
+        value = m._memo.get(n)
+        if value is None:
+            fn = m._fns.get(n)
+            value = m._memo[n] = fn(n) if fn is not None else run_on_n(m._program(n), n, m.budget)
+        return value
     except ResourceExhaustedError as exc:
-        raise ResourceExhaustedError(exc.steps_used, exc.reason, at=f"index {index}") from exc
+        raise ResourceExhaustedError(exc.steps_used, exc.reason, at=f"index {n}") from exc
 
 
 def diagonal(m: Machine) -> OracleFn:
     """g with g(n) = f_n(n) + 1 against m's stream; g(0) = g(1)."""
 
     def fn(n: int) -> int:
-        k = n if n >= 1 else 1
-        return _apply_indexed(function_at(m, k), k) + 1
+        return _diagonal_value(m, n if n >= 1 else 1) + 1
 
     return OracleFn(fn, name=lambda: f"diag({describe(m)})")
 
@@ -180,13 +210,12 @@ class Witness(Record):
 def witness_rows(m: Machine, count: int) -> Iterator[Witness]:
     """The rows certifying that diagonal(m) escapes m's first `count` functions,
     yielded one by one as each is proved. Each f_n(n) is evaluated once: g
-    reads it back from f_n's memo."""
+    reads it back."""
     if count < 1:
         raise ValueError(f"witness count must be >= 1, got {count}")
     g = diagonal(m)
     for n in range(1, count + 1):
-        fn_value = _apply_indexed(function_at(m, n), n)
-        yield Witness(n, fn_value, g(n))
+        yield Witness(n, _diagonal_value(m, n), g(n))
 
 
 def iterate(m0: Machine, depth: int) -> Iterator[tuple[Machine, OracleFn]]:

@@ -16,11 +16,11 @@ from __future__ import annotations
 from collections.abc import Callable
 from itertools import islice
 
-from .errors import EmptyClassifierError
+from .errors import EmptyClassifierError, ResourceExhaustedError
 from .enumeration import Tier, sized_stream
 from .interp import EvalBudget, compile_term, run_probes, slot_vector
 from .kernel import Record, TypedProgram, pretty
-from .machines import Subsequence, _apply_indexed
+from .machines import Subsequence
 
 DEFAULT_HORIZON = 100_000
 
@@ -77,8 +77,14 @@ def _acceptor(c: Classifier, budget: EvalBudget | None) -> Callable[[int, int], 
     if not c.decider.free_vars <= {"n"}:
         raise ValueError(f"a decider's only input is n, got free variables {sorted(c.decider.free_vars)}")
     code = compile_term(c.decider.term)
-    decide = lambda index: next(run_probes(code, (slot_vector({"n": index}),), budget))
-    return lambda index, size_: _apply_indexed(decide, index) != 0
+
+    def accepts(index: int, size_: int) -> bool:
+        try:
+            return next(run_probes(code, (slot_vector({"n": index}),), budget)) != 0
+        except ResourceExhaustedError as exc:
+            raise ResourceExhaustedError(exc.steps_used, exc.reason, at=f"index {index}") from exc
+
+    return accepts
 
 
 def accepted_prefix(

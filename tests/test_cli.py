@@ -311,7 +311,8 @@ def test_space_evolution_script_stdout_is_pinned():
 
 
 def test_each_command_unranks_each_program_at_most_once(monkeypatch):
-    # In process, counting unranking and the machines' evaluations.
+    # In process, counting unranking and the machines' evaluations: rows run
+    # a program through run_on_n, function_at's functions through evaluate.
     from diagforge import cli, enumeration, interp, machines
 
     unranked, evaluated = [], []
@@ -320,12 +321,16 @@ def test_each_command_unranks_each_program_at_most_once(monkeypatch):
         unranked.append(i)
         return enumeration.program_at(tier, i)
 
-    def counting_evaluate(program, n, budget=None):
-        evaluated.append((id(program), n))
-        return interp.evaluate(program, n, budget)
+    def counting(run):
+        def counted(program, n, budget=None):
+            evaluated.append((id(program), n))
+            return run(program, n, budget)
+
+        return counted
 
     monkeypatch.setattr(machines, "program_at", counting_program_at)
-    monkeypatch.setattr(machines, "evaluate", counting_evaluate)
+    monkeypatch.setattr(machines, "evaluate", counting(interp.evaluate))
+    monkeypatch.setattr(machines, "run_on_n", counting(interp.run_on_n))
 
     # diag and iterate read their programs from the tier's stream
     assert cli.main(["diag", "--witness", "40"]) == 0

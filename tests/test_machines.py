@@ -1,5 +1,6 @@
 """Diagonal construction, machine extension, and witness rows."""
 
+import gc
 import sys
 
 import pytest
@@ -12,6 +13,7 @@ from diagforge.kernel import parse, pretty
 from diagforge.machines import (
     Base,
     Extend,
+    Subsequence,
     Witness,
     diagonal,
     extend,
@@ -197,3 +199,60 @@ def test_budget_exhaustion_reports_index():
     with pytest.raises(ResourceExhaustedError) as excinfo:
         list(witness_rows(Base(Tier.NATFN, EvalBudget(max_steps=1)), 3))
     assert excinfo.value.at == "index 3"  # f_3 = (succ n) needs two steps
+
+
+def _subsequence():
+    return Subsequence(tuple((i, program_at(Tier.FULL, i)) for i in range(1, 241, 4)), "every fourth")
+
+
+def _extended_base():
+    base = Base(Tier.NATFN)
+    return extend(base, diagonal(base))
+
+
+@pytest.mark.parametrize("make", [lambda: Base(Tier.FULL), _subsequence, _extended_base], ids=["base", "subsequence", "extend"])
+@pytest.mark.parametrize("rows_first", [True, False], ids=["rows-first", "function-first"])
+def test_each_stream_value_is_evaluated_once(make, rows_first, monkeypatch):
+    # Rows run a program through run_on_n, function_at's functions through
+    # evaluate. Whichever asks for f_n(n) first evaluates it, the other
+    # reads it back, and neither unranks.
+    m = make()
+    calls = []
+
+    def counting(run):
+        def counted(program, n, budget=None):
+            calls.append((pretty(program.term), n))
+            return run(program, n, budget)
+
+        return counted
+
+    def unranking(tier, i):
+        raise AssertionError(f"unranked index {i}")
+
+    monkeypatch.setattr(machines, "evaluate", counting(evaluate))
+    monkeypatch.setattr(machines, "run_on_n", counting(machines.run_on_n))
+    monkeypatch.setattr(machines, "program_at", unranking)
+    rows = lambda: [w.fn_at_n for w in witness_rows(m, 60)]
+    functions = lambda: [function_at(m, n)(n) for n in range(1, 61)]
+    first, second = (rows, functions) if rows_first else (functions, rows)
+    values = first()
+    assert len(calls) == len(set(calls)) == 60
+    assert second() == values and len(calls) == 60
+    assert [n for _, n in calls] == list(range(1, 61))
+    assert [function_at(m, n).name for n in range(2, 61)] == [text for text, _ in calls[1:]]
+
+
+def test_a_machine_is_not_a_reference_cycle():
+    # A machine, with every program, value and function it keeps, is freed
+    # by reference counting alone: the collector finds nothing to do.
+    gc.collect()
+    gc.disable()
+    try:
+        m = Base(Tier.NATFN)
+        rows = list(witness_rows(m, 300))
+        names = [function_at(m, i).name for i in range(1, 301)]
+        del m
+        collected = gc.collect()
+    finally:
+        gc.enable()
+    assert (len(rows), len(names), collected) == (300, 300, 0)
