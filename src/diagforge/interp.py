@@ -591,12 +591,6 @@ def probe_outputs(t: Term, vectors: Sequence[list], budget: EvalBudget | None, m
     return tuple(run_probes(compile_term(t), vectors, budget))
 
 
-def run_on_n(program: TypedProgram, n: int, budget: EvalBudget | None = None) -> Value:
-    """evaluate(program, n, budget) without its checks, for a caller that
-    knows the program's only input is n and that n is a natural."""
-    return compile_term(program.term)([n, None, None, None, None, None, None], _Fuel(budget or DEFAULT_BUDGET))
-
-
 def evaluate(program: TypedProgram, value: Value, budget: EvalBudget | None = None) -> Value:
     """Evaluate a single-input program on one input value.
 

@@ -26,7 +26,7 @@ from collections.abc import Callable, Iterator
 
 from .errors import ResourceExhaustedError
 from .enumeration import Tier, compiled_stream, program_at
-from .interp import EvalBudget, evaluate, run_on_n
+from .interp import EvalBudget, evaluate
 from .kernel import Record, TypedProgram, pretty
 
 
@@ -51,14 +51,10 @@ class OracleFn:
         """The display name; a callable given for it is called on each read."""
         return self._name if isinstance(self._name, str) else self._name()
 
-    def _run(self, n: int) -> int:
-        return self._fn(n)
-
     def __call__(self, n: int) -> int:
-        cached = self._cache.get(n)
-        if cached is not None:
-            return cached
-        value = self._cache[n] = self._run(n)
+        value = self._cache.get(n)
+        if value is None:
+            value = self._cache[n] = self._fn(n)
         return value
 
     def __repr__(self) -> str:
@@ -66,7 +62,7 @@ class OracleFn:
 
 
 class _ProgramFn(OracleFn):
-    """f_i of a Base or a Subsequence: its program under the machine's budget."""
+    """f_i of a Base or a Subsequence, kept as its program and the machine's budget."""
 
     __slots__ = ("program", "budget")
 
@@ -77,8 +73,11 @@ class _ProgramFn(OracleFn):
     def name(self) -> str:
         return pretty(self.program.term)
 
-    def _run(self, n: int) -> int:
-        return evaluate(self.program, n, self.budget)
+    def __call__(self, n: int) -> int:
+        value = self._cache.get(n)
+        if value is None:
+            value = self._cache[n] = evaluate(self.program, n, self.budget)
+        return value
 
 
 class Base(Record):
@@ -174,7 +173,7 @@ def _diagonal_value(m: Machine, n: int) -> int:
         value = m._memo.get(n)
         if value is None:
             fn = m._fns.get(n)
-            value = m._memo[n] = fn(n) if fn is not None else run_on_n(m._program(n), n, m.budget)
+            value = m._memo[n] = fn(n) if fn is not None else evaluate(m._program(n), n, m.budget)
         return value
     except ResourceExhaustedError as exc:
         raise ResourceExhaustedError(exc.steps_used, exc.reason, at=f"index {n}") from exc

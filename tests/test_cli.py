@@ -311,8 +311,7 @@ def test_space_evolution_script_stdout_is_pinned():
 
 
 def test_each_command_unranks_each_program_at_most_once(monkeypatch):
-    # In process, counting unranking and the machines' evaluations: rows run
-    # a program through run_on_n, function_at's functions through evaluate.
+    # In process, counting unranking and the machines' evaluations.
     from diagforge import cli, enumeration, interp, machines
 
     unranked, evaluated = [], []
@@ -321,16 +320,12 @@ def test_each_command_unranks_each_program_at_most_once(monkeypatch):
         unranked.append(i)
         return enumeration.program_at(tier, i)
 
-    def counting(run):
-        def counted(program, n, budget=None):
-            evaluated.append((id(program), n))
-            return run(program, n, budget)
-
-        return counted
+    def counting_evaluate(program, n, budget=None):
+        evaluated.append((id(program), n))
+        return interp.evaluate(program, n, budget)
 
     monkeypatch.setattr(machines, "program_at", counting_program_at)
-    monkeypatch.setattr(machines, "evaluate", counting(interp.evaluate))
-    monkeypatch.setattr(machines, "run_on_n", counting(interp.run_on_n))
+    monkeypatch.setattr(machines, "evaluate", counting_evaluate)
 
     # diag and iterate read their programs from the tier's stream
     assert cli.main(["diag", "--witness", "40"]) == 0

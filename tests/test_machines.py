@@ -213,24 +213,19 @@ def _extended_base():
 @pytest.mark.parametrize("make", [lambda: Base(Tier.FULL), _subsequence, _extended_base], ids=["base", "subsequence", "extend"])
 @pytest.mark.parametrize("rows_first", [True, False], ids=["rows-first", "function-first"])
 def test_each_stream_value_is_evaluated_once(make, rows_first, monkeypatch):
-    # Rows run a program through run_on_n, function_at's functions through
-    # evaluate. Whichever asks for f_n(n) first evaluates it, the other
-    # reads it back, and neither unranks.
+    # Whichever of the rows and function_at asks for f_n(n) first evaluates
+    # it, the other reads it back, and neither unranks.
     m = make()
     calls = []
 
-    def counting(run):
-        def counted(program, n, budget=None):
-            calls.append((pretty(program.term), n))
-            return run(program, n, budget)
-
-        return counted
+    def counting(program, n, budget=None):
+        calls.append((pretty(program.term), n))
+        return evaluate(program, n, budget)
 
     def unranking(tier, i):
         raise AssertionError(f"unranked index {i}")
 
-    monkeypatch.setattr(machines, "evaluate", counting(evaluate))
-    monkeypatch.setattr(machines, "run_on_n", counting(machines.run_on_n))
+    monkeypatch.setattr(machines, "evaluate", counting)
     monkeypatch.setattr(machines, "program_at", unranking)
     rows = lambda: [w.fn_at_n for w in witness_rows(m, 60)]
     functions = lambda: [function_at(m, n)(n) for n in range(1, 61)]

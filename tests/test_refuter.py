@@ -94,22 +94,16 @@ def test_refute_rejects_bad_count():
 
 
 def test_refute_evaluates_each_accepted_program_once(monkeypatch):
-    # Rows run a program through interp.run_on_n, function_at's functions
-    # through evaluate; both are counted.
     calls = []
 
-    def counting(run):
-        def counted(program, n, budget=None):
-            calls.append(n)
-            return run(program, n, budget)
-
-        return counted
+    def counting(program, n, budget=None):
+        calls.append(n)
+        return evaluate(program, n, budget)
 
     def unranking(tier, i):
         raise AssertionError(f"refute unranked index {i}")
 
-    monkeypatch.setattr(machines, "evaluate", counting(evaluate))
-    monkeypatch.setattr(machines, "run_on_n", counting(machines.run_on_n))
+    monkeypatch.setattr(machines, "evaluate", counting)
     monkeypatch.setattr(machines, "program_at", unranking)
     machine = accepted_prefix(AcceptAll(), Tier.FULL, 400)
     assert len(list(witness_rows(machine, 400))) == 400
