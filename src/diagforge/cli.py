@@ -106,6 +106,8 @@ def _cmd_refute(classifier: str, count: int, horizon: int, tier: str, budget: in
 
 
 def _cmd_synth(schema: str, goal: str, budget: int, budget_steps: int | None) -> int | None:
+    if budget < 1:
+        raise ParseError(f"--budget: must be >= 1, got {budget}")
     spec = synthesis.load_goal(goal)
     if spec.input_sort is Sort.NAT and spec.output_sort is Sort.NAT:
         ops = synthesis.NAT_BASE

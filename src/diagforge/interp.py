@@ -15,7 +15,8 @@ term is run on a slot vector, a list holding the variables n, x, acc,
 idx, pivot, l and r at fixed positions. Binders (precnat, filter,
 pivotrec) set their slots and restore them when they finish, so no
 environment is ever copied, and one slot vector and one fuel object serve
-every probe of a fingerprint (run_probes).
+every probe of a fingerprint (run_probes), or every node a combiner is
+folded over in a pivotrec search (tree_fold).
 
 Accounting is exact and the same for every caller. Two caps are enforced:
 
@@ -47,10 +48,10 @@ value, reason and steps used are always the loop's.
 
 A term with no binder can also be run over whole probe columns at once
 (probe_outputs): each node's rule is applied to its arguments' columns,
-and subterms shared between terms are computed once. It gives what
-run_probes gives, and runs probe by probe wherever the two could differ:
-at a binder, a term of more nodes than max_steps, or a value-bits check
-that fails on some probe.
+subterms shared between terms are computed once, and equal list values
+are one object. It gives what run_probes gives, and runs probe by probe
+wherever the two could differ: at a binder, a term of more nodes than
+max_steps, or a value-bits check that fails on some probe.
 
 Totality defaults: first of an empty list is 0, rest of an empty list is
 the empty list.
@@ -500,6 +501,25 @@ def run_probes(code: Code, vectors: Iterable[list], budget: EvalBudget | None = 
         yield value
 
 
+def tree_fold(budget: EvalBudget | None = None) -> Callable[[Code, Sequence[tuple]], Value]:
+    """fold(code, nodes) runs code at each node of a post-order tree, (pivot,
+    left child, right child) with a child 1 + its node's position or 0 for (),
+    with l and r bound to the children's values, and returns the root's value
+    (() for no node). One slot vector and one fuel object, the fuel reset at
+    each node, serve every fold."""
+    fuel, slots = _Fuel(budget or DEFAULT_BUDGET), [None] * len(_SLOTS)
+
+    def fold(code: Code, nodes: Sequence[tuple]) -> Value:
+        values: list[Value] = [()]
+        for pivot, left, right in nodes:
+            slots[_L], slots[_PIVOT], slots[_R] = values[left], pivot, values[right]
+            fuel.left = fuel.max_steps
+            values.append(code(slots, fuel))
+        return values[-1]
+
+    return fold
+
+
 # ---------------------------------------------------------------------------
 # Whole probe columns
 #
@@ -533,21 +553,21 @@ def _mul_column(bits: int, u: tuple, v: tuple) -> tuple | None:
 # The operators whose rules check value bits.
 BITS_CHECKED = frozenset({"succ", "add", "mul"})
 
-_COLUMN_RULES: dict[str, Callable[..., tuple | None]] = {
+_COLUMN_RULES: dict[str, Callable[..., Sequence | None]] = {
     "succ": _succ_column,
     "add": _add_column,
     "mul": _mul_column,
-    "cons": lambda bits, u, v: tuple([(a,) + b for a, b in zip(u, v)]),
+    "cons": lambda bits, u, v: [(a,) + b for a, b in zip(u, v)],
     "first": lambda bits, u: tuple([a[0] if a else 0 for a in u]),
-    "rest": lambda bits, u: tuple(map(operator.itemgetter(slice(1, None)), u)),
-    "append": lambda bits, u, v: tuple(map(operator.add, u, v)),
+    "rest": lambda bits, u: list(map(operator.itemgetter(slice(1, None)), u)),
+    "append": lambda bits, u, v: list(map(operator.add, u, v)),
     "len": lambda bits, u: tuple(map(len, u)),
     "lt": lambda bits, u, v: tuple(map(operator.lt, u, v)),
     "if": lambda bits, c, u, v: tuple([a if k else b for k, a, b in zip(c, u, v)]),
 }
 
 
-def _columns(t: Term, vectors: Sequence[list], max_bits: int, memo: dict[Term, tuple]) -> tuple | None:
+def _columns(t: Term, vectors: Sequence[list], max_bits: int, memo: dict) -> tuple | None:
     """t's column, or None at a binder or a failing column rule."""
     done: list[tuple] = []
     stack: list[tuple[Term, bool]] = [(t, False)]
@@ -558,11 +578,13 @@ def _columns(t: Term, vectors: Sequence[list], max_bits: int, memo: dict[Term, t
             column = _COLUMN_RULES[node.head](max_bits, *done[-k:])
             if column is None:
                 return None
+            if node.head in ("cons", "rest", "append"):  # new list values: the memo's equal ones instead
+                column = tuple(map(memo.setdefault, column, column))
             done[-k:] = [memo.setdefault(node, column)]
             continue
         column = memo.get(node)
         if column is None and not node.args:
-            column = memo[node] = tuple(map(_LEAVES[node.head][1], vectors))
+            column = memo[node] = tuple([memo.setdefault(v, v) for v in map(_LEAVES[node.head][1], vectors)])
         if column is not None:
             done.append(column)
         elif node.head not in _COLUMN_RULES:
@@ -573,15 +595,15 @@ def _columns(t: Term, vectors: Sequence[list], max_bits: int, memo: dict[Term, t
     return done[0]
 
 
-def probe_outputs(t: Term, vectors: Sequence[list], budget: EvalBudget | None, memo: dict[Term, tuple]) -> tuple:
+def probe_outputs(t: Term, vectors: Sequence[list], budget: EvalBudget | None, memo: dict) -> tuple:
     """t's values on every slot vector: what tuple(run_probes(compile_term(t),
     vectors, budget)) returns or raises.
 
     A binder-free term of at most max_steps nodes is computed over whole
-    columns (see above), faster than probe by probe; any other term is
-    compiled and run on each probe. `memo` maps terms to their columns for
-    these vectors and this budget, and keeps the columns computed here, so
-    subterms shared between calls are computed once.
+    columns (see above), any other term probe by probe. `memo` keeps, for
+    these vectors and this budget, each column computed by its term, so
+    subterms shared between calls are computed once, and each leaf or list
+    value in them as its own key, so all its columns share one object per value.
     """
     budget = budget or DEFAULT_BUDGET
     if size(t) <= budget.max_steps:

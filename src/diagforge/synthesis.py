@@ -12,7 +12,7 @@ the first answer, which is the one the full pools would give. A goal's
 probes cover its example inputs, so a bottom-up candidate is matched on
 its fingerprint as soon as its layer is built. Fingerprints of
 binder-free terms are computed over whole probe columns from their
-subterms' (`interp.probe_outputs`). Schema holes are
+subterms', one object per list value (`interp.probe_outputs`). Schema holes are
 fingerprinted on their own probes and each filling is checked on the
 examples, so a collapse there can at worst force a larger budget, never
 a wrong answer. A candidate or filling that exhausts the evaluation
@@ -24,8 +24,8 @@ fills the three pivotrec holes (two predicates over x and pivot, one
 combiner over l, pivot, r) from the pools of its kernel spec, cheapest
 total cost first; the quicksort core falls out of it. Where no filling
 can exhaust the budget, a predicate that behaves on the examples as an
-earlier one is skipped, and runs of fillings are decided from partition
-trees with no predicate run again (see `_PivotExamples`).
+earlier one is skipped, and runs of fillings are decided by folding each
+combiner over partition trees, with no predicate run again (see `_PivotExamples`).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .interp import (
     probe_outputs,
     probe_vectors,
     run_probes,
-    slot_vector,
+    tree_fold,
 )
 from .kernel import (
     INPUT_VARS,
@@ -343,10 +343,10 @@ class _PivotExamples:
     never uses it, and a run with it is None at once. Two representatives'
     signatures fix each example's partition tree, built once over element
     positions, so repeated elements split as in a run; a combiner's output
-    is its code folded over the tree, one run per node with the fuel reset,
-    as run_probes does. A pair of representatives meets each combiner once,
-    as its runs come at rising totals, so a run is one scan. Otherwise each
-    filling runs whole.
+    is its code folded over the tree (interp.tree_fold, one slot vector and
+    fuel object for the search), once per tree and combiner. A pair of
+    representatives meets each combiner once, as its runs come at rising
+    totals, so a run is one scan. Otherwise each filling runs whole.
     """
 
     def __init__(self, ops: frozenset[str], goal: GoalSpec, budget: EvalBudget | None, preds: Pool, combiners: Pool):
@@ -355,6 +355,7 @@ class _PivotExamples:
         self.outputs = [out for _, out in goal.examples]
         self.eval_budget = budget
         self.input_code = compile_node("l")
+        self.fold = tree_fold(budget)
         self.preds = preds
         self.combiners = combiners
         self.dropped: ResourceExhaustedError | None = None
@@ -399,47 +400,36 @@ class _PivotExamples:
         if left is None or right is None:
             return None
         cases = [self._case(k, sides) for k, sides in enumerate(zip(left, right))]
-        return next((k for k in range(lo, hi) if self._meets_all(cases, k)), None)
+        for k in range(lo, hi):
+            for nodes, out, met in cases:
+                verdict = met.get(k)
+                if verdict is None:
+                    verdict = met[k] = self.fold(compile_term(self.combiners[k].term), nodes) == out
+                if not verdict:
+                    break
+            else:
+                return k
+        return None
 
     def _case(self, k: int, sides: tuple[tuple, tuple]) -> tuple[list[tuple[Value, int, int]], Value, dict[int, bool]]:
         """Example k under predicates of these (left, right) signatures on
-        it: its partition tree, its output, and whether each combiner
-        position tried meets it. The tree's nodes are in post-order, each
-        (pivot, left child, right child), a child being 1 + its node's
-        position, or 0 for ()."""
+        it: its partition tree as interp.tree_fold takes it, its output, and
+        whether each combiner position tried meets it."""
         if (k, sides) not in self.cases:
-            xs = self.lists[k]
-            goes_left = dict(zip(self.at[k], sides[0]))
-            goes_right = dict(zip(self.at[k], sides[1]))
-            nodes: list[tuple[Value, int, int]] = []
-
-            def build(positions: list[int]) -> int:
-                if not positions:
-                    return 0
-                i, tail = positions[0], positions[1:]
-                below_left = build([j for j in tail if goes_left[j, i]])
-                below_right = build([j for j in tail if goes_right[j, i]])
-                nodes.append((xs[i], below_left, below_right))
-                return len(nodes)
-
-            build(list(range(len(xs))))
+            xs, nodes = self.lists[k], []
+            self._tree(xs, [dict(zip(self.at[k], side)) for side in sides], list(range(len(xs))), nodes)
             self.cases[k, sides] = (nodes, self.outputs[k], {})
         return self.cases[k, sides]
 
-    def _meets_all(self, cases: list, k: int) -> bool:
-        code = compile_term(self.combiners[k].term)
-        for nodes, out, met in cases:
-            if k not in met:
-                # run_probes takes a node's vector only after yielding the
-                # node before, so its children's values are in by then.
-                values: list[Value] = [()]
-                vectors = (slot_vector({"l": values[a], "pivot": pivot, "r": values[b]}) for pivot, a, b in nodes)
-                for value in run_probes(code, vectors, self.eval_budget):
-                    values.append(value)
-                met[k] = values[-1] == out
-            if not met[k]:
-                return False
-        return True
+    def _tree(self, xs: Value, goes: list[dict], positions: list[int], nodes: list) -> int:
+        """Appends to nodes, children first, the partition tree of xs at these
+        positions as `goes` (left, right) splits them; 1 + its root's position, or 0."""
+        if not positions:
+            return 0
+        i, tail = positions[0], positions[1:]
+        below = [self._tree(xs, goes, [j for j in tail if side[j, i]], nodes) for side in goes]
+        nodes.append((xs[i], *below))
+        return len(nodes)
 
 
 def synthesize(

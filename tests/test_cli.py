@@ -771,6 +771,10 @@ USAGE_ERRORS = [
     (["refute", "--classifier", "maxsize:x", "--count", "1"], "--classifier maxsize: invalid int value 'x'"),
     (["refute", "--classifier", "program:{bad}", "--count", "1"], "'first' takes 1 arguments"),
     (["diag", "--witness", "2", "--budget", "0"], "error: --budget: must be >= 1, got 0"),
+    (["synth", "--schema", "bottomup", "--goal", "goals/succ.txt", "--budget", "0"],
+     "error: --budget: must be >= 1, got 0"),
+    (["synth", "--schema", "pivotdc", "--goal", "goals/qsort.txt", "--budget", "-1"],
+     "error: --budget: must be >= 1, got -1"),
     (["synth", "--schema", "bottomup", "--goal", "goals/succ.txt", "--budget", "3", "--budget-steps", "0"],
      "error: --budget-steps: must be >= 1, got 0"),
     (["DIAGFORGE_BUDGET=0", "diag", "--witness", "2"], "error: DIAGFORGE_BUDGET: must be >= 1, got 0"),

@@ -1,5 +1,6 @@
 """Bottom-up pools, observational-equivalence pruning, and schema filling."""
 
+import gc
 import random
 from itertools import combinations, permutations, product
 from pathlib import Path
@@ -159,10 +160,11 @@ def test_pruned_pools_match_the_unpruned_oracle(ops, free_vars, sort, probes, ma
 
 def _count_runs(monkeypatch):
     """Records each term a pool runs on its probes and each compiled
-    predicate or filling run on goal examples."""
+    predicate, filling or combiner run on goal examples."""
     runs = []
     real_probe_outputs = synthesis.probe_outputs
     real_run_probes = synthesis.run_probes
+    real_tree_fold = synthesis.tree_fold
 
     def counting_probe_outputs(term, vectors, budget, memo):
         runs.append(term)
@@ -172,9 +174,41 @@ def _count_runs(monkeypatch):
         runs.append(code)
         return real_run_probes(code, vectors, budget)
 
+    def counting_tree_fold(budget=None):
+        fold = real_tree_fold(budget)
+
+        def counting_fold(code, nodes):
+            runs.append(code)
+            return fold(code, nodes)
+
+        return counting_fold
+
     monkeypatch.setattr(synthesis, "probe_outputs", counting_probe_outputs)
     monkeypatch.setattr(synthesis, "run_probes", counting_run_probes)
+    monkeypatch.setattr(synthesis, "tree_fold", counting_tree_fold)
     return runs
+
+
+def test_a_grown_combiner_pool_holds_each_list_value_once():
+    # Every fingerprint draws its list values, the leaves' probe values
+    # included, from one object per distinct value.
+    pool = grown(pivot_pools(LIST_BASE, 5)[1])
+    values = [v for c in pool for v in c.fingerprint]
+    assert len({id(v) for v in values}) == len(set(values)) == 263
+
+
+def test_a_pivot_search_is_not_a_reference_cycle():
+    # A finished search, with its pools, partition trees and fold, is freed
+    # by reference counting alone: the collector finds nothing to do.
+    goal = load_goal(GOALS / "qsort.txt")
+    gc.collect()
+    gc.disable()
+    try:
+        program = synthesize(LIST_BASE, goal, SCHEMA_PIVOT_DC, 5)
+        collected = gc.collect()
+    finally:
+        gc.enable()
+    assert (pretty(program.term), collected) == ("(pivotrec l (lt x pivot) (lt pivot x) (append l (cons pivot r)))", 0)
 
 
 def test_pools_run_only_terms_whose_pooled_arguments_are_representatives(monkeypatch):
