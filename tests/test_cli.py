@@ -771,17 +771,27 @@ USAGE_ERRORS = [
     (["refute", "--classifier", "maxsize:x", "--count", "1"], "--classifier maxsize: invalid int value 'x'"),
     (["refute", "--classifier", "program:{bad}", "--count", "1"], "'first' takes 1 arguments"),
     (["diag", "--witness", "2", "--budget", "0"], "error: --budget: must be >= 1, got 0"),
-    (["synth", "--schema", "bottomup", "--goal", "goals/succ.txt", "--budget", "0"],
-     "error: --budget: must be >= 1, got 0"),
     (["synth", "--schema", "pivotdc", "--goal", "goals/qsort.txt", "--budget", "-1"],
      "error: --budget: must be >= 1, got -1"),
     (["synth", "--schema", "bottomup", "--goal", "goals/succ.txt", "--budget", "3", "--budget-steps", "0"],
      "error: --budget-steps: must be >= 1, got 0"),
+    (["synth", "--schema", "bottomup", "--goal", "goals/succ.txt", "--budget", "0"],
+     "error: --budget: must be >= 1, got 0"),
     (["DIAGFORGE_BUDGET=0", "diag", "--witness", "2"], "error: DIAGFORGE_BUDGET: must be >= 1, got 0"),
 ]
 
 
-@pytest.mark.parametrize("argv,fragment", USAGE_ERRORS, ids=[" ".join(a)[:40] or "no-arguments" for a, _ in USAGE_ERRORS])
+def _usage_error_ids():
+    # An id is the argv cut to 40 characters; a later case whose cut id is
+    # already taken keeps its whole argv, so the earlier ids stay as they are.
+    ids = []
+    for argv, _ in USAGE_ERRORS:
+        short = " ".join(argv)[:40] or "no-arguments"
+        ids.append(" ".join(argv) if short in ids else short)
+    return ids
+
+
+@pytest.mark.parametrize("argv,fragment", USAGE_ERRORS, ids=_usage_error_ids())
 def test_usage_errors_exit_2(argv, fragment, tmp_path, capsys, monkeypatch):
     from diagforge import cli
 
