@@ -84,8 +84,8 @@ def _print_rows(machine: machines.Machine, count: int, **fields: int) -> None:
     Every field is an int, so the line is formatted directly."""
     head = "{" + "".join(f'"{name}": {value}, ' for name, value in fields.items())
     write = sys.stdout.write
-    for w in machines.witness_rows(machine, count):
-        write(f'{head}"index": {w.index}, "fn_at_n": {w.fn_at_n}, "g_at_n": {w.g_at_n}}}\n')
+    for n, fn_at_n, g_at_n in machines.witness_values(machine, count):
+        write(f'{head}"index": {n}, "fn_at_n": {fn_at_n}, "g_at_n": {g_at_n}}}\n')
 
 
 def _cmd_diag(tier: str, witness: int, budget: int | None) -> None:

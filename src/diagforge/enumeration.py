@@ -24,7 +24,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterator
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain, count
 from operator import itemgetter, mul
 
 from .errors import NotInTierError
@@ -320,10 +321,10 @@ def enumerate_stream(tier: Tier) -> Iterator[TypedProgram]:
     return (program for _, program in sized_stream(tier))
 
 
-def compiled_stream(tier: Tier) -> Iterator[TypedProgram]:
-    """`enumerate_stream(tier)`, each term with its code kept, built with
-    the term: for a reader that runs every program it reads."""
-    return (program for _, program in _sized(tier, _push_code, None, _typed))
+def compiled_terms(tier: Tier) -> Iterator[Term]:
+    """The terms of `enumerate_stream(tier)`, each with its code kept, built
+    with the term: for a reader that runs every program it reads."""
+    return chain.from_iterable(map(partial(_walk, _tier_counts(tier), push=_push_code), count(1)))
 
 
 def program_at(tier: Tier, i: int) -> TypedProgram:

@@ -10,13 +10,14 @@ evaluation rule picked at compile time; the compiler walks the term with
 an explicit stack, so compiling costs no Python recursion. A term keeps
 its code, as it keeps its hash, so a Term object is compiled once; and a
 Base machine's stream builds each program's code with the term, node by
-node (enumeration.compiled_stream). A compiled
+node (enumeration.compiled_terms). A compiled
 term is run on a slot vector, a list holding the variables n, x, acc,
 idx, pivot, l and r at fixed positions. Binders (precnat, filter,
 pivotrec) set their slots and restore them when they finish, so no
 environment is ever copied, and one slot vector and one fuel object serve
-every probe of a fingerprint (run_probes), or every node a combiner is
-folded over in a pivotrec search (tree_fold).
+every probe of a fingerprint (run_probes), every node a combiner is folded
+over in a pivotrec search (tree_fold), or every program of a witness table
+(runner); evaluate, which checks its input, stays the entry point for one.
 
 Accounting is exact and the same for every caller. Two caps are enforced:
 
@@ -499,6 +500,18 @@ def run_probes(code: Code, vectors: Iterable[list], budget: EvalBudget | None = 
             exc.probe_index = index
             raise
         yield value
+
+
+def runner(budget: EvalBudget | None = None) -> Callable[[Code, int], Value]:
+    """run(code, n) runs code whose only input is n on one slot vector and one fuel object,
+    reset at each call as run_probes resets it per probe; unlike evaluate, n is not checked."""
+    fuel, slots = _Fuel(budget or DEFAULT_BUDGET), [None] * len(_SLOTS)
+
+    def run(code: Code, n: int) -> Value:
+        slots[0], fuel.left = n, fuel.max_steps
+        return code(slots, fuel)
+
+    return run
 
 
 def tree_fold(budget: EvalBudget | None = None) -> Callable[[Code, Sequence[tuple]], Value]:

@@ -11,23 +11,27 @@ f_1, f_2, ...; g(0) is defined as g(1) so oracle functions are total on all
 naturals.
 
 A tier or subsequence machine keeps each diagonal value f_n(n) in one
-memo of plain ints, which witness rows and the diagonal read, so a row
-builds no function object. `function_at` builds one OracleFn per index
-when asked, holding the program and budget, not the machine; its cache
-starts from the memo, so each f_n(n) is evaluated once per machine. A tier
-machine keeps the programs it reads from the tier's stream while indices
-are asked for in order, as rows ask, and unranks only an index past them.
+memo of plain ints. A witness table runs its programs' kept code through
+its own interp.runner, and its rows are ints: g_at_n is f_n(n) + 1, the
+diagonal's definition. `function_at` builds one OracleFn per index when
+asked, over interp.evaluate, holding the program and budget, not the
+machine; it and the memo read each other's f_i(i), so each f_n(n) is
+evaluated once per machine. A tier machine keeps the terms it reads from
+the tier's stream, which tables read ahead, and unranks only an index
+past them.
 """
 
 from __future__ import annotations
 
 import _thread
 from collections.abc import Callable, Iterator
+from functools import partial
+from itertools import islice, starmap
 
 from .errors import ResourceExhaustedError
-from .enumeration import Tier, compiled_stream, program_at
-from .interp import EvalBudget, evaluate
-from .kernel import Record, TypedProgram, pretty
+from .enumeration import ROOT_SCOPE, ROOT_SORT, Tier, compiled_terms, program_at
+from .interp import EvalBudget, compile_term, evaluate, runner
+from .kernel import Record, Term, TypedProgram, pretty
 
 
 class OracleFn:
@@ -35,8 +39,9 @@ class OracleFn:
 
     Not necessarily expressible in the enumerated tier (the diagonal never
     is). A stream element of a Base or a Subsequence holds its program and
-    budget, never the machine, so a machine is no reference cycle. Values
-    are deterministic, so concurrent queries may race on the cache.
+    budget in partials, never the machine, so a machine is no reference
+    cycle. Values are deterministic, so concurrent queries may race on the
+    cache.
     """
 
     __slots__ = ("_fn", "_name", "_cache")
@@ -61,51 +66,32 @@ class OracleFn:
         return f"OracleFn<{self.name}>"
 
 
-class _ProgramFn(OracleFn):
-    """f_i of a Base or a Subsequence, kept as its program and the machine's budget."""
-
-    __slots__ = ("program", "budget")
-
-    def __init__(self, program: TypedProgram, budget: EvalBudget | None, cache: dict[int, int]):
-        self.program, self.budget, self._cache = program, budget, cache
-
-    @property
-    def name(self) -> str:
-        return pretty(self.program.term)
-
-    def __call__(self, n: int) -> int:
-        value = self._cache.get(n)
-        if value is None:
-            value = self._cache[n] = evaluate(self.program, n, self.budget)
-        return value
-
-
 class Base(Record):
     """The tier's whole enumeration, evaluated under `budget`."""
 
     _fields = ("tier", "budget")
-    __slots__ = _fields + ("_fns", "_memo", "_programs", "_stream", "_lock")
+    __slots__ = _fields + ("_fns", "_memo", "_terms", "_stream", "_lock")
 
     def __init__(self, tier: Tier, budget: EvalBudget | None = None):
         self.tier = tier
         self.budget = budget
         self._fns: dict[int, OracleFn] = {}
         self._memo: dict[int, int] = {}  # f_i(i) by index i
-        self._programs: list[TypedProgram] = []  # read from the stream so far
-        self._stream: Iterator[TypedProgram] | None = None
+        self._terms: list[Term] = []  # read from the stream so far, each with its code
+        self._stream: Iterator[Term] | None = None
         # One generator cannot be advanced by two threads at once.
         self._lock = _thread.allocate_lock()
 
-    def _program(self, i: int) -> TypedProgram:
-        """The i-th program: read from the stream when i is at most one past
-        the programs read so far, else unranked."""
-        programs = self._programs
-        with self._lock:
-            if i == len(programs) + 1:
+    def _program(self, i: int, ahead: int = 0) -> TypedProgram:
+        """The i-th program: read from the stream, up to index `ahead` too,
+        when i is at most one past the terms read or `ahead`, else unranked."""
+        terms = self._terms
+        if i == len(terms) + 1 or i <= ahead:
+            with self._lock:
                 if self._stream is None:
-                    self._stream = compiled_stream(self.tier)
-                programs.append(next(self._stream))
-        return programs[i - 1] if i <= len(programs) else program_at(self.tier, i)
+                    self._stream = compiled_terms(self.tier)
+                terms.extend(islice(self._stream, max(0, max(i, ahead) - len(terms))))
+        return TypedProgram(terms[i - 1], ROOT_SORT, ROOT_SCOPE) if i <= len(terms) else program_at(self.tier, i)
 
 
 class Subsequence(Record):
@@ -113,7 +99,7 @@ class Subsequence(Record):
     stream order, evaluated under `budget`."""
 
     _fields = ("programs", "label", "budget")
-    __slots__ = _fields + ("_fns", "_memo")
+    __slots__ = _fields + ("_fns", "_memo", "_terms")
 
     def __init__(self, programs: tuple[tuple[int, TypedProgram], ...], label: str, budget: EvalBudget | None = None):
         self.programs = programs
@@ -121,8 +107,9 @@ class Subsequence(Record):
         self.budget = budget
         self._fns: dict[int, OracleFn] = {}
         self._memo: dict[int, int] = {}
+        self._terms = [program.term for _, program in programs]
 
-    def _program(self, i: int) -> TypedProgram:
+    def _program(self, i: int, ahead: int = 0) -> TypedProgram:
         if i > len(self.programs):
             raise ValueError(f"stream index {i} is past the end of {self.label}")
         return self.programs[i - 1][1]
@@ -158,32 +145,25 @@ def function_at(m: Machine, i: int) -> OracleFn:
         m = m.inner
     fn = m._fns.get(i)
     if fn is None:
-        value = m._memo.get(i)
+        program, value = m._program(i), m._memo.get(i)
+        fn = OracleFn(partial(evaluate, program, budget=m.budget), partial(pretty, program.term))
+        if value is not None:
+            fn._cache[i] = value
         # setdefault keeps one function per index when threads race here.
-        fn = m._fns.setdefault(i, _ProgramFn(m._program(i), m.budget, {} if value is None else {i: value}))
+        fn = m._fns.setdefault(i, fn)
     return fn
 
 
-def _diagonal_value(m: Machine, n: int) -> int:
-    """f_n(n), from m's memo unless m is an Extend, evaluated by whichever of
-    the rows and function_at(m, n) asks first; running out names index n."""
-    try:
-        if isinstance(m, Extend):
-            return function_at(m, n)(n)
-        value = m._memo.get(n)
-        if value is None:
-            fn = m._fns.get(n)
-            value = m._memo[n] = fn(n) if fn is not None else evaluate(m._program(n), n, m.budget)
-        return value
-    except ResourceExhaustedError as exc:
-        raise ResourceExhaustedError(exc.steps_used, exc.reason, at=f"index {n}") from exc
-
-
 def diagonal(m: Machine) -> OracleFn:
-    """g with g(n) = f_n(n) + 1 against m's stream; g(0) = g(1)."""
+    """g with g(n) = f_n(n) + 1 against m's stream; g(0) = g(1). Running
+    out names index n."""
 
     def fn(n: int) -> int:
-        return _diagonal_value(m, n if n >= 1 else 1) + 1
+        n = max(n, 1)
+        try:
+            return function_at(m, n)(n) + 1
+        except ResourceExhaustedError as exc:
+            raise ResourceExhaustedError(exc.steps_used, exc.reason, at=f"index {n}") from exc
 
     return OracleFn(fn, name=lambda: f"diag({describe(m)})")
 
@@ -206,15 +186,34 @@ class Witness(Record):
             raise ValueError(f"witness row {self.index} violates g = f + 1")
 
 
-def witness_rows(m: Machine, count: int) -> Iterator[Witness]:
-    """The rows certifying that diagonal(m) escapes m's first `count` functions,
-    yielded one by one as each is proved. Each f_n(n) is evaluated once: g
-    reads it back."""
+def witness_values(m: Machine, count: int) -> Iterator[tuple[int, int, int]]:
+    """The rows certifying that diagonal(m) escapes m's first `count`
+    functions, as ints (n, f_n(n), f_n(n) + 1), each yielded as soon as it
+    is proved; each f_n(n) is evaluated once per machine."""
     if count < 1:
         raise ValueError(f"witness count must be >= 1, got {count}")
-    g = diagonal(m)
-    for n in range(1, count + 1):
-        yield Witness(n, _diagonal_value(m, n), g(n))
+    try:
+        if isinstance(m, Extend):
+            for n in range(1, count + 1):
+                value = function_at(m, n)(n)
+                yield n, value, value + 1
+            return
+        run, memo, fns, terms = runner(m.budget), m._memo, m._fns, m._terms
+        for n in range(1, count + 1):
+            value = memo.get(n)
+            if value is None:
+                fn = fns.get(n)  # function_at asked first, and evaluates
+                if fn is None and n > len(terms):  # a Base reads ahead; past a Subsequence's end, this raises
+                    m._program(n, min(count, 2 * n))
+                value = memo[n] = fn(n) if fn is not None else run(compile_term(terms[n - 1]), n)
+            yield n, value, value + 1
+    except ResourceExhaustedError as exc:
+        raise ResourceExhaustedError(exc.steps_used, exc.reason, at=f"index {n}") from exc
+
+
+def witness_rows(m: Machine, count: int) -> Iterator[Witness]:
+    """witness_values(m, count) as Witness rows, yielded one by one."""
+    return starmap(Witness, witness_values(m, count))
 
 
 def iterate(m0: Machine, depth: int) -> Iterator[tuple[Machine, OracleFn]]:

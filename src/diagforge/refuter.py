@@ -8,7 +8,7 @@ prefix is itself a finite machine (machines.Subsequence): a refutation is
 witness_rows and diagonal on it, over accepted positions, not tier indices.
 Program-backed deciders live inside the kernel language itself: decider d
 accepts index i iff d(i) != 0. A scan compiles the decider once and runs
-it on each index under the full budget.
+it on each index under the full budget, through one runner.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from itertools import islice
 
 from .errors import EmptyClassifierError, ResourceExhaustedError
 from .enumeration import Tier, sized_stream
-from .interp import EvalBudget, compile_term, run_probes, slot_vector
+from .interp import EvalBudget, compile_term, runner
 from .kernel import Record, TypedProgram, pretty
 from .machines import Subsequence
 
@@ -76,11 +76,11 @@ def _acceptor(c: Classifier, budget: EvalBudget | None) -> Callable[[int, int], 
         return lambda index, size_: False
     if not c.decider.free_vars <= {"n"}:
         raise ValueError(f"a decider's only input is n, got free variables {sorted(c.decider.free_vars)}")
-    code = compile_term(c.decider.term)
+    code, run = compile_term(c.decider.term), runner(budget)
 
     def accepts(index: int, size_: int) -> bool:
         try:
-            return next(run_probes(code, (slot_vector({"n": index}),), budget)) != 0
+            return run(code, index) != 0
         except ResourceExhaustedError as exc:
             raise ResourceExhaustedError(exc.steps_used, exc.reason, at=f"index {index}") from exc
 

@@ -311,7 +311,9 @@ def test_space_evolution_script_stdout_is_pinned():
 
 
 def test_each_command_unranks_each_program_at_most_once(monkeypatch):
-    # In process, counting unranking and the machines' evaluations.
+    # In process, counting unranking and the machines' evaluations: a table
+    # of a Base or a Subsequence runs kept code through a runner, and an
+    # Extend's rows evaluate through function_at. Each is keyed by the code run.
     from diagforge import cli, enumeration, interp, machines
 
     unranked, evaluated = [], []
@@ -321,11 +323,21 @@ def test_each_command_unranks_each_program_at_most_once(monkeypatch):
         return enumeration.program_at(tier, i)
 
     def counting_evaluate(program, n, budget=None):
-        evaluated.append((id(program), n))
+        evaluated.append((id(interp.compile_term(program.term)), n))
         return interp.evaluate(program, n, budget)
+
+    def counting_runner(budget):
+        run = interp.runner(budget)
+
+        def counted(code, n):
+            evaluated.append((id(code), n))
+            return run(code, n)
+
+        return counted
 
     monkeypatch.setattr(machines, "program_at", counting_program_at)
     monkeypatch.setattr(machines, "evaluate", counting_evaluate)
+    monkeypatch.setattr(machines, "runner", counting_runner)
 
     # diag and iterate read their programs from the tier's stream
     assert cli.main(["diag", "--witness", "40"]) == 0

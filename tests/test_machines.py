@@ -2,25 +2,28 @@
 
 import gc
 import sys
+from itertools import islice
 
 import pytest
 
 from diagforge import interp, machines
 from diagforge.enumeration import Tier, program_at
 from diagforge.errors import ResourceExhaustedError
-from diagforge.interp import EvalBudget, compile_node, compile_term, evaluate, run_probes, slot_vector
+from diagforge.interp import EvalBudget, compile_node, compile_term, evaluate, run_probes, runner, slot_vector
 from diagforge.kernel import parse, pretty
 from diagforge.machines import (
     Base,
     Extend,
     Subsequence,
     Witness,
+    describe,
     diagonal,
     extend,
     function_at,
     iterate,
     witness_rows,
 )
+from oracles import Exhausted, eval_budgeted
 
 BASE = Base(Tier.NATFN)
 
@@ -195,6 +198,89 @@ def test_concurrent_queries_on_a_fresh_base_agree():
         sys.setswitchinterval(interval)
 
 
+def test_concurrent_rows_and_functions_on_a_fresh_base_agree():
+    # Each witness table runs on its own runner: a slot vector or fuel
+    # object shared between threads would give some row another row's value.
+    from concurrent.futures import ThreadPoolExecutor
+
+    expected = [(w.index, w.fn_at_n, w.g_at_n) for w in witness_rows(Base(Tier.FULL), 600)]
+
+    def read(m, k):
+        if k % 2:
+            return [(w.index, w.fn_at_n, w.g_at_n) for w in witness_rows(m, 600)]
+        return [(n, function_at(m, n)(n), function_at(m, n)(n) + 1) for n in range(1, 601)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            m = Base(Tier.FULL)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                tables = list(pool.map(lambda k: read(m, k), range(8), timeout=60))
+            assert all(table == expected for table in tables)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _outcome(run):
+    """A value, or the exhaustion as (reason, steps_used, at)."""
+    try:
+        return run()
+    except (ResourceExhaustedError, Exhausted) as exc:
+        return (exc.reason, exc.steps_used, exc.at)
+
+
+def _row_cases(budget):
+    """(machine, its rows' (program, argument, added) triples): a Base in
+    each tier, a Subsequence and an Extend, whose first row is the inner
+    diagonal's g(1) = f_1(1) + 1."""
+    programs = _subsequence().programs
+    inner = Base(Tier.NATFN, budget)
+    return [
+        (Base(Tier.NATFN, budget), [(program_at(Tier.NATFN, n), n, 0) for n in range(1, 301)]),
+        (Base(Tier.FULL, budget), [(program_at(Tier.FULL, n), n, 0) for n in range(1, 301)]),
+        (Subsequence(programs, "every fourth", budget), [(p, n, 0) for n, (_, p) in enumerate(programs, 1)]),
+        (extend(inner, diagonal(inner)), [(program_at(Tier.NATFN, max(n - 1, 1)), n, n == 1) for n in range(1, 301)]),
+    ]
+
+
+@pytest.mark.parametrize("budget", [EvalBudget(1), EvalBudget(2), EvalBudget(3), EvalBudget(5), EvalBudget(12),
+                                    EvalBudget(60), EvalBudget(1000, 12), EvalBudget(1000), None])
+def test_witness_rows_evaluate_as_evaluate_and_the_reference(budget):
+    # Each row's value, or the exhaustion that ends the rows, is what
+    # interp.evaluate gives on its program, and what the independent tree
+    # walk gives, running out at the row's index.
+    limits = budget or EvalBudget()
+    for m, triples in _row_cases(budget):
+        got = []
+        try:
+            for w in witness_rows(m, len(triples)):
+                got.append((w.fn_at_n, w.g_at_n))
+        except ResourceExhaustedError as exc:
+            got.append((exc.reason, exc.steps_used, exc.at))
+        want, reference = [], []
+        for n, (program, argument, added) in enumerate(triples, 1):
+            value = _outcome(lambda: evaluate(program, argument, budget) + added)
+            oracle = _outcome(
+                lambda: eval_budgeted(program.term, {"n": argument}, limits.max_steps, limits.max_value_bits) + added
+            )
+            if isinstance(value, int):
+                want.append((value, value + 1))
+                reference.append((oracle, oracle + 1) if isinstance(oracle, int) else oracle)
+            else:
+                want.append(value[:2] + (f"index {n}",))
+                reference.append(oracle[:2] + (f"index {n}",))
+                break
+        assert got == want == reference, (describe(m), budget)
+
+
+def test_rows_past_the_end_of_a_subsequence_name_the_index():
+    rows = witness_rows(_subsequence(), 61)
+    assert [w.index for w in islice(rows, 60)] == list(range(1, 61))
+    with pytest.raises(ValueError, match="stream index 61 is past the end of every fourth"):
+        next(rows)
+
+
 def test_budget_exhaustion_reports_index():
     with pytest.raises(ResourceExhaustedError) as excinfo:
         list(witness_rows(Base(Tier.NATFN, EvalBudget(max_steps=1)), 3))
@@ -214,7 +300,9 @@ def _extended_base():
 @pytest.mark.parametrize("rows_first", [True, False], ids=["rows-first", "function-first"])
 def test_each_stream_value_is_evaluated_once(make, rows_first, monkeypatch):
     # Whichever of the rows and function_at asks for f_n(n) first evaluates
-    # it, the other reads it back, and neither unranks.
+    # it, the other reads it back, and neither unranks. Rows of a Base or a
+    # Subsequence run kept code through a runner, each named here by the
+    # term that keeps it; function_at, and rows of an Extend, evaluate.
     m = make()
     calls = []
 
@@ -222,10 +310,20 @@ def test_each_stream_value_is_evaluated_once(make, rows_first, monkeypatch):
         calls.append((pretty(program.term), n))
         return evaluate(program, n, budget)
 
+    def counting_runner(budget):
+        run = runner(budget)
+
+        def counted(code, n):
+            calls.append((next(pretty(t) for t in m._terms if t._code is code), n))
+            return run(code, n)
+
+        return counted
+
     def unranking(tier, i):
         raise AssertionError(f"unranked index {i}")
 
     monkeypatch.setattr(machines, "evaluate", counting)
+    monkeypatch.setattr(machines, "runner", counting_runner)
     monkeypatch.setattr(machines, "program_at", unranking)
     rows = lambda: [w.fn_at_n for w in witness_rows(m, 60)]
     functions = lambda: [function_at(m, n)(n) for n in range(1, 61)]

@@ -7,7 +7,7 @@ import pytest
 from diagforge import enumeration, machines, refuter
 from diagforge.enumeration import Tier
 from diagforge.errors import EmptyClassifierError, ResourceExhaustedError
-from diagforge.interp import EvalBudget, compile_term, evaluate
+from diagforge.interp import EvalBudget, compile_term, evaluate, runner
 from diagforge.kernel import Sort, check_well_formed, parse, pretty
 from diagforge.machines import Base, diagonal, witness_rows
 from diagforge.refuter import (
@@ -96,14 +96,19 @@ def test_refute_rejects_bad_count():
 def test_refute_evaluates_each_accepted_program_once(monkeypatch):
     calls = []
 
-    def counting(program, n, budget=None):
-        calls.append(n)
-        return evaluate(program, n, budget)
+    def counting_runner(budget):
+        run = runner(budget)
+
+        def counted(code, n):
+            calls.append(n)
+            return run(code, n)
+
+        return counted
 
     def unranking(tier, i):
         raise AssertionError(f"refute unranked index {i}")
 
-    monkeypatch.setattr(machines, "evaluate", counting)
+    monkeypatch.setattr(machines, "runner", counting_runner)
     monkeypatch.setattr(machines, "program_at", unranking)
     machine = accepted_prefix(AcceptAll(), Tier.FULL, 400)
     assert len(list(witness_rows(machine, 400))) == 400
