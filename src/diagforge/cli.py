@@ -10,12 +10,14 @@ printed as each is proved, so a run that exhausts its budget keeps the
 rows before the failing index. A command converts every value the value
 cap admits between int and str, past CPython's default limit of 4,300
 digits; numerals in text (options, DIAGFORGE_BUDGET, probes, goal files)
-keep 4,300 digits on every Python. DIAGFORGE_BUDGET overrides the default
-step budget.
+keep 4,300 digits on every Python. No command makes a reference cycle,
+so a command runs with the cyclic collector paused. DIAGFORGE_BUDGET
+overrides the default step budget.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -241,6 +243,10 @@ def main(argv: list[str] | None = None) -> int:
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if 0 < limit < _VALUE_DIGITS:
         sys.set_int_max_str_digits(_VALUE_DIGITS)
+    # Pause the cyclic collector too: reference counting frees all a command drops.
+    collecting = gc.isenabled()
+    if collecting:
+        gc.disable()
     try:
         handler, options = parse_argv(sys.argv[1:] if argv is None else argv)
         code = handler(**options) or 0
@@ -265,6 +271,8 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -10,12 +10,13 @@ differs from g again. Machine indices are 1-based to match the stream
 f_1, f_2, ...; g(0) is defined as g(1) so oracle functions are total on all
 naturals.
 
-A tier or subsequence machine keeps each diagonal value f_n(n) in one
-memo of plain ints. A witness table runs its programs' kept code through
-its own interp.runner, and its rows are ints: g_at_n is f_n(n) + 1, the
-diagonal's definition. `function_at` builds one OracleFn per index when
+Every machine keeps each diagonal value f_n(n) in one memo of plain
+ints. A witness table runs the kept code of its tier or subsequence
+programs (an extension's past its prepended functions) through its own
+interp.runner, and its rows are ints: g_at_n is f_n(n) + 1, the
+diagonal's definition. `function_at` builds one OracleFn per program when
 asked, over interp.evaluate, holding the program and budget, not the
-machine; it and the memo read each other's f_i(i), so each f_n(n) is
+machine; it and the memo read each other's f_n(n), so each f_n(n) is
 evaluated once per machine. A tier machine keeps the terms it reads from
 the tier's stream, which tables read ahead, and unranks only an index
 past them.
@@ -116,11 +117,20 @@ class Subsequence(Record):
 
 
 class Extend(Record):
-    __slots__ = _fields = ("inner", "prepended")
+    """inner's stream after the functions `prepended`. It keeps every
+    level's prepended functions, outermost first, the innermost machine,
+    whose terms it shares, and its own f_n(n) memo."""
+
+    _fields = ("inner", "prepended")
+    __slots__ = _fields + ("_head", "_base", "_memo", "_terms")
 
     def __init__(self, inner: Machine, prepended: tuple[OracleFn, ...]):
         self.inner = inner
         self.prepended = prepended
+        nested = isinstance(inner, Extend)
+        self._head, self._base = (prepended + inner._head, inner._base) if nested else (prepended, inner)
+        self._memo: dict[int, int] = {}
+        self._terms = self._base._terms
 
 
 Machine = Base | Subsequence | Extend
@@ -138,19 +148,19 @@ def function_at(m: Machine, i: int) -> OracleFn:
     """The i-th function (1-based) of the machine's stream."""
     if i < 1:
         raise ValueError(f"stream index must be >= 1, got {i}")
-    while isinstance(m, Extend):
-        if i <= len(m.prepended):
-            return m.prepended[i - 1]
-        i -= len(m.prepended)
-        m = m.inner
+    n, memo = i, m._memo
+    if isinstance(m, Extend):
+        if i <= len(m._head):
+            return m._head[i - 1]
+        i, m = i - len(m._head), m._base
     fn = m._fns.get(i)
     if fn is None:
-        program, value = m._program(i), m._memo.get(i)
-        fn = OracleFn(partial(evaluate, program, budget=m.budget), partial(pretty, program.term))
-        if value is not None:
-            fn._cache[i] = value
+        program = m._program(i)
         # setdefault keeps one function per index when threads race here.
-        fn = m._fns.setdefault(i, fn)
+        fn = m._fns.setdefault(i, OracleFn(partial(evaluate, program, budget=m.budget), partial(pretty, program.term)))
+    value = memo.get(n)  # a table computed f_n(n) first
+    if value is not None:
+        fn._cache[n] = value
     return fn
 
 
@@ -192,20 +202,17 @@ def witness_values(m: Machine, count: int) -> Iterator[tuple[int, int, int]]:
     is proved; each f_n(n) is evaluated once per machine."""
     if count < 1:
         raise ValueError(f"witness count must be >= 1, got {count}")
+    head, base = (m._head, m._base) if isinstance(m, Extend) else ((), m)
+    run, memo, fns, terms, skip = runner(base.budget), m._memo, base._fns, m._terms, len(head)
     try:
-        if isinstance(m, Extend):
-            for n in range(1, count + 1):
-                value = function_at(m, n)(n)
-                yield n, value, value + 1
-            return
-        run, memo, fns, terms = runner(m.budget), m._memo, m._fns, m._terms
         for n in range(1, count + 1):
             value = memo.get(n)
             if value is None:
-                fn = fns.get(n)  # function_at asked first, and evaluates
-                if fn is None and n > len(terms):  # a Base reads ahead; past a Subsequence's end, this raises
-                    m._program(n, min(count, 2 * n))
-                value = memo[n] = fn(n) if fn is not None else run(compile_term(terms[n - 1]), n)
+                i = n - skip  # the row's index in base's stream
+                fn = head[n - 1] if i < 1 else fns.get(i)  # function_at asked first, and evaluates
+                if fn is None and i > len(terms):  # a Base reads ahead; past a Subsequence's end, this raises
+                    base._program(i, min(count - skip, 2 * i))
+                value = memo[n] = fn(n) if fn is not None else run(compile_term(terms[i - 1]), n)
             yield n, value, value + 1
     except ResourceExhaustedError as exc:
         raise ResourceExhaustedError(exc.steps_used, exc.reason, at=f"index {n}") from exc

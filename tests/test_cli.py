@@ -1,5 +1,6 @@
 """The command-line interface: record formats, exit codes, determinism."""
 
+import gc
 import hashlib
 import json
 import os
@@ -312,8 +313,8 @@ def test_space_evolution_script_stdout_is_pinned():
 
 def test_each_command_unranks_each_program_at_most_once(monkeypatch):
     # In process, counting unranking and the machines' evaluations: a table
-    # of a Base or a Subsequence runs kept code through a runner, and an
-    # Extend's rows evaluate through function_at. Each is keyed by the code run.
+    # runs kept code through a runner, and a diagonal evaluates through
+    # function_at. Each is keyed by the code run.
     from diagforge import cli, enumeration, interp, machines
 
     unranked, evaluated = [], []
@@ -610,6 +611,86 @@ def test_main_restores_the_callers_digit_limit(limit, tmp_path, capsys):
         out, _ = capsys.readouterr()
         if argv[0] == "space":
             assert _ints(out)["probes"] == [10**5000, 1]
+
+
+def _collecting(enabled, call, *args):
+    """call(*args) with the cyclic collector on or off; its state is restored after."""
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        return call(*args)
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_main_pauses_the_collector_and_restores_it(enabled, capsys):
+    from diagforge import cli
+
+    collections = []
+    hook = lambda phase, info: phase == "start" and collections.append(info["generation"])
+
+    def main(argv):
+        """cli.main's exit code, the collector's state after it, and the collections it ran."""
+        before = len(collections)
+        code = cli.main(argv)
+        return code, gc.isenabled(), collections[before:]
+
+    cases = [
+        (["diag", "--witness", "916"], 0),  # about a dozen collections with the collector on
+        (["enum", "--count", "0"], 2),
+        (["diag", "--witness", "3", "--budget", "1"], 3),
+    ]
+    gc.callbacks.append(hook)
+    try:
+        for argv, code in cases:
+            assert _collecting(enabled, main, argv) == (code, enabled, []), argv
+            capsys.readouterr()
+    finally:
+        gc.callbacks.remove(hook)
+
+
+# Commands run in process with the collector off, each then checked to
+# have left nothing that only the collector frees: the pinned commands,
+# CI's three synth goals, a usage error, a term too deep to evaluate, and
+# the space verbs on one snapshot, one absorb of which exhausts.
+DEEP_DECIDER = "(succ " * 2500 + "(precnat zero acc n)" + ")" * 2500
+SQUARING = "(precnat (succ (succ zero)) (mul acc acc) n)"
+NO_CYCLE_RUNS = {
+    **{command: [(command.split(), 0)] for command, _ in PINNED_STDOUT},
+    **{command: [(command.split(), 3)] for command, _, _ in PINNED_EXHAUSTED},
+    "synth qsort": [("synth --schema pivotdc --goal goals/qsort.txt --budget 6".split(), 0)],
+    "synth succ": [("synth --schema bottomup --goal goals/succ.txt --budget 7".split(), 0)],
+    "synth unanswerable": [("synth --schema pivotdc --goal unanswerable.txt --budget 6".split(), 1)],
+    "usage error": [("diag --witness 2 --budget 0".split(), 2)],
+    "too deep": [("refute --classifier program:deep.txt --count 1".split(), 3)],
+    "space": [
+        (["space", "new", "--probes", "(0 1 20)", "--out", "s.json"], 0),
+        (["space", "absorb", "--space", "s.json", "--term", "n", "--out", "s.json"], 0),
+        (["space", "absorb", "--space", "s.json", "--term", "(mul n n)", "--out", "s.json"], 0),
+        (["space", "absorb", "--space", "s.json", "--term", SQUARING, "--out", "s.json"], 3),
+        (["space", "expand", "--space", "s.json", "--probes", "(2)", "--out", "t.json"], 0),
+        (["space", "unify", "--left", "s.json", "--right", "t.json", "--out", "u.json"], 0),
+        (["space", "export", "--space", "u.json"], 0),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(NO_CYCLE_RUNS))
+def test_no_command_leaves_a_reference_cycle(name, tmp_path, monkeypatch, capsys):
+    # cli.main pauses the collector on this invariant: reference counting
+    # alone frees everything a command drops.
+    from diagforge import cli
+
+    (tmp_path / "goals").symlink_to(ROOT / "goals")
+    (tmp_path / "decider.txt").write_text(SQUARING + "\n")
+    (tmp_path / "deep.txt").write_text(DEEP_DECIDER + "\n")
+    (tmp_path / "unanswerable.txt").write_text("() -> ()\n(2 1) -> (1 2)\n(3 1 2) -> (3 2 1 0)\n")
+    monkeypatch.chdir(tmp_path)
+    gc.collect()
+    for argv, code in NO_CYCLE_RUNS[name]:
+        assert _collecting(False, lambda: (cli.main(argv), gc.collect())) == (code, 0), argv
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize("verb", ["unify", "absorb", "expand"])

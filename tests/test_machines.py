@@ -222,6 +222,37 @@ def test_concurrent_rows_and_functions_on_a_fresh_base_agree():
         sys.setswitchinterval(interval)
 
 
+def test_concurrent_rows_and_functions_on_a_fresh_extension_agree():
+    # An extension's rows fill its own memo and its base's functions read it
+    # back: eight threads on one fresh extension must each see the same rows.
+    from concurrent.futures import ThreadPoolExecutor
+
+    def rows(m):
+        return [(w.index, w.fn_at_n, w.g_at_n) for w in witness_rows(m, 300)]
+
+    def read(m, k):
+        if k % 2:
+            return rows(m)
+        return [(n, function_at(m, n)(n), function_at(m, n)(n) + 1) for n in range(1, 301)]
+
+    expected = rows(_extended_twice())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            m = _extended_twice()
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                tables = list(pool.map(lambda k: read(m, k), range(8), timeout=60))
+            assert all(table == expected for table in tables)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _extended_twice():
+    (_, _), (m1, g2) = iterate(Base(Tier.FULL), 2)
+    return extend(m1, g2)
+
+
 def _outcome(run):
     """A value, or the exhaustion as (reason, steps_used, at)."""
     try:
@@ -300,9 +331,9 @@ def _extended_base():
 @pytest.mark.parametrize("rows_first", [True, False], ids=["rows-first", "function-first"])
 def test_each_stream_value_is_evaluated_once(make, rows_first, monkeypatch):
     # Whichever of the rows and function_at asks for f_n(n) first evaluates
-    # it, the other reads it back, and neither unranks. Rows of a Base or a
-    # Subsequence run kept code through a runner, each named here by the
-    # term that keeps it; function_at, and rows of an Extend, evaluate.
+    # it, the other reads it back, and neither unranks. Rows run kept code
+    # through a runner, each named here by the term that keeps it;
+    # function_at, and an Extend's prepended diagonal, evaluate.
     m = make()
     calls = []
 
